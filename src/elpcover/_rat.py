@@ -1,9 +1,10 @@
-"""Exact rational scalar used throughout the solver stack.
+"""Exact rational scalar of the solver stack's values, cuts and reports.
 
-gmpy2.mpq when available (roughly an order of magnitude faster in the simplex
-inner loop), fractions.Fraction otherwise. Both are always reduced to lowest
-terms with a positive denominator, interoperate with ints, and print as
-"p/q" / "p", which is the lossless wire format used in reports.
+gmpy2.mpq when available, fractions.Fraction otherwise. Both are always
+reduced to lowest terms with a positive denominator, interoperate with ints,
+and print as "p/q" / "p", which is the lossless wire format used in reports.
+The simplex tableau itself works on Python ints and uses Rat only at its
+boundary (incoming rows, returned values).
 """
 
 from __future__ import annotations

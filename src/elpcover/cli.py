@@ -2,8 +2,10 @@
 
 Instances are DIMACS or whitespace edge-list files (format sniffed, or forced
 with --format), or inline generator specs prefixed with "gen:", e.g.
-"gen:cycle(5)". Exit codes: 0 success, 2 parse error, 3 hypothesis failure
-(base mode), 4 size cap exceeded. Set VC_LOG=debug|info|warning for logging.
+"gen:cycle(5)". Exit codes: 0 success, 2 parse error (unreadable or malformed
+instance, bad generator spec, bad arguments), 3 hypothesis failure (base
+mode), 4 size cap exceeded. An internal error is not caught: it ends the run
+with its traceback. Set VC_LOG=debug|info|warning for logging.
 """
 
 from __future__ import annotations
@@ -42,10 +44,18 @@ def _setup_logging() -> None:
     )
 
 
+def _generate(spec: str):
+    """generate(spec), with a malformed or out-of-range spec as an input error."""
+    try:
+        return generate(spec)
+    except ValueError as exc:
+        raise GraphFormatError(f"generator spec {spec!r}: {exc}") from exc
+
+
 def _load_instance(spec: str, fmt: str | None):
     """Returns (graph, name, source). spec is a path or "gen:<generator>"."""
     if spec.startswith("gen:"):
-        g, name = generate(spec[4:])
+        g, name = _generate(spec[4:])
         return g, name, spec
     path = Path(spec)
     try:
@@ -121,7 +131,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    g, name = generate(args.spec)
+    g, name = _generate(args.spec)
     text = to_dimacs(g, comments=[f"generated: {name}"])
     if args.out:
         Path(args.out).write_text(text)
@@ -223,6 +233,8 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "hunt" and not 1 <= args.n_range[0] <= args.n_range[1]:
+        parser.error(f"--n-range needs 1 <= LO <= HI, got {args.n_range[0]} {args.n_range[1]}")
     try:
         return args.func(args)
     except GraphFormatError as exc:
@@ -231,9 +243,6 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

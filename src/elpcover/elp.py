@@ -362,11 +362,12 @@ def _assemble_pinned(
     g: Graph, engine, rows, pin_row, base_count: int, pool
 ) -> ElpSolution:
     # Engine row order is [base rows, pin, chased cuts]; the problem lists the
-    # pin last, so map the engine surpluses back accordingly.
+    # pin last, so map the engine surpluses back accordingly. The engine's pin
+    # row is x_u + x_v <= 1, the negation of the problem's equality row.
     order = g.vertices
     problem = LpProblem(g.n, tuple(rows) + (pin_row,))
     owner = (
-        list(range(base_count)) + [len(rows)] + list(range(base_count, len(rows)))
+        list(range(base_count)) + [~len(rows)] + list(range(base_count, len(rows)))
     )
     basic = finalize_solution(problem, engine, owner)
     x = dict(zip(order, basic.values))

@@ -54,6 +54,26 @@ def test_exit_code_parse_error(tmp_path):
     assert run_cli(["solve", str(tmp_path / "missing.col")]) == 2
 
 
+def test_exit_code_bad_generator_spec():
+    assert run_cli(["solve", "gen:cycle(2)"]) == 2
+    assert run_cli(["solve", "gen:no_such(3)"]) == 2
+    assert run_cli(["gen", "cycle("]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["hunt", "--n-range", "10", "5"])
+    assert exc.value.code == 2
+
+
+def test_internal_value_error_is_not_a_parse_error(monkeypatch):
+    from elpcover import elp
+
+    def broken(g, x):
+        raise ValueError("edge inequality violated")
+
+    monkeypatch.setattr(elp, "separate_odd_cycle", broken)
+    with pytest.raises(ValueError, match="edge inequality violated"):
+        run_cli(["solve", "gen:cycle(5)"])
+
+
 def test_exit_code_hypothesis_failure(tmp_path):
     g = circulant(11, (1, 3))
     path = tmp_path / "hard.col"

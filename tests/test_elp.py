@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -20,6 +21,7 @@ from elpcover.graph import (
     torus_grid_graph,
 )
 from elpcover.oracles import enumerate_odd_cycles, exact_vc
+from elpcover.simplex import CoveringSimplex
 from exact_oracles import (
     circulant,
     nx_min_odd_cycle_weight,
@@ -218,3 +220,76 @@ def test_explore_alternate_precondition():
     sol = solve_elp(complete_graph(2))
     with pytest.raises(ValueError):
         explore_alternate_bfs(complete_graph(2), sol)
+
+
+def _check_tableau_invariants(engine):
+    basic = set(engine._basis)
+    for row, rhs, den, col in zip(engine._rows, engine._rhs, engine._den, engine._basis):
+        assert den > 0
+        assert gcd(den, rhs, *row.values()) == 1
+        assert row[col] == den
+        assert 0 not in row.values()
+        assert len(basic & row.keys()) == 1  # a unit column per basic variable
+    assert engine._cost_den > 0
+    assert gcd(engine._cost_den, *engine._cost.values()) == 1
+    assert not basic & {j for j, c in engine._cost.items() if c}
+
+
+# Bland's rules pick one vertex among the optima; these were recorded from
+# the Fraction-tableau engine and must not move with the arithmetic.
+BLAND_VERTICES = {
+    "petersen": (
+        petersen_graph(),
+        6,
+        {2, 4, 5, 6, 7, 8},
+        27,
+        (
+            (1, 2, 3, 4, 5), (2, 3, 4, 9, 7), (1, 5, 4, 9, 6), (1, 2, 3, 8, 6),
+            (1, 2, 7, 10, 5), (3, 4, 5, 10, 8), (6, 8, 10, 7, 9),
+        ),
+    ),
+    "torus_grid(5,5)": (
+        torus_grid_graph(5, 5),
+        15,
+        {2, 3, 5, 6, 7, 9, 11, 13, 15, 17, 19, 20, 21, 23, 24},
+        404,
+        (
+            (1, 2, 3, 4, 5), (2, 3, 4, 5, 10, 6, 7), (1, 5, 4, 3, 8, 7, 6),
+            (1, 2, 7, 8, 9, 4, 5), (1, 2, 3, 8, 9, 10, 5), (1, 2, 3, 4, 9, 10, 6),
+            (6, 7, 8, 9, 10), (1, 5, 4, 9, 8, 13, 12, 11, 6), (8, 9, 10, 15, 11, 12, 13),
+            (1, 2, 7, 12, 13, 14, 9, 4, 5), (1, 5, 4, 9, 14, 13, 12, 7, 6),
+            (1, 2, 3, 4, 9, 14, 15, 11, 6), (1, 2, 7, 8, 13, 14, 15, 11, 6),
+            (2, 3, 4, 9, 14, 15, 11, 6, 7), (1, 2, 7, 12, 13, 14, 9, 10, 5),
+            (6, 7, 12, 13, 14, 15, 10), (11, 12, 13, 18, 19, 20, 16),
+            (11, 12, 17, 18, 19, 14, 15), (11, 15, 14, 19, 24, 23, 22, 17, 16),
+            (7, 8, 9, 14, 15, 20, 16, 17, 12), (3, 4, 9, 14, 15, 20, 16, 17, 12, 13, 8),
+            (4, 5, 10, 15, 20, 16, 17, 12, 13, 8, 9), (21, 22, 23, 24, 25),
+            (3, 4, 5, 10, 15, 11, 16, 17, 18, 13, 8), (4, 9, 14, 19, 24),
+            (12, 13, 14, 15, 20, 16, 17), (1, 5, 4, 9, 8, 13, 18, 17, 16, 11, 6),
+            (8, 9, 10, 15, 11, 16, 17, 18, 13), (1, 5, 4, 9, 14, 13, 18, 17, 16, 11, 6),
+            (13, 14, 15, 20, 16, 17, 18), (3, 4, 5, 25, 21, 22, 23), (5, 10, 15, 20, 25),
+            (1, 6, 11, 16, 21), (2, 7, 12, 17, 22),
+            (1, 2, 22, 17, 12, 13, 14, 19, 20, 25, 5), (3, 8, 13, 18, 23),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLAND_VERTICES))
+def test_elp_bland_vertex_and_tableau_invariants(name, monkeypatch):
+    g, objective, ones, pivots, pool = BLAND_VERTICES[name]
+    pivot = CoveringSimplex._pivot
+    count = [0]
+
+    def checked_pivot(engine, r, col):
+        pivot(engine, r, col)
+        count[0] += 1
+        _check_tableau_invariants(engine)
+
+    monkeypatch.setattr(CoveringSimplex, "_pivot", checked_pivot)
+    sol = solve_elp(g)
+    assert sol.objective == objective
+    assert sol.x == {v: Rat(1 if v in ones else 0) for v in g.vertices}
+    assert len(sol.rounds) == len(pool)
+    assert tuple(c.vertices for c in sol.cycle_pool) == pool
+    assert count[0] == pivots

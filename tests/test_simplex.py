@@ -2,16 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elpcover._rat import Rat
 from elpcover.elp import edge_relaxation
 from elpcover.graph import complete_graph, cycle_graph
 from elpcover.oracles import rational_rank
 from elpcover.simplex import (
+    CoveringSimplex,
     InfeasibleError,
     LpProblem,
     LpRow,
     add_row,
+    finalize_solution,
     solve,
     solve_with_equality,
 )
@@ -109,15 +113,6 @@ def test_empty_and_trivial_problems():
     assert sol.objective == 0 and tuple(sol.values) == (Rat(0),) * 3
 
 
-def test_debug_dump():
-    from elpcover.simplex import CoveringSimplex
-
-    eng = CoveringSimplex(2, [((Rat(1), Rat(1)), Rat(1))])
-    eng.optimize()
-    dump = eng.debug_dump()
-    assert "cost" in dump and "x0" in dump
-
-
 def test_exactness_zero_tolerance():
     # 1000 edges chained: values must verify rows exactly, no drift.
     n = 60
@@ -195,3 +190,65 @@ def test_pinned_value_matches_vertex_enumeration_oracle():
             assert expected is None
             continue
         assert expected is not None and Fraction(str(got)) == expected
+
+
+def test_dual_certificate_rejects_tampered_engine():
+    # min x1 + x2 s.t. x1 + 2 x2 >= 2, 2 x1 + x2 >= 2: optimum 4/3 at (2/3, 2/3).
+    problem = LpProblem(2, (LpRow((1, 2), ">=", 2), LpRow((2, 1), ">=", 2)))
+    rows = [(r.coeffs, r.rhs) for r in problem.rows]
+
+    engine = CoveringSimplex(2, rows)
+    engine.optimize()
+    assert finalize_solution(problem, engine, [0, 1]).objective == Rat(4, 3)
+
+    # A feasible but non-optimal basis: x1 enters on row 0, giving (2, 0).
+    off = CoveringSimplex(2, rows)
+    off._pivot(0, 0)
+    assert off.values() == [2, 0]
+    with pytest.raises(AssertionError, match="dual infeasible"):
+        finalize_solution(problem, off, [0, 1])
+
+    # Duals that stay feasible but prove a weaker bound than the objective.
+    engine._cost_den *= 2
+    with pytest.raises(AssertionError, match="duality gap"):
+        finalize_solution(problem, engine, [0, 1])
+
+
+_COEFF = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=0, max_value=3, max_denominator=4)
+)
+
+
+@st.composite
+def _covering_lps(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=4))
+    rows = tuple(
+        LpRow(
+            tuple(draw(_COEFF) for _ in range(n)),
+            ">=",
+            draw(st.fractions(min_value=0, max_value=3, max_denominator=4)),
+        )
+        for _ in range(m)
+    )
+    return LpProblem(n, rows), draw(st.integers(min_value=0, max_value=m - 1))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_covering_lps())
+def test_solve_matches_vertex_enumeration_on_rational_rows(case):
+    # Rational coefficients exercise add_ge_row's lcm scaling; every solve
+    # goes through finalize_solution and so through the dual certificate.
+    problem, pin = case
+    for rel_at_pin, solver in ((">=", solve), ("=", lambda p: solve_with_equality(p, pin))):
+        rows = [
+            (r.coeffs, rel_at_pin if i == pin else r.rel, r.rhs)
+            for i, r in enumerate(problem.rows)
+        ]
+        expected = lp_vertex_enumeration(problem.num_vars, rows)
+        try:
+            got = solver(problem)
+        except InfeasibleError:
+            assert expected is None
+            continue
+        assert expected is not None and Fraction(str(got.objective)) == expected
