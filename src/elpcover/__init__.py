@@ -5,7 +5,7 @@ cutting-plane relaxation engine, reduction pipeline with backtracking cover
 construction, additive-error certificates, and desk-scale exact oracles.
 """
 
-from ._rat import Rat, parse_rat, rat_str
+from ._rat import Rat, rat_str
 from .cover import (
     BoundCertificate,
     Cover,

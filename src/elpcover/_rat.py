@@ -24,7 +24,3 @@ TWO_THIRDS = Rat(2, 3)
 def rat_str(value) -> str:
     """Lossless "p/q" (or "p") rendering of a rational or int."""
     return str(Rat(value))
-
-
-def parse_rat(text: str) -> Rat:
-    return Rat(text)

@@ -125,7 +125,7 @@ def certify(trace: ReductionTrace, f1, cover: Cover) -> BoundCertificate:
     """Compute the certificate for a validated cover.
 
     Raises GuaranteeViolation when a run without random-edge reductions
-    breaks |S1| <= (3/2) f1, which is provably impossible."""
+    breaks |S1| <= (3/2) f1 or gets a nonzero xi, both provably impossible."""
     counts = trace.kind_counts()
     eta = counts[KIND_ACTIVE]
     gamma = counts[KIND_RANDOM]
@@ -143,8 +143,8 @@ def certify(trace: ReductionTrace, f1, cover: Cover) -> BoundCertificate:
         raise GuaranteeViolation(
             f"|S1|={len(cover)} exceeds (3/2) f1 = {THREE_HALVES * f1} with gamma=0"
         )
-    if gamma == 0:
-        assert xi == 0
+    if gamma == 0 and xi != 0:
+        raise GuaranteeViolation(f"xi={xi} is nonzero with gamma=0")
     return BoundCertificate(
         f1=f1,
         cover_size=len(cover),

@@ -19,10 +19,11 @@ from __future__ import annotations
 import heapq
 import logging
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Mapping, Optional
 
 from ._rat import FOUR_THIRDS, ONE, ZERO, Rat
-from .graph import Graph, OddCycle, normalize_edge
+from .graph import Graph, OddCycle
 from .simplex import (
     BasicSolution,
     CoveringSimplex,
@@ -58,10 +59,6 @@ class ElpSolution:
     rounds: tuple[CutRound, ...] = field(default=())
 
     @property
-    def zero_vertices(self) -> frozenset[int]:
-        return frozenset(v for v, val in self.x.items() if val == 0)
-
-    @property
     def one_vertices(self) -> frozenset[int]:
         return frozenset(v for v, val in self.x.items() if val == 1)
 
@@ -92,27 +89,48 @@ def separate_odd_cycle(g: Graph, x: Mapping[int, object]):
     w(u,v) = x_u + x_v - 1 are nonnegative. Returns (cycle, violation) where
     violation = (s+1) - sum_{v in cycle} x_v > 0 and the cycle has minimum
     weight among all odd cycles (so it is a most-violated one).
-    """
-    weights = {}
-    for u, v in g.edges():
-        w = Rat(x[u]) + Rat(x[v]) - ONE
-        if w < 0:
-            raise ValueError(f"edge inequality violated at ({u},{v}): {x[u]}+{x[v]} < 1")
-        weights[(u, v)] = w
 
-    best_dist = None
+    The search is exact and integer-only. x is scaled once by L, the lcm of
+    its denominators, so each edge weighs the int L*x_u + L*x_v - L, and one
+    Dijkstra per base vertex looks for the lightest walk from (base, 0) to
+    (base, 1) in the bipartite double cover. Two prunings keep it cheap:
+
+    - bound: no label >= limit is pushed, where limit is L (only walks of
+      weight < 1 are violated) until a walk is found, then the best weight
+      so far (a later base must be strictly lighter to replace it);
+    - done vertices: a base already searched is left out of later searches,
+      since any walk through it weighs at least the limit of its own search.
+
+    Tie-break: among equally light walks the lowest base in g.vertices order
+    wins, and within a search the heap order on (weight, (vertex, side))
+    picks the walk. Scaling by L > 0 keeps every comparison, and the
+    prunings only drop labels that could not win, so the cycle returned is
+    the one an unscaled, unpruned search returns.
+    """
+    order = g.vertices
+    values = [Rat(x[v]) for v in order]
+    scale = lcm(*(r.denominator for r in values))
+    scaled = [r.numerator * (scale // r.denominator) for r in values]
+    index = {v: i for i, v in enumerate(order)}
+    for u, v in g.edges():
+        if scaled[index[u]] + scaled[index[v]] < scale:
+            raise ValueError(f"edge inequality violated at ({u},{v}): {x[u]}+{x[v]} < 1")
+    # Double-cover node (vertex i, side s) is the int 2*i + s; order is sorted,
+    # so these codes sort exactly like the (vertex, side) pairs.
+    adjacency = [
+        [(2 * index[u], scaled[i] + scaled[index[u]] - scale) for u in g.neighbors(v)]
+        for i, v in enumerate(order)
+    ]
+    best_dist = scale
     best_walk = None
-    for base in g.vertices:
-        found = _shortest_odd_closed_walk(g, weights, base)
-        if found is None:
-            continue
-        dist, walk = found
-        if best_dist is None or dist < best_dist:
-            best_dist, best_walk = dist, walk
-    if best_dist is None or best_dist >= 1:
+    for base in range(len(order)):
+        found = _shortest_odd_closed_walk(adjacency, base, best_dist)
+        if found is not None:
+            best_dist, best_walk = found
+    if best_walk is None:
         # Cycle weight >= 1 is exactly the cycle inequality holding.
         return None
-    cycle = OddCycle.in_graph(g, _extract_simple_odd_cycle(best_walk))
+    cycle = OddCycle.in_graph(g, _extract_simple_odd_cycle([order[i] for i in best_walk]))
     total = sum((Rat(x[v]) for v in cycle.vertices), ZERO)
     violation = Rat(cycle.rhs) - total
     if violation <= 0:
@@ -120,31 +138,36 @@ def separate_odd_cycle(g: Graph, x: Mapping[int, object]):
     return cycle, violation
 
 
-def _shortest_odd_closed_walk(g: Graph, weights, base: int):
-    """Dijkstra from (base, 0) to (base, 1) in the bipartite double cover."""
-    src, dst = (base, 0), (base, 1)
-    dist = {src: ZERO}
+def _shortest_odd_closed_walk(adjacency, base: int, limit: int):
+    """(weight, walk) of the lightest walk from (base, 0) to (base, 1) in the
+    double cover when it weighs < limit, else None. Vertices below base are
+    done and never entered; walk lists vertex indices, base at both ends."""
+    src = 2 * base
+    dst = src + 1
+    # A label is kept only below dist[node]: limit bounds the search, and 0
+    # closes the done vertices.
+    dist = [0] * src + [limit] * (2 * len(adjacency) - src)
+    dist[src] = 0
     parent = {}
-    heap = [(ZERO, src)]
+    heap = [(0, src)]
     while heap:
         d, node = heapq.heappop(heap)
-        if d > dist.get(node, d):
+        if d > dist[node]:
             continue
         if node == dst:
             walk = []
             while True:
-                walk.append(node[0])
+                walk.append(node >> 1)
                 if node == src:
                     break
                 node = parent[node]
             walk.reverse()
             return d, walk
-        v, side = node
-        for u in g.neighbors(v):
-            nd = d + weights[normalize_edge(u, v)]
-            nxt = (u, 1 - side)
-            old = dist.get(nxt)
-            if old is None or nd < old:
+        flip = 1 - (node & 1)
+        for code, w in adjacency[node >> 1]:
+            nd = d + w
+            nxt = code + flip
+            if nd < dist[nxt]:
                 dist[nxt] = nd
                 parent[nxt] = node
                 heapq.heappush(heap, (nd, nxt))

@@ -16,6 +16,11 @@ from typing import Iterable, Iterator, Optional
 
 log = logging.getLogger("elpcover.graph")
 
+# Largest vertex or edge count that a DIMACS header or a generator spec may
+# ask for. Checked before anything is allocated; every corpus graph is far
+# below it (n <= 35).
+MAX_GRAPH_SIZE = 1_000_000
+
 
 class GraphFormatError(ValueError):
     """Malformed graph input: bad line, index out of range, or self-loop."""
@@ -286,6 +291,10 @@ def _parse_dimacs(text: str) -> Graph:
                 n, declared_m = int(fields[2]), int(fields[3])
             except ValueError as exc:
                 raise GraphFormatError(f"line {lineno}: {line!r}") from exc
+            if max(n, declared_m) > MAX_GRAPH_SIZE:
+                raise GraphFormatError(
+                    f"line {lineno}: {line!r} exceeds the size limit {MAX_GRAPH_SIZE}"
+                )
         elif fields[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before problem line")
@@ -346,10 +355,6 @@ def to_dimacs(g: Graph, comments: Iterable[str] = ()) -> str:
     lines.append(f"p edge {g.n} {g.m}")
     lines.extend(f"e {index[u]} {index[v]}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
-
-
-def to_edgelist(g: Graph) -> str:
-    return "".join(f"{u} {v}\n" for u, v in g.edges())
 
 
 # --------------------------------------------------------------- generators
@@ -440,21 +445,31 @@ def random_triangle_free_graph(n: int, p: float, seed: int) -> Graph:
 
 _GEN_SPEC = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*([^()]*)\s*\))?\s*$")
 
+
+def _pairs(n: int) -> int:
+    return n * (n - 1) // 2
+
+
+# name -> (factory, argument kinds, (vertex count, edge count upper bound)).
 GENERATORS = {
-    "cycle": (cycle_graph, ("int",)),
-    "path": (path_graph, ("int",)),
-    "complete": (complete_graph, ("int",)),
-    "petersen": (petersen_graph, ()),
-    "torus_grid": (torus_grid_graph, ("int", "int")),
-    "random_triangle_free": (random_triangle_free_graph, ("int", "float", "int")),
-    "gnp": (random_gnp_graph, ("int", "float", "int")),
+    "cycle": (cycle_graph, ("int",), lambda n: (n, n)),
+    "path": (path_graph, ("int",), lambda n: (n, n)),
+    "complete": (complete_graph, ("int",), lambda n: (n, _pairs(n))),
+    "petersen": (petersen_graph, (), lambda: (10, 15)),
+    "torus_grid": (torus_grid_graph, ("int", "int"), lambda a, b: (a * b, 2 * a * b)),
+    "random_triangle_free": (
+        random_triangle_free_graph, ("int", "float", "int"), lambda n, p, seed: (n, _pairs(n))
+    ),
+    "gnp": (random_gnp_graph, ("int", "float", "int"), lambda n, p, seed: (n, _pairs(n))),
 }
 
 
 def generate(spec: str) -> tuple[Graph, str]:
     """Build a graph from a generator spec like "cycle(5)" or "petersen".
 
-    Returns the graph and a normalized name for reports/filenames.
+    Returns the graph and a normalized name for reports/filenames. A spec
+    whose vertex or edge count exceeds MAX_GRAPH_SIZE raises GraphFormatError
+    before the graph is built.
     """
     match = _GEN_SPEC.match(spec)
     if not match:
@@ -462,10 +477,12 @@ def generate(spec: str) -> tuple[Graph, str]:
     name, arg_text = match.group(1), match.group(2)
     if name not in GENERATORS:
         raise ValueError(f"unknown generator {name!r}; choices: {sorted(GENERATORS)}")
-    factory, arg_kinds = GENERATORS[name]
+    factory, arg_kinds, size = GENERATORS[name]
     raw_args = [a.strip() for a in arg_text.split(",")] if arg_text else []
     if len(raw_args) != len(arg_kinds):
         raise ValueError(f"{name} expects {len(arg_kinds)} argument(s), got {len(raw_args)}")
     args = [int(a) if kind == "int" else float(a) for a, kind in zip(raw_args, arg_kinds)]
     canonical = name if not args else f"{name}({','.join(raw_args)})"
+    if max(size(*args)) > MAX_GRAPH_SIZE:
+        raise GraphFormatError(f"{canonical} exceeds the size limit {MAX_GRAPH_SIZE}")
     return factory(*args), canonical

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import logging
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
@@ -263,12 +264,15 @@ def hunt(
     """Run the batch sweep; returns (summary, per-instance rows).
 
     Nonzero-xi instances keep their DIMACS text in the row for archiving.
+    jobs is clamped to min(jobs, trials, os.cpu_count()); one job runs in
+    process.
     """
     n_lo, n_hi = n_range
     descriptors = [
         _hunt_instance_descriptor(gen, i, seed, n_lo, n_hi) for i in range(trials)
     ]
     work = [(i, d, seed, edge_rule, oracle_cap) for i, d in enumerate(descriptors)]
+    jobs = min(jobs, trials, os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = dict(pool.map(_hunt_worker, work))

@@ -8,13 +8,16 @@ cycles via networkx. Slow and dumb on purpose.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
+from typing import Mapping
 
 import networkx as nx
 
-from elpcover.graph import Graph
+from elpcover._rat import ONE, ZERO, Rat
+from elpcover.graph import Graph, OddCycle, normalize_edge
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -169,3 +172,92 @@ def random_bipartite(n_left: int, n_right: int, p: float, rng: random.Random) ->
         if rng.random() < p
     ]
     return Graph.from_edges(range(1, n_left + n_right + 1), edges)
+
+
+def reference_separate_odd_cycle(g: Graph, x: Mapping[int, object]):
+    """Most-violated odd-cycle inequality at x, or None if all are satisfied.
+
+    Requires x to satisfy every edge inequality so the weights
+    w(u,v) = x_u + x_v - 1 are nonnegative. Returns (cycle, violation) where
+    violation = (s+1) - sum_{v in cycle} x_v > 0 and the cycle has minimum
+    weight among all odd cycles (so it is a most-violated one).
+    """
+    weights = {}
+    for u, v in g.edges():
+        w = Rat(x[u]) + Rat(x[v]) - ONE
+        if w < 0:
+            raise ValueError(f"edge inequality violated at ({u},{v}): {x[u]}+{x[v]} < 1")
+        weights[(u, v)] = w
+
+    best_dist = None
+    best_walk = None
+    for base in g.vertices:
+        found = _shortest_odd_closed_walk(g, weights, base)
+        if found is None:
+            continue
+        dist, walk = found
+        if best_dist is None or dist < best_dist:
+            best_dist, best_walk = dist, walk
+    if best_dist is None or best_dist >= 1:
+        # Cycle weight >= 1 is exactly the cycle inequality holding.
+        return None
+    cycle = OddCycle.in_graph(g, _extract_simple_odd_cycle(best_walk))
+    total = sum((Rat(x[v]) for v in cycle.vertices), ZERO)
+    violation = Rat(cycle.rhs) - total
+    if violation <= 0:
+        raise AssertionError("extracted cycle must be violated when walk weight < 1")
+    return cycle, violation
+
+
+def _shortest_odd_closed_walk(g: Graph, weights, base: int):
+    """Dijkstra from (base, 0) to (base, 1) in the bipartite double cover."""
+    src, dst = (base, 0), (base, 1)
+    dist = {src: ZERO}
+    parent = {}
+    heap = [(ZERO, src)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist.get(node, d):
+            continue
+        if node == dst:
+            walk = []
+            while True:
+                walk.append(node[0])
+                if node == src:
+                    break
+                node = parent[node]
+            walk.reverse()
+            return d, walk
+        v, side = node
+        for u in g.neighbors(v):
+            nd = d + weights[normalize_edge(u, v)]
+            nxt = (u, 1 - side)
+            old = dist.get(nxt)
+            if old is None or nd < old:
+                dist[nxt] = nd
+                parent[nxt] = node
+                heapq.heappush(heap, (nd, nxt))
+    return None
+
+
+def _extract_simple_odd_cycle(walk: list[int]) -> tuple[int, ...]:
+    """Shrink a closed odd walk (walk[0] == walk[-1]) to a simple odd cycle.
+
+    A repeated vertex splits the walk into two closed sub-walks of opposite
+    parity; recurse on the odd one. Nonnegative weights mean the kept part
+    never weighs more than the whole."""
+    while True:
+        seen = {}
+        dup = None
+        for idx, v in enumerate(walk[:-1]):
+            if v in seen:
+                dup = (seen[v], idx)
+                break
+            seen[v] = idx
+        if dup is None:
+            return tuple(walk[:-1])
+        i, j = dup
+        if (j - i) % 2 == 1:
+            walk = walk[i : j + 1]  # closed at walk[i] == walk[j]
+        else:
+            walk = walk[: i + 1] + walk[j + 1 :]

@@ -63,6 +63,15 @@ def test_exit_code_bad_generator_spec():
     assert exc.value.code == 2
 
 
+def test_exit_code_oversized_instance(tmp_path):
+    # Rejected before allocation, from the spec or the header alone.
+    assert run_cli(["solve", "gen:cycle(99999999999)"]) == 2
+    assert run_cli(["gen", "complete(99999999)"]) == 2
+    huge = tmp_path / "huge.col"
+    huge.write_text("p edge 99999999999 1\ne 1 2\n")
+    assert run_cli(["solve", str(huge)]) == 2
+
+
 def test_internal_value_error_is_not_a_parse_error(monkeypatch):
     from elpcover import elp
 
@@ -178,6 +187,35 @@ def test_hunt_deterministic_and_parallel_equivalent():
     assert s1 == s2 and hunt_rows_csv(rows1) == hunt_rows_csv(rows2)
     s3, rows3 = hunt(gen="gnp-trianglefree", n_range=(6, 10), trials=6, seed=4, jobs=2)
     assert s3 == s1 and hunt_rows_csv(rows3) == hunt_rows_csv(rows1)
+
+
+@pytest.mark.parametrize(
+    "jobs, trials, cpus, workers",
+    [(64, 3, 8, 3), (64, 10, 4, 4), (2, 10, 4, 2), (64, 10, None, None), (1, 10, 8, None)],
+)
+def test_hunt_clamps_jobs(monkeypatch, jobs, trials, cpus, workers):
+    # A stand-in executor records max_workers and maps in process.
+    from elpcover import runner
+
+    started = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+    summary, rows = hunt(gen="gnp-trianglefree", n_range=(4, 5), trials=trials, seed=1, jobs=jobs)
+    assert len(rows) == trials
+    assert started == ([] if workers is None else [workers])
 
 
 def test_hunt_empty():

@@ -164,6 +164,17 @@ def test_certify_guarantee_violation_detected():
         certify(trace, Rat(2), frozenset(range(10)))  # |S1|=10 > 3 with gamma=0
 
 
+def test_certify_rejects_nonzero_xi_without_random_edges(monkeypatch):
+    # gamma=0 forces alpha=0 and so xi=0; a broken xi formula must still be
+    # caught by an explicit raise, which survives python -O.
+    from elpcover import cover as cover_module
+
+    monkeypatch.setattr(cover_module, "min", lambda *args: Rat(1, 2), raising=False)
+    trace, _ = run_pipeline(cycle_graph(5), "enhanced")
+    with pytest.raises(GuaranteeViolation, match="gamma=0"):
+        certify(trace, trace.f1, backtrack(trace))
+
+
 def test_backtrack_growth_ledger():
     rng = random.Random(60)
     for _ in range(80):

@@ -3,7 +3,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from elpcover import elp
 from elpcover._rat import Rat
 from elpcover.elp import (
     ElpSolution,
@@ -27,6 +30,7 @@ from exact_oracles import (
     nx_min_odd_cycle_weight,
     nx_odd_cycles,
     random_connected_gnp,
+    reference_separate_odd_cycle,
 )
 
 
@@ -77,6 +81,55 @@ def test_separation_equivalence_random(subtests=None):
             assert Fraction(str(weight)) == Fraction(str(best))
             assert violation == (Rat(1) - weight) / 2
             assert violation > 0
+
+
+@st.composite
+def _graphs_with_feasible_points(draw):
+    """A connected graph on n <= 12 vertices and an edge-feasible x whose
+    small denominators (2..7, or all 1/2) make equal-weight walks common."""
+    n = draw(st.integers(3, 12))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}  # spanning tree
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges |= {e for e in pairs if draw(st.booleans())}
+    g = Graph.from_edges(range(1, n + 1), sorted(edges))
+    if draw(st.booleans()):
+        x = {v: Rat(1, 2) for v in g.vertices}
+    else:
+        den = st.integers(2, 7)
+        x = {}
+        for v in g.vertices:
+            d = draw(den)
+            x[v] = Rat(draw(st.integers(0, d)), d)
+        for u, v in g.edges():  # raising an endpoint keeps earlier edges feasible
+            if x[u] + x[v] < 1:
+                x[v] = 1 - x[u]
+    return g, x
+
+
+def _cut(found):
+    return None if found is None else (found[0].vertices, found[1])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_graphs_with_feasible_points())
+def test_separation_tie_break_matches_reference(case):
+    g, x = case
+    assert _cut(separate_odd_cycle(g, x)) == _cut(reference_separate_odd_cycle(g, x))
+
+
+@pytest.mark.parametrize("g", [petersen_graph(), torus_grid_graph(5, 5)], ids=["petersen", "torus_grid(5,5)"])
+def test_separation_matches_reference_along_cut_loop(g, monkeypatch):
+    calls = []
+
+    def checked(graph, x):
+        found = separate_odd_cycle(graph, x)
+        assert _cut(found) == _cut(reference_separate_odd_cycle(graph, x))
+        calls.append(found is not None)
+        return found
+
+    monkeypatch.setattr(elp, "separate_odd_cycle", checked)
+    sol = solve_elp(g)
+    assert calls.count(True) == len(sol.rounds) and calls[-1] is False
 
 
 def test_elp_values_on_odd_cycles():

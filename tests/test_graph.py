@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from elpcover import graph as graph_module
 from elpcover.graph import (
     Graph,
     GraphFormatError,
@@ -228,3 +229,40 @@ def test_generate_spec_strings():
         generate("nosuch(3)")
     with pytest.raises(ValueError):
         generate("cycle(1,2)")
+
+
+def test_size_limit_rejects_huge_dimacs_header():
+    limit = graph_module.MAX_GRAPH_SIZE
+    with pytest.raises(GraphFormatError, match="size limit"):
+        parse_graph(f"p edge {limit + 1} 0\n")
+    with pytest.raises(GraphFormatError, match="size limit"):
+        parse_graph(f"p edge 2 {limit + 1}\ne 1 2\n")
+    with pytest.raises(GraphFormatError, match="size limit"):
+        parse_graph("p edge 99999999999 0\n")
+
+
+def test_size_limit_rejects_huge_generator_specs():
+    # Every spec is rejected from its arguments alone; nothing is allocated.
+    limit = graph_module.MAX_GRAPH_SIZE
+    for spec in (
+        "cycle(99999999999)",
+        f"path({limit + 1})",
+        "complete(1415)",  # 1415 vertices, 1000405 edges
+        "gnp(1415,0.5,1)",
+        "random_triangle_free(1415,0.1,1)",
+        "torus_grid(1000,501)",  # 501000 vertices, 1002000 edges
+    ):
+        with pytest.raises(GraphFormatError, match="size limit"):
+            generate(spec)
+
+
+def test_size_limit_boundary(monkeypatch):
+    monkeypatch.setattr(graph_module, "MAX_GRAPH_SIZE", 10)
+    assert generate("cycle(10)")[0].n == 10
+    assert generate("complete(5)")[0].m == 10
+    assert parse_graph("p edge 10 1\ne 1 2\n").n == 10
+    for spec in ("cycle(11)", "complete(6)", "gnp(6,0.1,1)", "torus_grid(3,4)"):
+        with pytest.raises(GraphFormatError):
+            generate(spec)
+    with pytest.raises(GraphFormatError):
+        parse_graph("p edge 11 1\ne 1 2\n")
