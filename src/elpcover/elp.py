@@ -297,7 +297,7 @@ def solve_elp(g: Graph, initial_pool=(), rounds_cap: Optional[int] = None) -> El
         rounds.append(CutRound(cycle, violation, engine.objective()))
         log.debug(
             "cut round %d: cycle %s violation %s objective %s",
-            len(rounds), cycle.vertices, violation, engine.objective(),
+            len(rounds), cycle.vertices, violation, rounds[-1].objective_after,
         )
     return _assemble(g, engine, rows, pool, rounds)
 

@@ -418,26 +418,26 @@ def random_gnp_graph(n: int, p: float, seed: int) -> Graph:
 
 def random_triangle_free_graph(n: int, p: float, seed: int) -> Graph:
     """G(n, p), then repeatedly delete one random edge of the lexicographically
-    first remaining triangle until triangle-free. Deterministic for a seed."""
+    first remaining triangle until triangle-free. Deterministic for a seed.
+
+    Deleting an edge never creates a triangle, so the first remaining
+    triangle only moves forward in lexicographic order. One scan over the
+    triples u < v < w, resumed after each deletion and checked against the
+    current adjacency, therefore meets the same triangles in the same order
+    as rescanning from the start after every deletion."""
     rng = random.Random(seed)
     g = random_gnp_graph(n, p, seed)
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
-
-    def first_triangle():
-        for u in sorted(adj):
-            for v in sorted(adj[u]):
-                if v <= u:
-                    continue
-                for w in sorted(adj[u]):
-                    if w > v and w in adj[v]:
-                        return u, v, w
-        return None
-
-    while (tri := first_triangle()) is not None:
-        u, v, w = tri
-        a, b = rng.choice([(u, v), (u, w), (v, w)])
-        adj[a].discard(b)
-        adj[b].discard(a)
+    for u in sorted(adj):
+        later = sorted(v for v in adj[u] if v > u)
+        for i, v in enumerate(later):
+            for w in later[i + 1 :]:
+                if v not in adj[u]:
+                    break
+                if w in adj[u] and w in adj[v]:
+                    a, b = rng.choice([(u, v), (u, w), (v, w)])
+                    adj[a].discard(b)
+                    adj[b].discard(a)
     return Graph.from_edges(
         adj, [(u, v) for u in adj for v in adj[u] if u < v]
     )

@@ -13,16 +13,20 @@ All arithmetic is exact; the pivot rule is Bland-style lowest-index on both
 the leaving and the entering side, which rules out cycling and makes every
 returned basic solution deterministic.
 
-The tableau is fraction-free: each row is a sparse map from column to Python
-int plus one int right-hand side and one positive int denominator shared by
-the row, and the reduced-cost row likewise. A pivot combines rows over a
-common denominator and divides each changed row by the gcd of its entries,
-right-hand side and denominator (Bareiss, Math. Comp. 22, 1968), so ratio
-tests and sign tests are integer comparisons. Rationals (Rat) appear only at
-the boundary: add_ge_row scales an incoming row by the lcm of its
-denominators, and values()/objective() return Rat. finalize_solution checks
-the result against the problem exactly, feasibility and, through the duals
-read off the cost row, optimality.
+The tableau is kept in dictionary form (Chvatal, Linear Programming, 1983):
+only the num_vars nonbasic columns are stored, so each row is a dense list
+of num_vars Python ints plus one int right-hand side and one positive int
+denominator shared by the row, and the basic columns are implicit unit
+columns. The reduced-cost row is a list of the same kind, and its
+right-hand side carries the objective. The tableau is fraction-free: a
+pivot combines rows over a common denominator in one pass per row and
+divides each changed row by the gcd of its entries, right-hand side and
+denominator (Bareiss, Math. Comp. 22, 1968), so ratio tests and sign tests
+are integer comparisons. Rationals (Rat) appear only at the boundary:
+add_ge_row scales an incoming row by the lcm of its denominators, and
+values()/objective() return Rat. finalize_solution checks the result against
+the problem exactly, feasibility and, through the duals read off the cost
+row, optimality.
 """
 
 from __future__ import annotations
@@ -89,33 +93,36 @@ class BasicSolution:
 
 
 class CoveringSimplex:
-    """Incremental dual-simplex engine over ">=" rows only.
+    """Incremental dual-simplex engine over ">=" rows only, in dictionary form.
 
-    Column layout: x variables 0..num_vars-1, then one surplus column per row
-    in insertion order. Row i is a sparse dict {column: int} standing for the
-    rationals _rows[i][k] / _den[i], with right-hand side _rhs[i] / _den[i];
-    the reduced-cost row _cost stands for _cost[k] / _cost_den. Absent
-    columns are zero, every denominator is positive, and each row is divided
-    by gcd(den, rhs, *entries) after every change. Rows are kept in
-    basis-reduced form (each basic column is a unit column, so its entry
-    equals its row's denominator), so appending a reduced row keeps the
-    invariant.
+    Columns: x variables 0..num_vars-1, then one surplus column per row in
+    insertion order. There are always num_vars nonbasic columns, listed in
+    _nonbasic; position q of every row stands for column _nonbasic[q]. Row
+    i is a dense list of num_vars ints, read as the rationals
+    _rows[i][q] / _den[i], with right-hand side _rhs[i] / _den[i]; its basic
+    column _basis[i] is an implicit unit column (entry _den[i] there, zero in
+    every other row). The cost row _cost is a list of the same kind over
+    _cost_den, holding the reduced costs of the nonbasic columns, and
+    -_cost_rhs / _cost_den is the objective of the current basis. Every
+    denominator is positive, and each row is divided by
+    gcd(den, rhs, *entries) after every change.
     """
 
     __slots__ = (
-        "num_vars", "_rows", "_rhs", "_den", "_cost", "_cost_den", "_basis",
-        "_ncols", "pivots",
+        "num_vars", "_rows", "_rhs", "_den", "_cost", "_cost_rhs", "_cost_den",
+        "_basis", "_nonbasic", "pivots",
     )
 
     def __init__(self, num_vars: int, rows: Iterable[tuple[Sequence, object]] = ()):
         self.num_vars = num_vars
-        self._rows: list[dict[int, int]] = []
+        self._rows: list[list[int]] = []
         self._rhs: list[int] = []
         self._den: list[int] = []
-        self._cost: dict[int, int] = dict.fromkeys(range(num_vars), 1)
+        self._cost = [1] * num_vars
+        self._cost_rhs = 0
         self._cost_den = 1
         self._basis: list[int] = []
-        self._ncols = num_vars
+        self._nonbasic = list(range(num_vars))
         self.pivots = 0
         for coeffs, rhs in rows:
             self.add_ge_row(coeffs, rhs)
@@ -127,9 +134,10 @@ class CoveringSimplex:
         dup._rhs = list(self._rhs)
         dup._den = list(self._den)
         dup._cost = self._cost.copy()
+        dup._cost_rhs = self._cost_rhs
         dup._cost_den = self._cost_den
         dup._basis = list(self._basis)
-        dup._ncols = self._ncols
+        dup._nonbasic = list(self._nonbasic)
         dup.pivots = self.pivots
         return dup
 
@@ -137,32 +145,43 @@ class CoveringSimplex:
         """Append constraint coeffs . x >= rhs (reduced against the basis).
 
         The rational row is scaled to integers once, by the lcm of its
-        denominators."""
+        denominators. As a tableau row it reads s - coeffs . x = -rhs for
+        its new surplus s, which becomes the row's basic column."""
         terms = [(j, Rat(c)) for j, c in enumerate(coeffs) if c]
         rhs = Rat(rhs)
         scale = lcm(int(rhs.denominator), *(int(c.denominator) for _, c in terms))
-        surplus = self._ncols
-        self._ncols += 1
-        new = {j: -int(c.numerator) * (scale // int(c.denominator)) for j, c in terms}
-        new[surplus] = scale
+        a = [0] * self.num_vars
+        for j, c in terms:
+            a[j] = -int(c.numerator) * (scale // int(c.denominator))
         new_rhs = -int(rhs.numerator) * (scale // int(rhs.denominator))
-        den = scale
-        for i, basic in enumerate(self._basis):
-            factor = new.get(basic)
-            if factor:
-                new, new_rhs, den = _eliminate(
-                    new, new_rhs, den, factor,
-                    list(self._rows[i].items()), self._rhs[i], self._den[i],
-                )
-        new, new_rhs, den = _normalize(new, new_rhs, den)
+        # An entry a[b] on a basic x_b is removed by subtracting a[b] / den
+        # times b's row. Basic rows are zero on each other's basic columns,
+        # so each such entry is read off the incoming row as it is; the rows
+        # are subtracted over the lcm of their denominators, and one gcd
+        # division at the end makes the result canonical.
+        used = [
+            (i, a[b]) for i, b in enumerate(self._basis) if b < self.num_vars and a[b]
+        ]
+        mult = lcm(*(self._den[i] for i, _ in used))
+        new = [a[v] * mult if v < self.num_vars else 0 for v in self._nonbasic]
+        new_rhs *= mult
+        for i, factor in used:
+            f = factor * (mult // self._den[i])
+            new = [c - f * p for c, p in zip(new, self._rows[i])]
+            new_rhs -= f * self._rhs[i]
+        new, new_rhs, den = _normalize(new, new_rhs, scale * mult)
         self._rows.append(new)
         self._rhs.append(new_rhs)
         self._den.append(den)
-        self._basis.append(surplus)
+        self._basis.append(self.num_vars + len(self._basis))
 
     def optimize(self, pivot_cap: int = 200_000) -> None:
-        """Dual simplex to optimality; raises InfeasibleError when primal empty."""
-        rows, rhs, basis = self._rows, self._rhs, self._basis
+        """Dual simplex to optimality; raises InfeasibleError when primal empty.
+
+        pivot_cap bounds the pivots of this call alone; PivotLimitError is
+        raised once it is exceeded."""
+        rows, rhs, basis, nonbasic = self._rows, self._rhs, self._basis, self._nonbasic
+        limit = self.pivots + pivot_cap
         while True:
             leave = -1
             leave_var = None
@@ -171,50 +190,50 @@ class CoveringSimplex:
                     leave, leave_var = i, basis[i]
             if leave < 0:
                 return
-            # Bland entering rule: least ratio cost_j / -a_j over a_j < 0,
-            # ties to the lowest index. Row and cost denominators are
+            # Bland entering rule: least ratio cost_q / -a_q over a_q < 0,
+            # ties to the lowest column index. Row and cost denominators are
             # positive and common to every candidate, so comparing
-            # cost_j * -a_best with cost_best * -a_j decides it in integers.
+            # cost_q * -a_best with cost_best * -a_q decides it in integers.
             cost = self._cost
             enter = -1
             best_cost = best_neg = 0
-            for j, a in rows[leave].items():
+            for q, a in enumerate(rows[leave]):
                 if a < 0:
-                    c = cost.get(j, 0)
+                    c = cost[q]
                     if enter < 0:
-                        enter, best_cost, best_neg = j, c, -a
+                        enter, best_cost, best_neg = q, c, -a
                         continue
                     lhs, rhs_ = c * best_neg, best_cost * -a
-                    if lhs < rhs_ or (lhs == rhs_ and j < enter):
-                        enter, best_cost, best_neg = j, c, -a
+                    if lhs < rhs_ or (lhs == rhs_ and nonbasic[q] < nonbasic[enter]):
+                        enter, best_cost, best_neg = q, c, -a
             if enter < 0:
                 raise InfeasibleError("no feasible point exists")
             self._pivot(leave, enter)
-            if self.pivots > pivot_cap:
+            if self.pivots > limit:
                 raise PivotLimitError(f"exceeded {pivot_cap} pivots")
 
-    def _pivot(self, r: int, col: int) -> None:
+    def _pivot(self, r: int, q: int) -> None:
+        """Exchange basic column _basis[r] with nonbasic column _nonbasic[q]."""
         rows, rhs, den = self._rows, self._rhs, self._den
-        # Dividing row r by its entry a = row[col] / den[r] < 0 leaves the
-        # integers of the row over the denominator row[col]; negate all of
-        # them to keep the denominator positive.
-        prow, prhs, pden = _normalize(
-            {k: -c for k, c in rows[r].items()}, -rhs[r], -rows[r][col]
-        )
+        # Solving row r for the entering column divides it by its entry
+        # a = row[q] / den[r] < 0; the leaving column takes position q with
+        # entry den[r]. Negate everything to keep the denominator positive.
+        prow = [-c for c in rows[r]]
+        prow[q] = -den[r]
+        prow, prhs, pden = _normalize(prow, -rhs[r], -rows[r][q])
         rows[r], rhs[r], den[r] = prow, prhs, pden
-        items = list(prow.items())
         for i, row in enumerate(rows):
-            factor = row.get(col)
+            factor = row[q]
             if factor and i != r:
                 rows[i], rhs[i], den[i] = _eliminate(
-                    row, rhs[i], den[i], factor, items, prhs, pden
+                    row, rhs[i], den[i], factor, q, prow, prhs, pden
                 )
-        factor = self._cost.get(col)
+        factor = self._cost[q]
         if factor:
-            self._cost, _, self._cost_den = _eliminate(
-                self._cost, 0, self._cost_den, factor, items, 0, pden
+            self._cost, self._cost_rhs, self._cost_den = _eliminate(
+                self._cost, self._cost_rhs, self._cost_den, factor, q, prow, prhs, pden
             )
-        self._basis[r] = col
+        self._basis[r], self._nonbasic[q] = self._nonbasic[q], self._basis[r]
         self.pivots += 1
 
     def values(self) -> list:
@@ -225,44 +244,35 @@ class CoveringSimplex:
         return vals
 
     def objective(self):
-        return sum(self.values(), ZERO)
+        return Rat(-self._cost_rhs, self._cost_den)
 
     def nonbasic_indices(self) -> list[int]:
-        basic = set(self._basis)
-        return [j for j in range(self._ncols) if j not in basic]
+        return sorted(self._nonbasic)
 
 
-def _normalize(row: dict, rhs: int, den: int):
+def _normalize(row: list, rhs: int, den: int):
     """Divide row, rhs and den by their gcd."""
     g = gcd(den, rhs)
     if g != 1:
-        g = gcd(g, *row.values())
+        g = gcd(g, *row)
         if g != 1:
-            return {k: c // g for k, c in row.items()}, rhs // g, den // g
+            return [c // g for c in row], rhs // g, den // g
     return row, rhs, den
 
 
-def _eliminate(row: dict, rhs: int, den: int, factor: int, pitems, prhs: int, pden: int):
+def _eliminate(row: list, rhs: int, den: int, factor: int, q: int, prow, prhs: int, pden: int):
     """row - (factor / pden) * prow over a common denominator, normalized.
 
-    pitems are prow's (column, entry) pairs; prow holds pden in the
-    eliminated column, so the result has no entry there. row may be updated
-    in place.
+    factor is row's entry at position q, which holds the entering column;
+    prow is the pivot row, solved for that column, whose leaving column now
+    sits at position q. The leaving column was basic, so row's own entry for
+    it was zero and position q becomes -(factor / pden) * prow[q].
     """
     g = gcd(factor, pden)
     scale, factor = pden // g, factor // g
-    if scale != 1:
-        row = {k: c * scale for k, c in row.items()}
-        rhs *= scale
-        den *= scale
-    get = row.get
-    for k, p in pitems:
-        c = get(k, 0) - factor * p
-        if c:
-            row[k] = c
-        else:
-            del row[k]
-    return _normalize(row, rhs - factor * prhs, den)
+    new = [c * scale - factor * p for c, p in zip(row, prow)]
+    new[q] = -factor * prow[q]
+    return _normalize(new, rhs * scale - factor * prhs, den * scale)
 
 
 def finalize_solution(
@@ -308,11 +318,12 @@ def _check_dual(
     """Exact optimality certificate for the engine's final basis.
 
     The reduced cost of engine row i's surplus column is that row's dual
-    y_i = _cost[num_vars + i] / _cost_den. If y >= 0 and A^T y <= 1, weak
-    duality makes b . y a lower bound on 1 . x over the whole feasible set,
-    so b . y == 1 . x proves the point optimal (the verify-the-basis check
-    of Applegate, Cook, Dash & Espinoza, OR Letters 35, 2007). Sums are kept
-    multiplied by _cost_den.
+    y_i, read over _cost_den at the column's nonbasic position; a basic
+    surplus has y_i = 0. If y >= 0 and A^T y <= 1, weak duality makes b . y
+    a lower bound on 1 . x over the whole feasible set, so b . y == 1 . x
+    proves the point optimal (the verify-the-basis check of Applegate, Cook,
+    Dash & Espinoza, OR Letters 35, 2007). Sums are kept multiplied by
+    _cost_den.
     """
     n = problem.num_vars
     if len(row_owner) != len(engine._rows):
@@ -322,12 +333,15 @@ def _check_dual(
     scale = engine._cost_den
     column_sums = [0] * n
     bound = 0
-    for i, owner in enumerate(row_owner):
-        y = engine._cost.get(n + i, 0)
+    for col, y in zip(engine._nonbasic, engine._cost):
+        if col < n:
+            continue
+        i = col - n
         if y < 0:
             raise AssertionError(f"dual of engine row {i} is negative: basis not optimal")
         if not y:
             continue
+        owner = row_owner[i]
         if owner < 0:
             owner, y = ~owner, -y
             if problem.rows[owner].rel != "=":

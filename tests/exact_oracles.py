@@ -12,12 +12,14 @@ import heapq
 import itertools
 import random
 from fractions import Fraction
-from typing import Mapping
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence
 
 import networkx as nx
 
 from elpcover._rat import ONE, ZERO, Rat
-from elpcover.graph import Graph, OddCycle, normalize_edge
+from elpcover.graph import Graph, OddCycle, normalize_edge, random_gnp_graph
+from elpcover.simplex import InfeasibleError, PivotLimitError
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -261,3 +263,242 @@ def _extract_simple_odd_cycle(walk: list[int]) -> tuple[int, ...]:
             walk = walk[i : j + 1]  # closed at walk[i] == walk[j]
         else:
             walk = walk[: i + 1] + walk[j + 1 :]
+
+
+def reference_random_triangle_free_graph(n: int, p: float, seed: int) -> Graph:
+    """G(n, p), then repeatedly delete one random edge of the lexicographically
+    first remaining triangle until triangle-free. Deterministic for a seed."""
+    rng = random.Random(seed)
+    g = random_gnp_graph(n, p, seed)
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+
+    def first_triangle():
+        for u in sorted(adj):
+            for v in sorted(adj[u]):
+                if v <= u:
+                    continue
+                for w in sorted(adj[u]):
+                    if w > v and w in adj[v]:
+                        return u, v, w
+        return None
+
+    while (tri := first_triangle()) is not None:
+        u, v, w = tri
+        a, b = rng.choice([(u, v), (u, w), (v, w)])
+        adj[a].discard(b)
+        adj[b].discard(a)
+    return Graph.from_edges(
+        adj, [(u, v) for u in adj for v in adj[u] if u < v]
+    )
+
+
+# The dict-tableau simplex that the compact tableau replaced, kept verbatim
+# as the differential reference for CoveringSimplex.
+class ReferenceCoveringSimplex:
+    """Incremental dual-simplex engine over ">=" rows only.
+
+    Column layout: x variables 0..num_vars-1, then one surplus column per row
+    in insertion order. Row i is a sparse dict {column: int} standing for the
+    rationals _rows[i][k] / _den[i], with right-hand side _rhs[i] / _den[i];
+    the reduced-cost row _cost stands for _cost[k] / _cost_den. Absent
+    columns are zero, every denominator is positive, and each row is divided
+    by gcd(den, rhs, *entries) after every change. Rows are kept in
+    basis-reduced form (each basic column is a unit column, so its entry
+    equals its row's denominator), so appending a reduced row keeps the
+    invariant.
+    """
+
+    __slots__ = (
+        "num_vars", "_rows", "_rhs", "_den", "_cost", "_cost_den", "_basis",
+        "_ncols", "pivots",
+    )
+
+    def __init__(self, num_vars: int, rows: Iterable[tuple[Sequence, object]] = ()):
+        self.num_vars = num_vars
+        self._rows: list[dict[int, int]] = []
+        self._rhs: list[int] = []
+        self._den: list[int] = []
+        self._cost: dict[int, int] = dict.fromkeys(range(num_vars), 1)
+        self._cost_den = 1
+        self._basis: list[int] = []
+        self._ncols = num_vars
+        self.pivots = 0
+        for coeffs, rhs in rows:
+            self.add_ge_row(coeffs, rhs)
+
+    def copy(self) -> "ReferenceCoveringSimplex":
+        dup = ReferenceCoveringSimplex.__new__(ReferenceCoveringSimplex)
+        dup.num_vars = self.num_vars
+        dup._rows = [row.copy() for row in self._rows]
+        dup._rhs = list(self._rhs)
+        dup._den = list(self._den)
+        dup._cost = self._cost.copy()
+        dup._cost_den = self._cost_den
+        dup._basis = list(self._basis)
+        dup._ncols = self._ncols
+        dup.pivots = self.pivots
+        return dup
+
+    def add_ge_row(self, coeffs: Sequence, rhs) -> None:
+        """Append constraint coeffs . x >= rhs (reduced against the basis).
+
+        The rational row is scaled to integers once, by the lcm of its
+        denominators."""
+        terms = [(j, Rat(c)) for j, c in enumerate(coeffs) if c]
+        rhs = Rat(rhs)
+        scale = lcm(int(rhs.denominator), *(int(c.denominator) for _, c in terms))
+        surplus = self._ncols
+        self._ncols += 1
+        new = {j: -int(c.numerator) * (scale // int(c.denominator)) for j, c in terms}
+        new[surplus] = scale
+        new_rhs = -int(rhs.numerator) * (scale // int(rhs.denominator))
+        den = scale
+        for i, basic in enumerate(self._basis):
+            factor = new.get(basic)
+            if factor:
+                new, new_rhs, den = _eliminate(
+                    new, new_rhs, den, factor,
+                    list(self._rows[i].items()), self._rhs[i], self._den[i],
+                )
+        new, new_rhs, den = _normalize(new, new_rhs, den)
+        self._rows.append(new)
+        self._rhs.append(new_rhs)
+        self._den.append(den)
+        self._basis.append(surplus)
+
+    def optimize(self, pivot_cap: int = 200_000) -> None:
+        """Dual simplex to optimality; raises InfeasibleError when primal empty."""
+        rows, rhs, basis = self._rows, self._rhs, self._basis
+        while True:
+            leave = -1
+            leave_var = None
+            for i, b in enumerate(rhs):
+                if b < 0 and (leave_var is None or basis[i] < leave_var):
+                    leave, leave_var = i, basis[i]
+            if leave < 0:
+                return
+            # Bland entering rule: least ratio cost_j / -a_j over a_j < 0,
+            # ties to the lowest index. Row and cost denominators are
+            # positive and common to every candidate, so comparing
+            # cost_j * -a_best with cost_best * -a_j decides it in integers.
+            cost = self._cost
+            enter = -1
+            best_cost = best_neg = 0
+            for j, a in rows[leave].items():
+                if a < 0:
+                    c = cost.get(j, 0)
+                    if enter < 0:
+                        enter, best_cost, best_neg = j, c, -a
+                        continue
+                    lhs, rhs_ = c * best_neg, best_cost * -a
+                    if lhs < rhs_ or (lhs == rhs_ and j < enter):
+                        enter, best_cost, best_neg = j, c, -a
+            if enter < 0:
+                raise InfeasibleError("no feasible point exists")
+            self._pivot(leave, enter)
+            if self.pivots > pivot_cap:
+                raise PivotLimitError(f"exceeded {pivot_cap} pivots")
+
+    def _pivot(self, r: int, col: int) -> None:
+        rows, rhs, den = self._rows, self._rhs, self._den
+        # Dividing row r by its entry a = row[col] / den[r] < 0 leaves the
+        # integers of the row over the denominator row[col]; negate all of
+        # them to keep the denominator positive.
+        prow, prhs, pden = _normalize(
+            {k: -c for k, c in rows[r].items()}, -rhs[r], -rows[r][col]
+        )
+        rows[r], rhs[r], den[r] = prow, prhs, pden
+        items = list(prow.items())
+        for i, row in enumerate(rows):
+            factor = row.get(col)
+            if factor and i != r:
+                rows[i], rhs[i], den[i] = _eliminate(
+                    row, rhs[i], den[i], factor, items, prhs, pden
+                )
+        factor = self._cost.get(col)
+        if factor:
+            self._cost, _, self._cost_den = _eliminate(
+                self._cost, 0, self._cost_den, factor, items, 0, pden
+            )
+        self._basis[r] = col
+        self.pivots += 1
+
+    def values(self) -> list:
+        vals = [ZERO] * self.num_vars
+        for i, basic in enumerate(self._basis):
+            if basic < self.num_vars:
+                vals[basic] = Rat(self._rhs[i], self._den[i])
+        return vals
+
+    def objective(self):
+        return sum(self.values(), ZERO)
+
+    def nonbasic_indices(self) -> list[int]:
+        basic = set(self._basis)
+        return [j for j in range(self._ncols) if j not in basic]
+
+
+def _normalize(row: dict, rhs: int, den: int):
+    """Divide row, rhs and den by their gcd."""
+    g = gcd(den, rhs)
+    if g != 1:
+        g = gcd(g, *row.values())
+        if g != 1:
+            return {k: c // g for k, c in row.items()}, rhs // g, den // g
+    return row, rhs, den
+
+
+def _eliminate(row: dict, rhs: int, den: int, factor: int, pitems, prhs: int, pden: int):
+    """row - (factor / pden) * prow over a common denominator, normalized.
+
+    pitems are prow's (column, entry) pairs; prow holds pden in the
+    eliminated column, so the result has no entry there. row may be updated
+    in place.
+    """
+    g = gcd(factor, pden)
+    scale, factor = pden // g, factor // g
+    if scale != 1:
+        row = {k: c * scale for k, c in row.items()}
+        rhs *= scale
+        den *= scale
+    get = row.get
+    for k, p in pitems:
+        c = get(k, 0) - factor * p
+        if c:
+            row[k] = c
+        else:
+            del row[k]
+    return _normalize(row, rhs - factor * prhs, den)
+
+
+def _normalize(row: dict, rhs: int, den: int):
+    """Divide row, rhs and den by their gcd."""
+    g = gcd(den, rhs)
+    if g != 1:
+        g = gcd(g, *row.values())
+        if g != 1:
+            return {k: c // g for k, c in row.items()}, rhs // g, den // g
+    return row, rhs, den
+
+
+def _eliminate(row: dict, rhs: int, den: int, factor: int, pitems, prhs: int, pden: int):
+    """row - (factor / pden) * prow over a common denominator, normalized.
+
+    pitems are prow's (column, entry) pairs; prow holds pden in the
+    eliminated column, so the result has no entry there. row may be updated
+    in place.
+    """
+    g = gcd(factor, pden)
+    scale, factor = pden // g, factor // g
+    if scale != 1:
+        row = {k: c * scale for k, c in row.items()}
+        rhs *= scale
+        den *= scale
+    get = row.get
+    for k, p in pitems:
+        c = get(k, 0) - factor * p
+        if c:
+            row[k] = c
+        else:
+            del row[k]
+    return _normalize(row, rhs - factor * prhs, den)

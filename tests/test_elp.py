@@ -276,16 +276,20 @@ def test_explore_alternate_precondition():
 
 
 def _check_tableau_invariants(engine):
-    basic = set(engine._basis)
-    for row, rhs, den, col in zip(engine._rows, engine._rhs, engine._den, engine._basis):
+    # Basic columns are implicit unit columns in the compact layout, so the
+    # unit-column checks of a full tableau hold by construction; what is
+    # left to check is that basis and nonbasic split the columns exactly.
+    n = engine.num_vars
+    columns = engine._basis + engine._nonbasic
+    assert len(engine._nonbasic) == n
+    assert sorted(columns) == list(range(n + len(engine._rows)))
+    for row, rhs, den in zip(engine._rows, engine._rhs, engine._den):
+        assert len(row) == n
         assert den > 0
-        assert gcd(den, rhs, *row.values()) == 1
-        assert row[col] == den
-        assert 0 not in row.values()
-        assert len(basic & row.keys()) == 1  # a unit column per basic variable
+        assert gcd(den, rhs, *row) == 1
+    assert len(engine._cost) == n
     assert engine._cost_den > 0
-    assert gcd(engine._cost_den, *engine._cost.values()) == 1
-    assert not basic & {j for j, c in engine._cost.items() if c}
+    assert gcd(engine._cost_den, engine._cost_rhs, *engine._cost) == 1
 
 
 # Bland's rules pick one vertex among the optima; these were recorded from

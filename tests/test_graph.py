@@ -19,6 +19,7 @@ from elpcover.graph import (
     to_dimacs,
     torus_grid_graph,
 )
+from exact_oracles import reference_random_triangle_free_graph
 
 K3_DIMACS = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 
@@ -216,6 +217,27 @@ def test_random_triangle_free_reproducible():
     assert a == b
     assert a.find_triangle() is None
     assert random_triangle_free_graph(20, 0.3, 43) != a
+
+
+def _triangle_free_cases():
+    # tests/test_acceptance.py's triangle-free batch parameters, then
+    # random sizes up to n = 60.
+    rng = random.Random(20260810 + 1)
+    for i in range(500):
+        n = rng.randint(8, 25)
+        p = round(rng.uniform(0.15, 0.45), 4)
+        yield n, p, 20260810 + 10 * i
+    rng = random.Random(7)
+    for _ in range(60):
+        yield rng.randint(1, 60), round(rng.uniform(0.05, 0.9), 3), rng.randrange(10**6)
+
+
+def test_random_triangle_free_matches_rescanning_reference():
+    for n, p, seed in _triangle_free_cases():
+        got = random_triangle_free_graph(n, p, seed)
+        want = reference_random_triangle_free_graph(n, p, seed)
+        assert got.vertices == want.vertices, (n, p, seed)
+        assert got.edge_list() == want.edge_list(), (n, p, seed)
 
 
 def test_generate_spec_strings():

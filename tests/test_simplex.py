@@ -14,12 +14,14 @@ from elpcover.simplex import (
     InfeasibleError,
     LpProblem,
     LpRow,
+    PivotLimitError,
     add_row,
     finalize_solution,
     solve,
     solve_with_equality,
 )
 from exact_oracles import (
+    ReferenceCoveringSimplex,
     lp_value_half_integral,
     lp_vertex_enumeration,
     random_connected_gnp,
@@ -252,3 +254,78 @@ def test_solve_matches_vertex_enumeration_on_rational_rows(case):
             assert expected is None
             continue
         assert expected is not None and Fraction(str(got.objective)) == expected
+
+
+def _k3_engine():
+    # The K3 edge relaxation takes three pivots from the surplus basis.
+    rows = [(r.coeffs, r.rhs) for r in edge_relaxation(complete_graph(3)).rows]
+    return CoveringSimplex(3, rows)
+
+
+def test_pivot_cap_bounds_a_single_call():
+    with pytest.raises(PivotLimitError):
+        _k3_engine().optimize(pivot_cap=1)
+    engine = _k3_engine()
+    engine.optimize(pivot_cap=3)
+    assert engine.pivots == 3
+
+
+def test_pivot_cap_ignores_pivots_of_earlier_calls_and_copies():
+    engine = _k3_engine()
+    engine.pivots = 10**6  # as after a long cut loop
+    engine.optimize(pivot_cap=3)
+    trial = engine.copy()
+    trial.add_ge_row((1, 1, 1), 2)  # the triangle cut: one more pivot
+    trial.optimize(pivot_cap=1)
+    assert trial.pivots == 10**6 + 4
+    assert trial.objective() == 2
+
+
+def _optimize_both(engine, reference):
+    """Run both engines to optimality and require the same outcome."""
+    outcomes = []
+    for e in (engine, reference):
+        try:
+            e.optimize()
+            outcomes.append(True)
+        except InfeasibleError:
+            outcomes.append(False)
+    assert outcomes[0] == outcomes[1]
+    assert engine.pivots == reference.pivots
+    assert engine._basis == reference._basis
+    if outcomes[0]:
+        assert engine.values() == reference.values()
+        assert engine.objective() == sum(engine.values(), Rat(0))
+
+
+_ROW = st.tuples(
+    st.lists(_COEFF, min_size=5, max_size=5),
+    st.fractions(min_value=0, max_value=3, max_denominator=4),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.lists(_ROW, min_size=1, max_size=5),
+    st.lists(_ROW, max_size=3),
+    st.integers(min_value=0, max_value=7),
+)
+def test_compact_engine_matches_reference_engine(n, rows, cuts, pin):
+    # Same pivots, bases and vertices as the dict-tableau engine: on the
+    # initial rows, after each appended cut, and on copies with one row
+    # pinned to equality by its negation.
+    rows = [(coeffs[:n], rhs) for coeffs, rhs in rows]
+    engine = CoveringSimplex(n, rows)
+    reference = ReferenceCoveringSimplex(n, rows)
+    _optimize_both(engine, reference)
+    for coeffs, rhs in cuts:
+        engine.add_ge_row(coeffs[:n], rhs)
+        reference.add_ge_row(coeffs[:n], rhs)
+        _optimize_both(engine, reference)
+    coeffs, rhs = (rows + [(c[:n], r) for c, r in cuts])[pin % (len(rows) + len(cuts))]
+    trial, reference_trial = engine.copy(), reference.copy()
+    for e in (trial, reference_trial):
+        e.add_ge_row([-c for c in coeffs], -rhs)
+    _optimize_both(trial, reference_trial)
+    _optimize_both(engine, reference)  # the copies left the originals alone
