@@ -28,6 +28,6 @@ from .oracles import (
     small_edge_conjecture_probe,
 )
 from .reductions import PipelineConfig, ReductionRecord, ReductionTrace, run_pipeline
-from .simplex import BasicSolution, InfeasibleError, LpProblem, LpRow, add_row, solve, solve_with_equality
+from .simplex import CoveringSimplex, InfeasibleError
 
 __version__ = "0.1.0"

@@ -8,10 +8,15 @@ minimum-weight odd closed walk in the bipartite double cover under edge
 weights w(u,v) = x_u + x_v - 1, then shrunk to a simple odd cycle (discarding
 closed sub-walks of even length never increases the weight).
 
-The solution returned after the loop is a vertex of the cut-augmented
-polytope; a final separation pass certifies it is feasible, hence optimal,
-for the full relaxation. Whether it is also a vertex of the full-relaxation
-polytope is not guaranteed and is surfaced as a diagnostic, not assumed.
+Every LP goes through one CoveringSimplex engine, built by
+relaxation_engine from sparse int rows (x_u + x_v >= 1 per edge, one row
+per pooled cycle), and one cut chase, chase_cuts, serves both the optimum
+and the alternate-optimum sweep. The solution returned after the loop is a
+vertex of the cut-augmented polytope, certified optimal for it by the
+engine's exact dual check; a final separation pass certifies it is
+feasible, hence optimal, for the full relaxation. Whether it is also a
+vertex of the full-relaxation polytope is not guaranteed and is surfaced as
+a diagnostic, not assumed.
 """
 
 from __future__ import annotations
@@ -20,20 +25,17 @@ import heapq
 import logging
 from dataclasses import dataclass, field
 from math import lcm
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
-from ._rat import FOUR_THIRDS, ONE, ZERO, Rat
+from ._rat import ZERO, Rat
 from .graph import Graph, OddCycle
-from .simplex import (
-    BasicSolution,
-    CoveringSimplex,
-    InfeasibleError,
-    LpProblem,
-    LpRow,
-    finalize_solution,
-)
+from .simplex import CoveringSimplex, InfeasibleError
 
 log = logging.getLogger("elpcover.elp")
+
+# A cut chase on a graph of n vertices may add at most ROUNDS_PER_VERTEX *
+# max(1, n) cuts before CutLoopLimitError.
+ROUNDS_PER_VERTEX = 10
 
 
 class CutLoopLimitError(RuntimeError):
@@ -55,7 +57,7 @@ class ElpSolution:
     active_edges: tuple[tuple[int, int], ...]
     over_active_edges: tuple[tuple[int, int], ...]
     small_edges: tuple[tuple[int, int], ...]
-    basic: Optional[BasicSolution]
+    engine: CoveringSimplex  # optimal for the edge rows and cycle_pool (plus a pin)
     rounds: tuple[CutRound, ...] = field(default=())
 
     @property
@@ -63,23 +65,24 @@ class ElpSolution:
         return frozenset(v for v, val in self.x.items() if val == 1)
 
 
-def edge_relaxation(g: Graph) -> LpProblem:
-    """Plain vertex-cover LP: one x_u + x_v >= 1 row per edge, x >= 0."""
-    order = g.vertices
-    index = {v: j for j, v in enumerate(order)}
-    rows = []
+def relaxation_engine(g: Graph, pool=()) -> CoveringSimplex:
+    """Unsolved engine over g.vertices order: one x_u + x_v >= 1 row per
+    edge, then one sum_{v in C} x_v >= s + 1 row per cycle C of pool."""
+    index = _index(g)
+    engine = CoveringSimplex(g.n)
     for u, v in g.edges():
-        coeffs = [ZERO] * g.n
-        coeffs[index[u]] = ONE
-        coeffs[index[v]] = ONE
-        rows.append(LpRow(tuple(coeffs), ">=", ONE))
-    return LpProblem(g.n, tuple(rows))
+        engine.add_ge_row({index[u]: 1, index[v]: 1}, 1)
+    for cycle in pool:
+        _add_cycle_row(engine, cycle, index)
+    return engine
 
 
-def cycle_row(cycle: OddCycle, order: tuple[int, ...]) -> LpRow:
-    return LpRow(
-        tuple(Rat(c) for c in cycle.incidence_vector(order)), ">=", Rat(cycle.rhs)
-    )
+def _index(g: Graph) -> dict[int, int]:
+    return {v: j for j, v in enumerate(g.vertices)}
+
+
+def _add_cycle_row(engine: CoveringSimplex, cycle: OddCycle, index) -> None:
+    engine.add_ge_row(dict.fromkeys((index[v] for v in cycle.vertices), 1), cycle.rhs)
 
 
 def separate_odd_cycle(g: Graph, x: Mapping[int, object]):
@@ -202,16 +205,21 @@ def classify_edges(g: Graph, x: Mapping[int, object]):
 
     active: x_u + x_v = 1; over-active: x_u + x_v >= 4/3 (boundary included);
     small: argmin over edges of x_u + x_v (empty only for edgeless graphs).
+    x is scaled once by L, the lcm of its denominators, so the tests are the
+    int comparisons L x_u + L x_v == L and 3 (L x_u + L x_v) >= 4 L.
     """
+    values = {v: Rat(x[v]) for v in g.vertices}
+    scale = lcm(*(r.denominator for r in values.values()))
+    scaled = {v: r.numerator * (scale // r.denominator) for v, r in values.items()}
     active = []
     over = []
     small: list[tuple[int, int]] = []
     best = None
     for u, v in g.edges():
-        s = Rat(x[u]) + Rat(x[v])
-        if s == ONE:
+        s = scaled[u] + scaled[v]
+        if s == scale:
             active.append((u, v))
-        if s >= FOUR_THIRDS:
+        if 3 * s >= 4 * scale:
             over.append((u, v))
         if best is None or s < best:
             best, small = s, [(u, v)]
@@ -231,37 +239,63 @@ def _dedupe_pool(pool) -> list[OddCycle]:
     return out
 
 
-def _build_engine(g: Graph, pool) -> tuple[CoveringSimplex, list[LpRow]]:
-    order = g.vertices
-    base = edge_relaxation(g)
-    rows = list(base.rows)
-    engine = CoveringSimplex(g.n, [(r.coeffs, r.rhs) for r in rows])
-    for cycle in pool:
-        row = cycle_row(cycle, order)
-        rows.append(row)
-        engine.add_ge_row(row.coeffs, row.rhs)
-    return engine, rows
-
-
-def _assemble(g: Graph, engine, rows, pool, rounds) -> ElpSolution:
-    order = g.vertices
-    problem = LpProblem(g.n, tuple(rows))
-    basic = finalize_solution(problem, engine, list(range(len(rows))))
-    x = dict(zip(order, basic.values))
+def _assemble(g: Graph, engine: CoveringSimplex, pool, rounds=()) -> ElpSolution:
+    values = engine.certified_values()
+    x = dict(zip(g.vertices, values))
     active, over, small = classify_edges(g, x)
     return ElpSolution(
         x=x,
-        objective=basic.objective,
+        objective=sum(values, ZERO),
         cycle_pool=tuple(pool),
         active_edges=active,
         over_active_edges=over,
         small_edges=small,
-        basic=basic,
+        engine=engine,
         rounds=tuple(rounds),
     )
 
 
-def solve_elp(g: Graph, initial_pool=(), rounds_cap: Optional[int] = None) -> ElpSolution:
+def chase_cuts(
+    g: Graph, engine: CoveringSimplex, pool: list, seen: set, cap: int
+) -> Iterator[CutRound]:
+    """Add most-violated odd-cycle cuts to an optimal engine until x
+    satisfies every odd-cycle inequality of g, yielding one CutRound per cut.
+
+    Each cut is appended to pool and its vertex set to seen, and the engine
+    is re-optimized (InfeasibleError propagates). More than cap cuts raise
+    CutLoopLimitError. A caller that stops iterating leaves the engine
+    optimal for the cuts added so far.
+    """
+    index = _index(g)
+    order = g.vertices
+    added = 0
+    while True:
+        found = separate_odd_cycle(g, dict(zip(order, engine.values())))
+        if found is None:
+            return
+        if added >= cap:
+            raise CutLoopLimitError(f"exceeded {cap} cutting-plane rounds on n={g.n}")
+        cycle, violation = found
+        if cycle.vertex_set in seen:
+            raise AssertionError(f"separation returned pooled cycle {cycle.vertices}")
+        seen.add(cycle.vertex_set)
+        pool.append(cycle)
+        _add_cycle_row(engine, cycle, index)
+        engine.optimize()
+        added += 1
+        objective = engine.objective()
+        log.debug(
+            "cut round %d: cycle %s violation %s objective %s",
+            added, cycle.vertices, violation, objective,
+        )
+        yield CutRound(cycle, violation, objective)
+
+
+def _round_cap(g: Graph) -> int:
+    return ROUNDS_PER_VERTEX * max(1, g.n)
+
+
+def solve_elp(g: Graph, initial_pool=()) -> ElpSolution:
     """Cutting-plane optimum of the odd-cycle relaxation on g.
 
     The returned solution satisfies every edge row and every odd-cycle
@@ -269,37 +303,12 @@ def solve_elp(g: Graph, initial_pool=(), rounds_cap: Optional[int] = None) -> El
     the exact optimum of the full relaxation. initial_pool seeds the cut pool
     (deduplicated by vertex set).
     """
-    if g.n == 0:
-        return ElpSolution({}, ZERO, (), (), (), (), None, ())
-    cap = rounds_cap if rounds_cap is not None else 10 * g.n
     pool = _dedupe_pool(initial_pool)
-    engine, rows = _build_engine(g, pool)
-    order = g.vertices
+    engine = relaxation_engine(g, pool)
     engine.optimize()
-    rounds = []
     seen = {c.vertex_set for c in pool}
-    while True:
-        x = dict(zip(order, engine.values()))
-        found = separate_odd_cycle(g, x)
-        if found is None:
-            break
-        if len(rounds) >= cap:
-            raise CutLoopLimitError(f"exceeded {cap} cutting-plane rounds on n={g.n}")
-        cycle, violation = found
-        if cycle.vertex_set in seen:
-            raise AssertionError(f"separation returned pooled cycle {cycle.vertices}")
-        seen.add(cycle.vertex_set)
-        pool.append(cycle)
-        row = cycle_row(cycle, order)
-        rows.append(row)
-        engine.add_ge_row(row.coeffs, row.rhs)
-        engine.optimize()
-        rounds.append(CutRound(cycle, violation, engine.objective()))
-        log.debug(
-            "cut round %d: cycle %s violation %s objective %s",
-            len(rounds), cycle.vertices, violation, rounds[-1].objective_after,
-        )
-    return _assemble(g, engine, rows, pool, rounds)
+    rounds = list(chase_cuts(g, engine, pool, seen, _round_cap(g)))
+    return _assemble(g, engine, pool, rounds)
 
 
 def explore_alternate_bfs(
@@ -307,101 +316,40 @@ def explore_alternate_bfs(
 ) -> tuple[Optional[ElpSolution], int]:
     """Search for an alternate optimum with an active edge by pinning edges.
 
-    For each edge in deterministic order, re-solve with that edge inequality
-    forced to equality (adding x_u + x_v <= 1 on top keeps the engine in
-    ">=" form). If some pinned optimum matches the unpinned value, return it:
-    it has an active edge by construction. Returns (solution or None, number
-    of pins tried). Requires sol to have no active edge and no unit value.
+    For each edge in deterministic order, a copy of sol.engine gets the row
+    x_u + x_v <= 1 (as -x_u - x_v >= -1; with the edge row it pins
+    x_u + x_v = 1), is re-optimized, and chases cuts under the pin so the
+    alternate is full-relaxation feasible. The first pin whose optimum keeps
+    the unpinned value is returned: it has an active edge by construction.
+    Returns (solution or None, number of pins tried). Requires sol to have
+    no active edge and no unit value.
     """
     if sol.active_edges:
         raise ValueError("solution already has an active edge")
     if sol.one_vertices:
         raise ValueError("solution has a variable at 1; {0,1}-reduction applies")
     target = sol.objective
-    engine, rows = _build_engine(g, sol.cycle_pool)
-    engine.optimize()
-    if engine.objective() != target:
-        raise AssertionError("pool re-solve changed the optimum")
-    order = g.vertices
-    index = {v: j for j, v in enumerate(order)}
-    base_count = len(rows)  # engine rows before the pin
+    index = _index(g)
+    cap = _round_cap(g)
     pins = 0
     for u, v in g.edges():
         if pin_cap is not None and pins >= pin_cap:
             break
         pins += 1
-        trial = engine.copy()
-        upper = [ZERO] * g.n
-        upper[index[u]] = -ONE
-        upper[index[v]] = -ONE
-        trial.add_ge_row(upper, -ONE)
+        trial = sol.engine.copy()
+        trial.add_ge_row({index[u]: -1, index[v]: -1}, -1)
         pool = list(sol.cycle_pool)
-        trial_rows = list(rows)
         seen = {c.vertex_set for c in pool}
         try:
             trial.optimize()
+            if trial.objective() != target:
+                continue
+            if any(r.objective_after != target for r in chase_cuts(g, trial, pool, seen, cap)):
+                continue
         except InfeasibleError:
             continue
-        if trial.objective() != target:
-            continue
-        # Chase cuts under the pin so the alternate is full-relaxation feasible.
-        ok = True
-        while True:
-            x = dict(zip(order, trial.values()))
-            found = separate_odd_cycle(g, x)
-            if found is None:
-                break
-            cycle, _ = found
-            if cycle.vertex_set in seen:
-                raise AssertionError("separation returned pooled cycle under pin")
-            seen.add(cycle.vertex_set)
-            pool.append(cycle)
-            row = cycle_row(cycle, order)
-            trial_rows.append(row)
-            trial.add_ge_row(row.coeffs, row.rhs)
-            try:
-                trial.optimize()
-            except InfeasibleError:
-                ok = False
-                break
-            if trial.objective() != target:
-                ok = False
-                break
-        if not ok:
-            continue
-        pin_row = LpRow(
-            tuple(ONE if j in (index[u], index[v]) else ZERO for j in range(g.n)),
-            "=",
-            ONE,
-        )
-        alt = _assemble_pinned(g, trial, trial_rows, pin_row, base_count, pool)
+        alt = _assemble(g, trial, pool)
         if not alt.active_edges:
             raise AssertionError("pinned alternate lost its active edge")
         return alt, pins
     return None, pins
-
-
-def _assemble_pinned(
-    g: Graph, engine, rows, pin_row, base_count: int, pool
-) -> ElpSolution:
-    # Engine row order is [base rows, pin, chased cuts]; the problem lists the
-    # pin last, so map the engine surpluses back accordingly. The engine's pin
-    # row is x_u + x_v <= 1, the negation of the problem's equality row.
-    order = g.vertices
-    problem = LpProblem(g.n, tuple(rows) + (pin_row,))
-    owner = (
-        list(range(base_count)) + [~len(rows)] + list(range(base_count, len(rows)))
-    )
-    basic = finalize_solution(problem, engine, owner)
-    x = dict(zip(order, basic.values))
-    active, over, small = classify_edges(g, x)
-    return ElpSolution(
-        x=x,
-        objective=basic.objective,
-        cycle_pool=tuple(pool),
-        active_edges=active,
-        over_active_edges=over,
-        small_edges=small,
-        basic=basic,
-        rounds=(),
-    )

@@ -11,9 +11,8 @@ from itertools import combinations
 from typing import Optional
 
 from ._rat import ONE, ZERO, Rat
-from .elp import classify_edges, edge_relaxation, solve_elp
+from .elp import classify_edges, relaxation_engine, solve_elp
 from .graph import Graph, OddCycle
-from .simplex import solve
 
 
 class CapExceededError(Exception):
@@ -67,7 +66,10 @@ def exact_vc(g: Graph, enumerate_all: bool = False, cap: Optional[int] = None) -
             {v: set(g.neighbors(v)) for v in g.vertices}, set(), opt, found
         )
         all_covers = tuple(sorted(found, key=sorted))
-        assert cover in found
+        if cover not in found:
+            raise AssertionError(
+                f"branch-and-bound cover {sorted(cover)} missing from the enumeration"
+            )
     return OracleResult(opt, cover, all_covers, time.perf_counter() - start)
 
 
@@ -145,10 +147,11 @@ def nt_half_integral_round(g: Graph) -> frozenset[int]:
     """Round the plain edge-relaxation LP: keep vertices with value >= 1/2."""
     if g.n == 0:
         return frozenset()
-    solution = solve(edge_relaxation(g))
+    engine = relaxation_engine(g)
+    engine.optimize()
     half = Rat(1, 2)
     return frozenset(
-        v for v, val in zip(g.vertices, solution.values) if val >= half
+        v for v, val in zip(g.vertices, engine.certified_values()) if val >= half
     )
 
 

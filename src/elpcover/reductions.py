@@ -68,7 +68,6 @@ class PipelineConfig:
     edge_rule: str = "maxsum"  # random-edge selection: "maxsum" or "random"
     seed: int = 0
     pin_cap: Optional[int] = None  # alternate-optimum sweep budget (None = all edges)
-    rounds_cap_factor: int = 10  # cutting-plane rounds cap, times |V|
 
     def __post_init__(self):
         if self.mode not in ("base", "enhanced"):
@@ -214,7 +213,7 @@ def run_pipeline(
         if k > g.n + 1:
             raise PipelineError("iteration count exceeded |V|+1; no progress")
         current = graphs[-1]
-        sol = solve_elp(current, rounds_cap=cfg.rounds_cap_factor * max(1, current.n))
+        sol = solve_elp(current)
         diag["cut_rounds"] += len(sol.rounds)
         if cfg.mode == "enhanced":
             done = _enhanced_iteration(current, sol, k, cfg, rng, trace, graphs, diag)

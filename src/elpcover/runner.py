@@ -83,13 +83,13 @@ def _record_detail(rec) -> Optional[dict]:
 def _diagnostics_payload(trace) -> dict:
     diag = trace.diagnostics
     return {
-        "cutRounds": diag.get("cut_rounds", 0),
-        "pinSolves": diag.get("pin_solves", 0),
-        "alternateHits": diag.get("alternate_hits", 0),
+        "cutRounds": diag["cut_rounds"],
+        "pinSolves": diag["pin_solves"],
+        "alternateHits": diag["alternate_hits"],
         "skippedZeroOne": [
-            {"k": k, "vertices": verts} for k, verts in diag.get("skipped_zero_one", [])
+            {"k": k, "vertices": verts} for k, verts in diag["skipped_zero_one"]
         ],
-        "isolatedTerminal": diag.get("isolated_terminal", False),
+        "isolatedTerminal": diag["isolated_terminal"],
     }
 
 

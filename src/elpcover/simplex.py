@@ -1,13 +1,15 @@
 """Exact rational simplex for covering LPs.
 
 Every problem here has the same shape: minimize the sum of all variables
-subject to rows a.x >= b or a.x = b and x >= 0. Because the objective is the
-all-ones vector, the all-surplus starting basis is dual feasible, so the dual
-simplex runs straight from it: no Phase-1 artificial variables, and appending
-a cut row keeps the current basis dual feasible (cheap warm restarts in the
+subject to rows a.x >= b and x >= 0; an equality a.x = b is the pair of
+rows a.x >= b and -a.x >= -b. Because the objective is the all-ones vector,
+the all-surplus starting basis is dual feasible, so the dual simplex runs
+straight from it: no Phase-1 artificial variables, and appending a cut row
+keeps the current basis dual feasible (cheap warm restarts in the
 cutting-plane loop). With x >= 0 and a nonnegative objective the value is
 bounded below by zero, so unboundedness cannot occur; infeasibility (possible
-only with equality rows) is reported via InfeasibleError.
+only with rows of negative right-hand side, such as the upper half of an
+equality) is reported via InfeasibleError.
 
 All arithmetic is exact; the pivot rule is Bland-style lowest-index on both
 the leaving and the entering side, which rules out cycling and makes every
@@ -23,17 +25,17 @@ pivot combines rows over a common denominator in one pass per row and
 divides each changed row by the gcd of its entries, right-hand side and
 denominator (Bareiss, Math. Comp. 22, 1968), so ratio tests and sign tests
 are integer comparisons. Rationals (Rat) appear only at the boundary:
-add_ge_row scales an incoming row by the lcm of its denominators, and
-values()/objective() return Rat. finalize_solution checks the result against
-the problem exactly, feasibility and, through the duals read off the cost
-row, optimality.
+add_ge_row takes a sparse {column: coefficient} row and scales it by the lcm
+of its denominators, and values()/objective() return Rat. The engine keeps
+the integer rows it was given, untouched by pivots, and certified_values()
+checks the result against them exactly: feasibility and, through the duals
+read off the cost row, optimality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping
 
 from ._rat import ZERO, Rat
 
@@ -44,52 +46,6 @@ class InfeasibleError(Exception):
 
 class PivotLimitError(RuntimeError):
     """Safety cap on pivots exceeded; indicates a solver bug, not a hard input."""
-
-
-@dataclass(frozen=True)
-class LpRow:
-    coeffs: tuple
-    rel: str  # ">=" or "="
-    rhs: object
-
-    def __post_init__(self):
-        if self.rel not in (">=", "="):
-            raise ValueError(f"unsupported relation {self.rel!r}")
-        object.__setattr__(self, "coeffs", tuple(Rat(c) for c in self.coeffs))
-        object.__setattr__(self, "rhs", Rat(self.rhs))
-
-
-@dataclass(frozen=True)
-class LpProblem:
-    num_vars: int
-    rows: tuple[LpRow, ...]
-
-    def __post_init__(self):
-        for i, row in enumerate(self.rows):
-            if len(row.coeffs) != self.num_vars:
-                raise ValueError(
-                    f"row {i} has width {len(row.coeffs)}, expected {self.num_vars}"
-                )
-
-
-def add_row(problem: LpProblem, coeffs: Sequence, rel: str, rhs) -> LpProblem:
-    """New problem with one extra row; the original is untouched."""
-    return LpProblem(problem.num_vars, problem.rows + (LpRow(tuple(coeffs), rel, rhs),))
-
-
-@dataclass(frozen=True)
-class BasicSolution:
-    """A vertex of the feasible polyhedron, exactly.
-
-    tight_rows are recomputed from the values rather than read off the basis
-    bookkeeping; basis_witness lists the nonbasic identifiers (("var", j) for
-    x_j = 0, ("row", i) for row i at equality) certifying vertex status.
-    """
-
-    values: tuple
-    objective: object
-    tight_rows: frozenset[int]
-    basis_witness: frozenset[tuple[str, int]]
 
 
 class CoveringSimplex:
@@ -105,15 +61,16 @@ class CoveringSimplex:
     _cost_den, holding the reduced costs of the nonbasic columns, and
     -_cost_rhs / _cost_den is the objective of the current basis. Every
     denominator is positive, and each row is divided by
-    gcd(den, rhs, *entries) after every change.
+    gcd(den, rhs, *entries) after every change. _given[i] is row i as it
+    was added, ({column: int}, int) for a.x >= b; pivots never touch it.
     """
 
     __slots__ = (
         "num_vars", "_rows", "_rhs", "_den", "_cost", "_cost_rhs", "_cost_den",
-        "_basis", "_nonbasic", "pivots",
+        "_basis", "_nonbasic", "_given", "pivots",
     )
 
-    def __init__(self, num_vars: int, rows: Iterable[tuple[Sequence, object]] = ()):
+    def __init__(self, num_vars: int, rows: Iterable[tuple[Mapping, object]] = ()):
         self.num_vars = num_vars
         self._rows: list[list[int]] = []
         self._rhs: list[int] = []
@@ -123,6 +80,7 @@ class CoveringSimplex:
         self._cost_den = 1
         self._basis: list[int] = []
         self._nonbasic = list(range(num_vars))
+        self._given: list[tuple[dict[int, int], int]] = []
         self.pivots = 0
         for coeffs, rhs in rows:
             self.add_ge_row(coeffs, rhs)
@@ -138,22 +96,29 @@ class CoveringSimplex:
         dup._cost_den = self._cost_den
         dup._basis = list(self._basis)
         dup._nonbasic = list(self._nonbasic)
+        dup._given = list(self._given)
         dup.pivots = self.pivots
         return dup
 
-    def add_ge_row(self, coeffs: Sequence, rhs) -> None:
-        """Append constraint coeffs . x >= rhs (reduced against the basis).
+    def add_ge_row(self, coeffs: Mapping, rhs) -> None:
+        """Append constraint sum_j coeffs[j] x_j >= rhs (reduced against the basis).
 
-        The rational row is scaled to integers once, by the lcm of its
-        denominators. As a tableau row it reads s - coeffs . x = -rhs for
-        its new surplus s, which becomes the row's basic column."""
-        terms = [(j, Rat(c)) for j, c in enumerate(coeffs) if c]
-        rhs = Rat(rhs)
-        scale = lcm(int(rhs.denominator), *(int(c.denominator) for _, c in terms))
+        coeffs maps columns to ints or rationals. The row is scaled to
+        integers once, by the lcm of its denominators, into a.x >= b, which
+        is kept in _given. As a tableau row it reads s - a.x = -b for its
+        new surplus s, which becomes the row's basic column."""
+        scale = lcm(int(rhs.denominator), *(int(c.denominator) for c in coeffs.values()))
+        row = {
+            j: int(c.numerator) * (scale // int(c.denominator))
+            for j, c in coeffs.items()
+            if c
+        }
+        bound = int(rhs.numerator) * (scale // int(rhs.denominator))
+        self._given.append((row, bound))
         a = [0] * self.num_vars
-        for j, c in terms:
-            a[j] = -int(c.numerator) * (scale // int(c.denominator))
-        new_rhs = -int(rhs.numerator) * (scale // int(rhs.denominator))
+        for j, c in row.items():
+            a[j] = -c
+        new_rhs = -bound
         # An entry a[b] on a basic x_b is removed by subtracting a[b] / den
         # times b's row. Basic rows are zero on each other's basic columns,
         # so each such entry is read off the incoming row as it is; the rows
@@ -169,7 +134,7 @@ class CoveringSimplex:
             f = factor * (mult // self._den[i])
             new = [c - f * p for c, p in zip(new, self._rows[i])]
             new_rhs -= f * self._rhs[i]
-        new, new_rhs, den = _normalize(new, new_rhs, scale * mult)
+        new, new_rhs, den = _normalize(new, new_rhs, mult)
         self._rows.append(new)
         self._rhs.append(new_rhs)
         self._den.append(den)
@@ -246,8 +211,54 @@ class CoveringSimplex:
     def objective(self):
         return Rat(-self._cost_rhs, self._cost_den)
 
-    def nonbasic_indices(self) -> list[int]:
-        return sorted(self._nonbasic)
+    def certified_values(self) -> list:
+        """values(), after an exact proof that they are optimal.
+
+        Feasibility is checked against the rows as given, a.x >= b, and
+        x >= 0. For optimality, the reduced cost of row i's surplus column
+        is that row's dual y_i, read over _cost_den at the column's
+        nonbasic position; a basic surplus has y_i = 0. If y >= 0 and
+        A^T y <= 1, weak duality makes b.y a lower bound on 1.x over the
+        whole feasible set, so b.y == 1.x proves the point optimal (the
+        verify-the-basis check of Applegate, Cook, Dash & Espinoza, OR
+        Letters 35, 2007). x is kept multiplied by the lcm of its
+        denominators and y by _cost_den, so every check is an integer
+        comparison. A failure raises AssertionError.
+        """
+        n = self.num_vars
+        structural = [(b, i) for i, b in enumerate(self._basis) if b < n]
+        scale = lcm(*(self._den[i] for _, i in structural))
+        x = [0] * n
+        for b, i in structural:
+            x[b] = self._rhs[i] * (scale // self._den[i])
+        if any(v < 0 for v in x):
+            raise AssertionError("negative variable in solution")
+        for i, (row, b) in enumerate(self._given):
+            lhs = sum(c * x[j] for j, c in row.items())
+            if lhs < b * scale:
+                raise AssertionError(f"row {i} violated: {Rat(lhs, scale)} < {b}")
+        column_sums = [0] * n
+        bound = 0
+        for col, y in zip(self._nonbasic, self._cost):
+            if col < n:
+                continue
+            if y < 0:
+                raise AssertionError(f"dual of row {col - n} is negative: basis not optimal")
+            if y:
+                row, b = self._given[col - n]
+                for j, c in row.items():
+                    column_sums[j] += y * c
+                bound += y * b
+        den = self._cost_den
+        for j, total in enumerate(column_sums):
+            if total > den:
+                raise AssertionError(f"dual infeasible at x{j}: (A^T y)_j = {Rat(total, den)} > 1")
+        total = sum(x)
+        if bound * scale != den * total:
+            raise AssertionError(
+                f"duality gap: b.y = {Rat(bound, den)} != 1.x = {Rat(total, scale)}"
+            )
+        return self.values()
 
 
 def _normalize(row: list, rhs: int, den: int):
@@ -274,134 +285,3 @@ def _eliminate(row: list, rhs: int, den: int, factor: int, q: int, prow, prhs: i
     new[q] = -factor * prow[q]
     return _normalize(new, rhs * scale - factor * prhs, den * scale)
 
-
-def finalize_solution(
-    problem: LpProblem, engine: CoveringSimplex, row_owner: Sequence[int]
-) -> BasicSolution:
-    """Extract a BasicSolution and verify it exactly against the problem.
-
-    row_owner maps each engine row to the index i of the problem row it came
-    from, or to ~i when the engine row is that equality row negated (an
-    equality row expands to the row and its negation). Both feasibility and
-    optimality are checked; a failure raises AssertionError.
-    """
-    values = tuple(engine.values())
-    objective = sum(values, ZERO)
-    tight = set()
-    for i, row in enumerate(problem.rows):
-        lhs = _dot(row.coeffs, values)
-        if row.rel == "=":
-            if lhs != row.rhs:
-                raise AssertionError(f"equality row {i} violated: {lhs} != {row.rhs}")
-            tight.add(i)
-        else:
-            if lhs < row.rhs:
-                raise AssertionError(f"row {i} violated: {lhs} < {row.rhs}")
-            if lhs == row.rhs:
-                tight.add(i)
-    if any(v < 0 for v in values):
-        raise AssertionError("negative variable in solution")
-    _check_dual(problem, engine, row_owner, objective)
-    witness = set()
-    for j in engine.nonbasic_indices():
-        if j < problem.num_vars:
-            witness.add(("var", j))
-        else:
-            owner = row_owner[j - problem.num_vars]
-            witness.add(("row", owner if owner >= 0 else ~owner))
-    return BasicSolution(values, objective, frozenset(tight), frozenset(witness))
-
-
-def _check_dual(
-    problem: LpProblem, engine: CoveringSimplex, row_owner: Sequence[int], objective
-) -> None:
-    """Exact optimality certificate for the engine's final basis.
-
-    The reduced cost of engine row i's surplus column is that row's dual
-    y_i, read over _cost_den at the column's nonbasic position; a basic
-    surplus has y_i = 0. If y >= 0 and A^T y <= 1, weak duality makes b . y
-    a lower bound on 1 . x over the whole feasible set, so b . y == 1 . x
-    proves the point optimal (the verify-the-basis check of Applegate, Cook,
-    Dash & Espinoza, OR Letters 35, 2007). Sums are kept multiplied by
-    _cost_den.
-    """
-    n = problem.num_vars
-    if len(row_owner) != len(engine._rows):
-        raise AssertionError(
-            f"{len(row_owner)} row owners for {len(engine._rows)} engine rows"
-        )
-    scale = engine._cost_den
-    column_sums = [0] * n
-    bound = 0
-    for col, y in zip(engine._nonbasic, engine._cost):
-        if col < n:
-            continue
-        i = col - n
-        if y < 0:
-            raise AssertionError(f"dual of engine row {i} is negative: basis not optimal")
-        if not y:
-            continue
-        owner = row_owner[i]
-        if owner < 0:
-            owner, y = ~owner, -y
-            if problem.rows[owner].rel != "=":
-                raise AssertionError(f"engine row {i} negates inequality row {owner}")
-        row = problem.rows[owner]
-        for j, c in enumerate(row.coeffs):
-            if c:
-                column_sums[j] += y * c
-        bound += y * row.rhs
-    for j, total in enumerate(column_sums):
-        if total > scale:
-            raise AssertionError(f"dual infeasible at x{j}: (A^T y)_j = {Rat(total) / scale} > 1")
-    if bound != scale * objective:
-        raise AssertionError(f"duality gap: b.y = {Rat(bound) / scale} != 1.x = {objective}")
-
-
-def _dot(coeffs, values):
-    total = ZERO
-    for c, v in zip(coeffs, values):
-        if c and v:
-            total += c * v
-    return total
-
-
-def _expand(problem: LpProblem):
-    """Equality rows become a pair of opposing ">=" rows (owners i and ~i)."""
-    engine_rows = []
-    owner = []
-    for i, row in enumerate(problem.rows):
-        engine_rows.append((row.coeffs, row.rhs))
-        owner.append(i)
-        if row.rel == "=":
-            engine_rows.append((tuple(-c for c in row.coeffs), -row.rhs))
-            owner.append(~i)
-    return engine_rows, owner
-
-
-def solve(problem: LpProblem) -> BasicSolution:
-    """Optimal basic solution of the covering LP; deterministic."""
-    if problem.num_vars == 0:
-        for i, row in enumerate(problem.rows):
-            if row.rhs > 0 or (row.rel == "=" and row.rhs != 0):
-                raise InfeasibleError(f"row {i} cannot be satisfied with no variables")
-        return BasicSolution(
-            (), ZERO, frozenset(i for i, r in enumerate(problem.rows) if r.rhs == 0),
-            frozenset(),
-        )
-    engine_rows, owner = _expand(problem)
-    engine = CoveringSimplex(problem.num_vars, engine_rows)
-    engine.optimize()
-    return finalize_solution(problem, engine, owner)
-
-
-def solve_with_equality(problem: LpProblem, row_index: int) -> BasicSolution:
-    """Re-solve with row row_index forced to equality.
-
-    Raises InfeasibleError when no feasible point survives the pinning, which
-    callers report as "no alternate optimum through this edge".
-    """
-    rows = list(problem.rows)
-    pinned = rows[row_index]
-    rows[row_index] = LpRow(pinned.coeffs, "=", pinned.rhs)
-    return solve(LpProblem(problem.num_vars, tuple(rows)))

@@ -433,43 +433,6 @@ class ReferenceCoveringSimplex:
     def objective(self):
         return sum(self.values(), ZERO)
 
-    def nonbasic_indices(self) -> list[int]:
-        basic = set(self._basis)
-        return [j for j in range(self._ncols) if j not in basic]
-
-
-def _normalize(row: dict, rhs: int, den: int):
-    """Divide row, rhs and den by their gcd."""
-    g = gcd(den, rhs)
-    if g != 1:
-        g = gcd(g, *row.values())
-        if g != 1:
-            return {k: c // g for k, c in row.items()}, rhs // g, den // g
-    return row, rhs, den
-
-
-def _eliminate(row: dict, rhs: int, den: int, factor: int, pitems, prhs: int, pden: int):
-    """row - (factor / pden) * prow over a common denominator, normalized.
-
-    pitems are prow's (column, entry) pairs; prow holds pden in the
-    eliminated column, so the result has no entry there. row may be updated
-    in place.
-    """
-    g = gcd(factor, pden)
-    scale, factor = pden // g, factor // g
-    if scale != 1:
-        row = {k: c * scale for k, c in row.items()}
-        rhs *= scale
-        den *= scale
-    get = row.get
-    for k, p in pitems:
-        c = get(k, 0) - factor * p
-        if c:
-            row[k] = c
-        else:
-            del row[k]
-    return _normalize(row, rhs - factor * prhs, den)
-
 
 def _normalize(row: dict, rhs: int, den: int):
     """Divide row, rhs and den by their gcd."""

@@ -17,7 +17,7 @@ import pytest
 from elpcover._rat import Rat
 from elpcover.cli import main as cli_main
 from elpcover.cover import backtrack, certify, validate_cover
-from elpcover.elp import edge_relaxation, separate_odd_cycle, solve_elp
+from elpcover.elp import relaxation_engine, separate_odd_cycle, solve_elp
 from elpcover.graph import (
     Graph,
     complete_graph,
@@ -36,7 +36,6 @@ from elpcover.oracles import (
     small_edge_conjecture_probe,
 )
 from elpcover.reductions import KIND_ACTIVE, run_pipeline
-from elpcover.simplex import LpProblem, LpRow, solve
 from exact_oracles import nx_min_odd_cycle_weight, random_connected_gnp
 
 SWEEP_SEED = 20260810
@@ -148,6 +147,11 @@ def test_criterion_3_ledger_fidelity(sweep, triangle_free_batch):
     )
 
 
+def _lp_value(engine):
+    engine.optimize()
+    return sum(engine.certified_values())
+
+
 def test_criterion_4_elp_values():
     for s in range(1, 7):
         assert solve_elp(cycle_graph(2 * s + 1)).objective == s + 1
@@ -155,19 +159,13 @@ def test_criterion_4_elp_values():
     # enumerated odd-cycle family (independent of the separation loop).
     pet = petersen_graph()
     cutting = solve_elp(pet).objective
-    order = pet.vertices
-    rows = list(edge_relaxation(pet).rows)
-    for cycle in enumerate_odd_cycles(pet):
-        rows.append(
-            LpRow(tuple(Rat(c) for c in cycle.incidence_vector(order)), ">=", cycle.rhs)
-        )
-    direct = solve(LpProblem(pet.n, tuple(rows))).objective
+    direct = _lp_value(relaxation_engine(pet, enumerate_odd_cycles(pet)))
     assert cutting == direct == 6 == exact_vc(pet).opt_size
     # Sandwich on oracle-checked instances.
     rng = random.Random(404)
     for _ in range(150):
         g = random_connected_gnp(rng.randint(3, 9), rng.uniform(0.25, 0.8), rng)
-        lp = solve(edge_relaxation(g)).objective
+        lp = _lp_value(relaxation_engine(g))
         elp = solve_elp(g).objective
         opt = exact_vc(g).opt_size
         assert lp <= elp <= opt
@@ -205,8 +203,9 @@ def test_criterion_6_half_integrality():
     allowed = {Rat(0), Rat(1, 2), Rat(1)}
     for _ in range(200):
         g = random_connected_gnp(rng.randint(2, 10), rng.uniform(0.2, 0.85), rng)
-        solution = solve(edge_relaxation(g))
-        assert all(v in allowed for v in solution.values)
+        engine = relaxation_engine(g)
+        engine.optimize()
+        assert all(v in allowed for v in engine.certified_values())
     print(
         "\n[PASS] criterion 6: all plain-relaxation basic solutions half-integral "
         "on 200 random graphs"

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from elpcover import elp
 from elpcover._rat import Rat
 from elpcover.elp import (
+    CutLoopLimitError,
     ElpSolution,
     classify_edges,
     explore_alternate_bfs,
+    relaxation_engine,
     separate_odd_cycle,
     solve_elp,
 )
@@ -188,13 +190,12 @@ def test_elp_cycle_pool_dedupes_by_vertex_set():
 
 
 def test_elp_sandwich_bounds():
-    from elpcover.elp import edge_relaxation
-    from elpcover.simplex import solve
-
     rng = random.Random(13)
     for _ in range(30):
         g = random_connected_gnp(rng.randint(3, 9), rng.uniform(0.3, 0.8), rng)
-        lp = solve(edge_relaxation(g)).objective
+        engine = relaxation_engine(g)
+        engine.optimize()
+        lp = sum(engine.certified_values())
         elp = solve_elp(g).objective
         opt = exact_vc(g).opt_size
         assert lp <= elp <= opt
@@ -218,6 +219,24 @@ def test_classify_edges():
     active, over, small = classify_edges(t, x)
     assert active == () and over == ()  # 6/5 < 4/3
     assert set(small) == set(t.edges())
+
+    # Mixed denominators on both sides of 1 and of 4/3 (lcm 420).
+    path = Graph.from_edges(range(1, 8), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)])
+    x = {
+        1: Rat(1, 4), 2: Rat(3, 4), 3: Rat(4, 7), 4: Rat(16, 21),
+        5: Rat(8, 15), 6: Rat(4, 5), 7: Rat(3, 10),
+    }
+    # Edge sums: 1, 37/28 (4/3 - 1/84), 4/3, 136/105, 4/3, 11/10.
+    active, over, small = classify_edges(path, x)
+    assert active == ((1, 2),)
+    assert over == ((3, 4), (5, 6))
+    assert small == ((1, 2),)
+    x[1] = Rat(1, 4) - Rat(1, 420)  # edge sum 1 - 1/420
+    x[7] = Rat(15, 28)  # edge sum 4/3 + 1/420
+    active, over, small = classify_edges(path, x)
+    assert active == ()
+    assert over == ((3, 4), (5, 6), (6, 7))
+    assert small == ((1, 2),)
 
 
 def test_classify_active_edges_are_small():
@@ -245,7 +264,7 @@ def test_explore_alternate_finds_active_edge_on_c5():
         active_edges=active,
         over_active_edges=over,
         small_edges=small,
-        basic=None,
+        engine=base.engine,
     )
     alt, pins = explore_alternate_bfs(c5, fake)
     assert alt is not None and pins == 1  # first pin already succeeds
@@ -267,6 +286,43 @@ def test_explore_alternate_respects_pin_cap():
     sol = solve_elp(g)
     alt, pins = explore_alternate_bfs(g, sol, pin_cap=5)
     assert alt is None and pins == 5
+
+
+def _c5_edge_lp_solution():
+    # The edge LP optimum of C5 (all 1/2, value 5/2) with no cut: each pin
+    # keeps 5/2 until the chase adds the C5 cut. Its edges are all active, so
+    # active_edges is left empty to let the sweep run.
+    c5 = cycle_graph(5)
+    engine = relaxation_engine(c5)
+    engine.optimize()
+    x = dict(zip(c5.vertices, engine.certified_values()))
+    assert set(x.values()) == {Rat(1, 2)}
+    return c5, ElpSolution(
+        x=x, objective=Rat(5, 2), cycle_pool=(), active_edges=(),
+        over_active_edges=(), small_edges=(), engine=engine,
+    )
+
+
+def test_pinned_chase_raises_past_the_round_cap(monkeypatch):
+    c5, sol = _c5_edge_lp_solution()
+    alt, pins = explore_alternate_bfs(c5, sol)
+    assert alt is None and pins == 5  # each chased cut lifts the value to 3
+    monkeypatch.setattr(elp, "ROUNDS_PER_VERTEX", 0)
+    with pytest.raises(CutLoopLimitError):
+        explore_alternate_bfs(c5, sol)
+
+
+def test_explore_alternate_reuses_the_solved_engine(monkeypatch):
+    g = circulant(11, (1, 3))
+    sol = solve_elp(g)
+    objective, basis = sol.engine.objective(), list(sol.engine._basis)
+
+    def no_rebuild(*args):
+        raise AssertionError("the pin sweep rebuilt the engine")
+
+    monkeypatch.setattr(elp, "relaxation_engine", no_rebuild)
+    assert explore_alternate_bfs(g, sol) == (None, g.m)
+    assert sol.engine.objective() == objective and sol.engine._basis == basis
 
 
 def test_explore_alternate_precondition():

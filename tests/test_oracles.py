@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from elpcover import oracles
 from elpcover.graph import (
     Graph,
     complete_graph,
@@ -59,6 +60,21 @@ def test_exact_vc_enumerate_all():
         g = random_connected_gnp(rng.randint(2, 8), rng.uniform(0.3, 0.7), rng)
         got = set(exact_vc(g, enumerate_all=True).all_covers)
         assert got == brute_force_all_min_covers(g)
+
+
+def test_exact_vc_enumerate_all_rejects_a_missing_cover(monkeypatch):
+    # The check must raise, not assert, so that it also runs under python -O.
+    c5 = cycle_graph(5)
+    cover = exact_vc(c5).cover
+    enumerate_covers = oracles._enumerate_covers
+
+    def dropping(adj, chosen, budget, found):
+        enumerate_covers(adj, chosen, budget, found)
+        found.discard(cover)
+
+    monkeypatch.setattr(oracles, "_enumerate_covers", dropping)
+    with pytest.raises(AssertionError, match="missing from the enumeration"):
+        exact_vc(c5, enumerate_all=True)
 
 
 def test_exact_vc_cap():

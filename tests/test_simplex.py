@@ -6,20 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elpcover._rat import Rat
-from elpcover.elp import edge_relaxation
+from elpcover.elp import relaxation_engine
 from elpcover.graph import complete_graph, cycle_graph
 from elpcover.oracles import rational_rank
-from elpcover.simplex import (
-    CoveringSimplex,
-    InfeasibleError,
-    LpProblem,
-    LpRow,
-    PivotLimitError,
-    add_row,
-    finalize_solution,
-    solve,
-    solve_with_equality,
-)
+from elpcover.simplex import CoveringSimplex, InfeasibleError, PivotLimitError
 from exact_oracles import (
     ReferenceCoveringSimplex,
     lp_value_half_integral,
@@ -30,130 +20,128 @@ from exact_oracles import (
 HALF_SET = {Rat(0), Rat(1, 2), Rat(1)}
 
 
+def _solved(engine):
+    """Optimize, then return the certified optimal x."""
+    engine.optimize()
+    return engine.certified_values()
+
+
+def _dense(engine):
+    """The engine's rows as dense (coeffs, ">=", rhs) for lp_vertex_enumeration."""
+    return [
+        (tuple(row.get(j, 0) for j in range(engine.num_vars)), ">=", rhs)
+        for row, rhs in engine._given
+    ]
+
+
+def _pinned(engine, i):
+    """engine with its row i pinned to equality by the negated row."""
+    row, rhs = engine._given[i]
+    engine.add_ge_row({j: -c for j, c in row.items()}, -rhs)
+    return engine
+
+
 def test_k2_lp():
-    sol = solve(edge_relaxation(complete_graph(2)))
-    assert sol.objective == 1
-    assert sorted(sol.values) == [0, 1]  # a vertex, not the (1/2, 1/2) midpoint
+    values = _solved(relaxation_engine(complete_graph(2)))
+    assert sum(values) == 1
+    assert sorted(values) == [0, 1]  # a vertex, not the (1/2, 1/2) midpoint
 
 
 def test_k3_lp_half_integral_optimum():
-    sol = solve(edge_relaxation(complete_graph(3)))
-    assert sol.objective == Rat(3, 2)
-    assert tuple(sol.values) == (Rat(1, 2),) * 3
+    engine = relaxation_engine(complete_graph(3))
+    values = _solved(engine)
+    assert sum(values) == Rat(3, 2)
+    assert tuple(values) == (Rat(1, 2),) * 3
     # value matches the independent vertex-enumeration oracle
-    rows = [(r.coeffs, r.rel, r.rhs) for r in edge_relaxation(complete_graph(3)).rows]
-    assert lp_vertex_enumeration(3, rows) == Fraction(3, 2)
+    assert lp_vertex_enumeration(3, _dense(engine)) == Fraction(3, 2)
 
 
 def test_c4_lp():
-    sol = solve(edge_relaxation(cycle_graph(4)))
-    assert sol.objective == 2
+    assert sum(_solved(relaxation_engine(cycle_graph(4)))) == 2
 
 
 def test_add_row_triangle_cut():
-    p = edge_relaxation(complete_graph(3))
-    cut = add_row(p, (1, 1, 1), ">=", 2)
-    sol = solve(cut)
-    assert sol.objective == 2
-    rows = [(r.coeffs, r.rel, r.rhs) for r in cut.rows]
-    assert lp_vertex_enumeration(3, rows) == 2
+    engine = relaxation_engine(complete_graph(3))
+    engine.add_ge_row({0: 1, 1: 1, 2: 1}, 2)
+    assert sum(_solved(engine)) == 2
+    assert lp_vertex_enumeration(3, _dense(engine)) == 2
 
 
 def test_add_implied_or_duplicate_row_keeps_objective():
-    p = edge_relaxation(complete_graph(3))
-    base = solve(p).objective
-    implied = add_row(p, (2, 2, 2), ">=", 2)  # implied by any single edge row
-    assert solve(implied).objective == base
-    duplicate = add_row(p, (1, 1, 0), ">=", 1)
-    assert solve(duplicate).objective == base
-
-
-def test_add_row_width_mismatch():
-    p = edge_relaxation(complete_graph(3))
-    with pytest.raises(ValueError):
-        add_row(p, (1, 1), ">=", 1)
+    base = sum(_solved(relaxation_engine(complete_graph(3))))
+    implied = relaxation_engine(complete_graph(3))
+    implied.add_ge_row({0: 2, 1: 2, 2: 2}, 2)  # implied by any single edge row
+    assert sum(_solved(implied)) == base
+    duplicate = relaxation_engine(complete_graph(3))
+    duplicate.add_ge_row({0: 1, 1: 1}, 1)
+    assert sum(_solved(duplicate)) == base
 
 
 def test_solve_with_equality_k2():
-    p = edge_relaxation(complete_graph(2))
-    sol = solve_with_equality(p, 0)
-    assert sol.objective == 1
-    assert sol.values[0] + sol.values[1] == 1
+    values = _solved(_pinned(relaxation_engine(complete_graph(2)), 0))
+    assert sum(values) == 1
+    assert values[0] + values[1] == 1
 
 
 def test_solve_with_equality_k3_elp():
-    cut = add_row(edge_relaxation(complete_graph(3)), (1, 1, 1), ">=", 2)
-    sol = solve_with_equality(cut, 0)  # pin x1 + x2 = 1
-    assert sol.objective == 2
-    assert sol.values[0] + sol.values[1] == 1
-    assert sorted(sol.values) in ([0, 1, 1],)
+    engine = relaxation_engine(complete_graph(3))
+    engine.add_ge_row({0: 1, 1: 1, 2: 1}, 2)
+    values = _solved(_pinned(engine, 0))  # pin x1 + x2 = 1
+    assert sum(values) == 2
+    assert values[0] + values[1] == 1
+    assert sorted(values) in ([0, 1, 1],)
 
 
 def test_solve_with_equality_c4():
-    p = edge_relaxation(cycle_graph(4))
-    sol = solve_with_equality(p, 0)
-    assert sol.objective == 2
+    assert sum(_solved(_pinned(relaxation_engine(cycle_graph(4)), 0))) == 2
 
 
 def test_solve_with_equality_infeasible():
     # x1 >= 2 (scaled) conflicts with pinning x1 + x2 = 1 when x2 also >= 2.
-    p = LpProblem(
-        2,
-        (
-            LpRow((1, 1), ">=", 1),
-            LpRow((1, 0), ">=", 2),
-            LpRow((0, 1), ">=", 2),
-        ),
-    )
+    engine = CoveringSimplex(2, [({0: 1, 1: 1}, 1), ({0: 1}, 2), ({1: 1}, 2)])
     with pytest.raises(InfeasibleError):
-        solve_with_equality(p, 0)
+        _solved(_pinned(engine, 0))
 
 
 def test_empty_and_trivial_problems():
-    assert solve(LpProblem(0, ())).objective == 0
-    sol = solve(LpProblem(3, ()))  # no rows: origin is optimal
-    assert sol.objective == 0 and tuple(sol.values) == (Rat(0),) * 3
+    assert sum(_solved(CoveringSimplex(0)), Rat(0)) == 0
+    values = _solved(CoveringSimplex(3))  # no rows: origin is optimal
+    assert sum(values) == 0 and tuple(values) == (Rat(0),) * 3
 
 
 def test_exactness_zero_tolerance():
     # 1000 edges chained: values must verify rows exactly, no drift.
     n = 60
-    rows = tuple(
-        LpRow(
-            tuple(Rat(1) if j in (i, i + 1) else Rat(0) for j in range(n)), ">=", 1
-        )
-        for i in range(n - 1)
-    )
-    sol = solve(LpProblem(n, rows))
-    for row in rows:
-        assert sum(c * v for c, v in zip(row.coeffs, sol.values)) >= row.rhs
-    assert sol.objective == Rat((n - 1 + 1) // 2)  # path cover number
+    rows = [({i: Rat(1), i + 1: Rat(1)}, 1) for i in range(n - 1)]
+    values = _solved(CoveringSimplex(n, rows))
+    for coeffs, rhs in rows:
+        assert sum(c * values[j] for j, c in coeffs.items()) >= rhs
+    assert sum(values) == Rat((n - 1 + 1) // 2)  # path cover number
 
 
 def test_determinism_identical_solutions():
     rng = random.Random(5)
     for _ in range(20):
         g = random_connected_gnp(rng.randint(3, 8), 0.5, rng)
-        p = edge_relaxation(g)
-        a = solve(p)
-        b = solve(p)
-        assert a == b
+        a, b = relaxation_engine(g), relaxation_engine(g)
+        assert _solved(a) == _solved(b)
+        assert a._basis == b._basis and a._nonbasic == b._nonbasic
 
 
 def test_half_integrality_of_basic_solutions():
     rng = random.Random(11)
     for _ in range(60):
         g = random_connected_gnp(rng.randint(2, 9), rng.uniform(0.25, 0.8), rng)
-        sol = solve(edge_relaxation(g))
-        assert all(v in HALF_SET for v in sol.values), sol.values
+        values = _solved(relaxation_engine(g))
+        assert all(v in HALF_SET for v in values), values
 
 
 def test_lp_value_matches_half_integral_oracle():
     rng = random.Random(23)
     for _ in range(25):
         g = random_connected_gnp(rng.randint(2, 8), rng.uniform(0.3, 0.8), rng)
-        sol = solve(edge_relaxation(g))
-        assert Fraction(str(sol.objective)) == lp_value_half_integral(g)
+        values = _solved(relaxation_engine(g))
+        assert Fraction(str(sum(values))) == lp_value_half_integral(g)
 
 
 def test_vertex_property_tight_constraints_have_full_rank():
@@ -161,33 +149,46 @@ def test_vertex_property_tight_constraints_have_full_rank():
     rng = random.Random(31)
     for _ in range(25):
         g = random_connected_gnp(rng.randint(2, 8), rng.uniform(0.3, 0.8), rng)
-        p = edge_relaxation(g)
-        sol = solve(p)
-        tight = [list(p.rows[i].coeffs) for i in sol.tight_rows]
-        for j, v in enumerate(sol.values):
+        engine = relaxation_engine(g)
+        values = _solved(engine)
+        n = engine.num_vars
+        rows = _dense(engine)
+        tight_rows = {
+            i for i, (coeffs, _, rhs) in enumerate(rows)
+            if sum(c * v for c, v in zip(coeffs, values)) == rhs
+        }
+        tight = [list(rows[i][0]) for i in tight_rows]
+        for j, v in enumerate(values):
             if v == 0:
-                unit = [Rat(0)] * p.num_vars
+                unit = [Rat(0)] * n
                 unit[j] = Rat(1)
                 tight.append(unit)
-        assert rational_rank(tight) == p.num_vars
-        assert len(sol.basis_witness) >= p.num_vars - 1  # deduped identifiers
+        assert rational_rank(tight) == n
+        # The n nonbasic columns witness the vertex: each is a variable at
+        # zero or the surplus of a tight row.
+        assert len(set(engine._nonbasic)) == n
+        for col in engine._nonbasic:
+            if col < n:
+                assert values[col] == 0
+            else:
+                assert col - n in tight_rows
 
 
 def test_pinned_value_matches_vertex_enumeration_oracle():
     rng = random.Random(43)
     for _ in range(10):
         g = random_connected_gnp(rng.randint(2, 5), 0.7, rng)
-        p = edge_relaxation(g)
-        if not p.rows:
+        engine = relaxation_engine(g)
+        if not g.m:
             continue
-        idx = rng.randrange(len(p.rows))
+        idx = rng.randrange(g.m)
         rows = [
-            (r.coeffs, "=" if i == idx else r.rel, r.rhs)
-            for i, r in enumerate(p.rows)
+            (coeffs, "=" if i == idx else rel, rhs)
+            for i, (coeffs, rel, rhs) in enumerate(_dense(engine))
         ]
-        expected = lp_vertex_enumeration(p.num_vars, rows)
+        expected = lp_vertex_enumeration(engine.num_vars, rows)
         try:
-            got = solve_with_equality(p, idx).objective
+            got = sum(_solved(_pinned(engine, idx)))
         except InfeasibleError:
             assert expected is None
             continue
@@ -196,24 +197,22 @@ def test_pinned_value_matches_vertex_enumeration_oracle():
 
 def test_dual_certificate_rejects_tampered_engine():
     # min x1 + x2 s.t. x1 + 2 x2 >= 2, 2 x1 + x2 >= 2: optimum 4/3 at (2/3, 2/3).
-    problem = LpProblem(2, (LpRow((1, 2), ">=", 2), LpRow((2, 1), ">=", 2)))
-    rows = [(r.coeffs, r.rhs) for r in problem.rows]
+    rows = [({0: 1, 1: 2}, 2), ({0: 2, 1: 1}, 2)]
 
     engine = CoveringSimplex(2, rows)
-    engine.optimize()
-    assert finalize_solution(problem, engine, [0, 1]).objective == Rat(4, 3)
+    assert sum(_solved(engine)) == Rat(4, 3)
 
     # A feasible but non-optimal basis: x1 enters on row 0, giving (2, 0).
     off = CoveringSimplex(2, rows)
     off._pivot(0, 0)
     assert off.values() == [2, 0]
     with pytest.raises(AssertionError, match="dual infeasible"):
-        finalize_solution(problem, off, [0, 1])
+        off.certified_values()
 
     # Duals that stay feasible but prove a weaker bound than the objective.
     engine._cost_den *= 2
     with pytest.raises(AssertionError, match="duality gap"):
-        finalize_solution(problem, engine, [0, 1])
+        engine.certified_values()
 
 
 _COEFF = st.one_of(
@@ -225,41 +224,40 @@ _COEFF = st.one_of(
 def _covering_lps(draw):
     n = draw(st.integers(min_value=1, max_value=4))
     m = draw(st.integers(min_value=1, max_value=4))
-    rows = tuple(
-        LpRow(
+    rows = [
+        (
             tuple(draw(_COEFF) for _ in range(n)),
-            ">=",
             draw(st.fractions(min_value=0, max_value=3, max_denominator=4)),
         )
         for _ in range(m)
-    )
-    return LpProblem(n, rows), draw(st.integers(min_value=0, max_value=m - 1))
+    ]
+    return n, rows, draw(st.integers(min_value=0, max_value=m - 1))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(_covering_lps())
 def test_solve_matches_vertex_enumeration_on_rational_rows(case):
     # Rational coefficients exercise add_ge_row's lcm scaling; every solve
-    # goes through finalize_solution and so through the dual certificate.
-    problem, pin = case
-    for rel_at_pin, solver in ((">=", solve), ("=", lambda p: solve_with_equality(p, pin))):
-        rows = [
-            (r.coeffs, rel_at_pin if i == pin else r.rel, r.rhs)
-            for i, r in enumerate(problem.rows)
-        ]
-        expected = lp_vertex_enumeration(problem.num_vars, rows)
+    # goes through certified_values and so through the dual certificate.
+    n, rows, pin = case
+    for rel_at_pin in (">=", "="):
+        expected = lp_vertex_enumeration(
+            n, [(c, rel_at_pin if i == pin else ">=", r) for i, (c, r) in enumerate(rows)]
+        )
+        engine = CoveringSimplex(n, [(dict(enumerate(c)), r) for c, r in rows])
+        if rel_at_pin == "=":
+            _pinned(engine, pin)
         try:
-            got = solver(problem)
+            got = sum(_solved(engine))
         except InfeasibleError:
             assert expected is None
             continue
-        assert expected is not None and Fraction(str(got.objective)) == expected
+        assert expected is not None and Fraction(str(got)) == expected
 
 
 def _k3_engine():
     # The K3 edge relaxation takes three pivots from the surplus basis.
-    rows = [(r.coeffs, r.rhs) for r in edge_relaxation(complete_graph(3)).rows]
-    return CoveringSimplex(3, rows)
+    return relaxation_engine(complete_graph(3))
 
 
 def test_pivot_cap_bounds_a_single_call():
@@ -275,7 +273,7 @@ def test_pivot_cap_ignores_pivots_of_earlier_calls_and_copies():
     engine.pivots = 10**6  # as after a long cut loop
     engine.optimize(pivot_cap=3)
     trial = engine.copy()
-    trial.add_ge_row((1, 1, 1), 2)  # the triangle cut: one more pivot
+    trial.add_ge_row({0: 1, 1: 1, 2: 1}, 2)  # the triangle cut: one more pivot
     trial.optimize(pivot_cap=1)
     assert trial.pivots == 10**6 + 4
     assert trial.objective() == 2
@@ -294,7 +292,7 @@ def _optimize_both(engine, reference):
     assert engine.pivots == reference.pivots
     assert engine._basis == reference._basis
     if outcomes[0]:
-        assert engine.values() == reference.values()
+        assert engine.certified_values() == reference.values()
         assert engine.objective() == sum(engine.values(), Rat(0))
 
 
@@ -316,16 +314,16 @@ def test_compact_engine_matches_reference_engine(n, rows, cuts, pin):
     # initial rows, after each appended cut, and on copies with one row
     # pinned to equality by its negation.
     rows = [(coeffs[:n], rhs) for coeffs, rhs in rows]
-    engine = CoveringSimplex(n, rows)
+    engine = CoveringSimplex(n, [(dict(enumerate(c)), r) for c, r in rows])
     reference = ReferenceCoveringSimplex(n, rows)
     _optimize_both(engine, reference)
     for coeffs, rhs in cuts:
-        engine.add_ge_row(coeffs[:n], rhs)
+        engine.add_ge_row(dict(enumerate(coeffs[:n])), rhs)
         reference.add_ge_row(coeffs[:n], rhs)
         _optimize_both(engine, reference)
     coeffs, rhs = (rows + [(c[:n], r) for c, r in cuts])[pin % (len(rows) + len(cuts))]
     trial, reference_trial = engine.copy(), reference.copy()
-    for e in (trial, reference_trial):
-        e.add_ge_row([-c for c in coeffs], -rhs)
+    trial.add_ge_row({j: -c for j, c in enumerate(coeffs)}, -rhs)
+    reference_trial.add_ge_row([-c for c in coeffs], -rhs)
     _optimize_both(trial, reference_trial)
     _optimize_both(engine, reference)  # the copies left the originals alone
