@@ -14,7 +14,14 @@ from .cover import (
     certify,
     validate_cover,
 )
-from .elp import ElpSolution, classify_edges, explore_alternate_bfs, separate_odd_cycle, solve_elp
+from .elp import (
+    ElpSolution,
+    classify_edges,
+    explore_alternate_bfs,
+    scale_point,
+    separate_odd_cycle,
+    solve_elp,
+)
 from .graph import Graph, GraphFormatError, OddCycle, generate, parse_graph, to_dimacs
 from .oracles import (
     CapExceededError,

@@ -1,18 +1,15 @@
 """Exact rational scalar of the solver stack's values, cuts and reports.
 
-gmpy2.mpq when available, fractions.Fraction otherwise. Both are always
-reduced to lowest terms with a positive denominator, interoperate with ints,
-and print as "p/q" / "p", which is the lossless wire format used in reports.
-The simplex tableau itself works on Python ints and uses Rat only at its
-boundary (incoming rows, returned values).
+Rat is fractions.Fraction: always reduced to lowest terms with a positive
+denominator, interoperable with ints, and printed as "p/q" / "p", which is
+the lossless wire format used in reports. The simplex tableau and the
+odd-cycle separation work on Python ints and use Rat only at their
+boundary (incoming rows, returned values, reported violations).
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rat
+from fractions import Fraction as Rat
 
 ZERO = Rat(0)
 ONE = Rat(1)

@@ -11,7 +11,10 @@ closed sub-walks of even length never increases the weight).
 Every LP goes through one CoveringSimplex engine, built by
 relaxation_engine from sparse int rows (x_u + x_v >= 1 per edge, one row
 per pooled cycle), and one cut chase, chase_cuts, serves both the optimum
-and the alternate-optimum sweep. The solution returned after the loop is a
+and the alternate-optimum sweep. The chase hands the engine's point to
+separation as ints over one common denominator (CoveringSimplex.
+scaled_values), and scale_point builds the same pair from a
+{vertex: rational} map. The solution returned after the loop is a
 vertex of the cut-augmented polytope, certified optimal for it by the
 engine's exact dual check; a final separation pass certifies it is
 feasible, hence optimal, for the full relaxation. Whether it is also a
@@ -29,7 +32,7 @@ from typing import Iterator, Mapping, Optional
 
 from ._rat import ZERO, Rat
 from .graph import Graph, OddCycle
-from .simplex import CoveringSimplex, InfeasibleError
+from .simplex import AboveCeilingError, CoveringSimplex, InfeasibleError
 
 log = logging.getLogger("elpcover.elp")
 
@@ -85,18 +88,30 @@ def _add_cycle_row(engine: CoveringSimplex, cycle: OddCycle, index) -> None:
     engine.add_ge_row(dict.fromkeys((index[v] for v in cycle.vertices), 1), cycle.rhs)
 
 
-def separate_odd_cycle(g: Graph, x: Mapping[int, object]):
-    """Most-violated odd-cycle inequality at x, or None if all are satisfied.
+def scale_point(g: Graph, x: Mapping[int, object]) -> tuple[list[int], int]:
+    """x as the pair (ints, L) that separate_odd_cycle takes: L is the lcm
+    of the denominators of x's values and ints[i] = L * x[g.vertices[i]]."""
+    values = [Rat(x[v]) for v in g.vertices]
+    scale = lcm(*(r.denominator for r in values))
+    return [r.numerator * (scale // r.denominator) for r in values], scale
 
-    Requires x to satisfy every edge inequality so the weights
-    w(u,v) = x_u + x_v - 1 are nonnegative. Returns (cycle, violation) where
-    violation = (s+1) - sum_{v in cycle} x_v > 0 and the cycle has minimum
-    weight among all odd cycles (so it is a most-violated one).
 
-    The search is exact and integer-only. x is scaled once by L, the lcm of
-    its denominators, so each edge weighs the int L*x_u + L*x_v - L, and one
-    Dijkstra per base vertex looks for the lightest walk from (base, 0) to
-    (base, 1) in the bipartite double cover. Two prunings keep it cheap:
+def separate_odd_cycle(g: Graph, point: tuple[list[int], int]):
+    """Most-violated odd-cycle inequality at a point x, or None if all are satisfied.
+
+    point is x scaled to integers, (ints, L) with L > 0 and
+    x[g.vertices[i]] = ints[i] / L: CoveringSimplex.scaled_values() of an
+    engine over g.vertices, or scale_point(g, x). Any common denominator L
+    gives the same result. Requires x to satisfy every edge inequality so the
+    weights w(u,v) = x_u + x_v - 1 are nonnegative (ValueError otherwise).
+    Returns (cycle, violation) where violation = (s+1) - sum_{v in cycle} x_v
+    > 0, a Rat, and the cycle has minimum weight among all odd cycles (so it
+    is a most-violated one).
+
+    The search is exact and integer-only: each edge weighs the int
+    L*x_u + L*x_v - L, and one Dijkstra per base vertex looks for the
+    lightest walk from (base, 0) to (base, 1) in the bipartite double cover.
+    Two prunings keep it cheap:
 
     - bound: no label >= limit is pushed, where limit is L (only walks of
       weight < 1 are violated) until a walk is found, then the best weight
@@ -111,13 +126,16 @@ def separate_odd_cycle(g: Graph, x: Mapping[int, object]):
     the one an unscaled, unpruned search returns.
     """
     order = g.vertices
-    values = [Rat(x[v]) for v in order]
-    scale = lcm(*(r.denominator for r in values))
-    scaled = [r.numerator * (scale // r.denominator) for r in values]
+    scaled, scale = point
+    if len(scaled) != len(order) or scale <= 0:
+        raise ValueError(f"point ({len(scaled)} ints over {scale}) does not fit n={len(order)}")
     index = {v: i for i, v in enumerate(order)}
     for u, v in g.edges():
-        if scaled[index[u]] + scaled[index[v]] < scale:
-            raise ValueError(f"edge inequality violated at ({u},{v}): {x[u]}+{x[v]} < 1")
+        xu, xv = scaled[index[u]], scaled[index[v]]
+        if xu + xv < scale:
+            raise ValueError(
+                f"edge inequality violated at ({u},{v}): {Rat(xu, scale)}+{Rat(xv, scale)} < 1"
+            )
     # Double-cover node (vertex i, side s) is the int 2*i + s; order is sorted,
     # so these codes sort exactly like the (vertex, side) pairs.
     adjacency = [
@@ -134,11 +152,10 @@ def separate_odd_cycle(g: Graph, x: Mapping[int, object]):
         # Cycle weight >= 1 is exactly the cycle inequality holding.
         return None
     cycle = OddCycle.in_graph(g, _extract_simple_odd_cycle([order[i] for i in best_walk]))
-    total = sum((Rat(x[v]) for v in cycle.vertices), ZERO)
-    violation = Rat(cycle.rhs) - total
-    if violation <= 0:
+    slack = cycle.rhs * scale - sum(scaled[index[v]] for v in cycle.vertices)
+    if slack <= 0:
         raise AssertionError("extracted cycle must be violated when walk weight < 1")
-    return cycle, violation
+    return cycle, Rat(slack, scale)
 
 
 def _shortest_odd_closed_walk(adjacency, base: int, limit: int):
@@ -208,9 +225,8 @@ def classify_edges(g: Graph, x: Mapping[int, object]):
     x is scaled once by L, the lcm of its denominators, so the tests are the
     int comparisons L x_u + L x_v == L and 3 (L x_u + L x_v) >= 4 L.
     """
-    values = {v: Rat(x[v]) for v in g.vertices}
-    scale = lcm(*(r.denominator for r in values.values()))
-    scaled = {v: r.numerator * (scale // r.denominator) for v, r in values.items()}
+    ints, scale = scale_point(g, x)
+    scaled = dict(zip(g.vertices, ints))
     active = []
     over = []
     small: list[tuple[int, int]] = []
@@ -226,17 +242,6 @@ def classify_edges(g: Graph, x: Mapping[int, object]):
         elif s == best:
             small.append((u, v))
     return tuple(active), tuple(over), tuple(small)
-
-
-def _dedupe_pool(pool) -> list[OddCycle]:
-    seen = set()
-    out = []
-    for cycle in pool:
-        key = cycle.vertex_set
-        if key not in seen:
-            seen.add(key)
-            out.append(cycle)
-    return out
 
 
 def _assemble(g: Graph, engine: CoveringSimplex, pool, rounds=()) -> ElpSolution:
@@ -256,21 +261,21 @@ def _assemble(g: Graph, engine: CoveringSimplex, pool, rounds=()) -> ElpSolution
 
 
 def chase_cuts(
-    g: Graph, engine: CoveringSimplex, pool: list, seen: set, cap: int
+    g: Graph, engine: CoveringSimplex, pool: list, seen: set, cap: int, ceiling=None
 ) -> Iterator[CutRound]:
     """Add most-violated odd-cycle cuts to an optimal engine until x
     satisfies every odd-cycle inequality of g, yielding one CutRound per cut.
 
     Each cut is appended to pool and its vertex set to seen, and the engine
-    is re-optimized (InfeasibleError propagates). More than cap cuts raise
+    is re-optimized with the given ceiling (InfeasibleError and
+    AboveCeilingError propagate). More than cap cuts raise
     CutLoopLimitError. A caller that stops iterating leaves the engine
     optimal for the cuts added so far.
     """
     index = _index(g)
-    order = g.vertices
     added = 0
     while True:
-        found = separate_odd_cycle(g, dict(zip(order, engine.values())))
+        found = separate_odd_cycle(g, engine.scaled_values())
         if found is None:
             return
         if added >= cap:
@@ -281,7 +286,7 @@ def chase_cuts(
         seen.add(cycle.vertex_set)
         pool.append(cycle)
         _add_cycle_row(engine, cycle, index)
-        engine.optimize()
+        engine.optimize(ceiling=ceiling)
         added += 1
         objective = engine.objective()
         log.debug(
@@ -295,19 +300,17 @@ def _round_cap(g: Graph) -> int:
     return ROUNDS_PER_VERTEX * max(1, g.n)
 
 
-def solve_elp(g: Graph, initial_pool=()) -> ElpSolution:
+def solve_elp(g: Graph) -> ElpSolution:
     """Cutting-plane optimum of the odd-cycle relaxation on g.
 
     The returned solution satisfies every edge row and every odd-cycle
     inequality of g (certified by a final separation pass), and its value is
-    the exact optimum of the full relaxation. initial_pool seeds the cut pool
-    (deduplicated by vertex set).
+    the exact optimum of the full relaxation.
     """
-    pool = _dedupe_pool(initial_pool)
-    engine = relaxation_engine(g, pool)
+    engine = relaxation_engine(g)
     engine.optimize()
-    seen = {c.vertex_set for c in pool}
-    rounds = list(chase_cuts(g, engine, pool, seen, _round_cap(g)))
+    pool: list[OddCycle] = []
+    rounds = list(chase_cuts(g, engine, pool, set(), _round_cap(g)))
     return _assemble(g, engine, pool, rounds)
 
 
@@ -316,13 +319,22 @@ def explore_alternate_bfs(
 ) -> tuple[Optional[ElpSolution], int]:
     """Search for an alternate optimum with an active edge by pinning edges.
 
-    For each edge in deterministic order, a copy of sol.engine gets the row
+    For each edge in g.edges() order, a copy of sol.engine gets the row
     x_u + x_v <= 1 (as -x_u - x_v >= -1; with the edge row it pins
     x_u + x_v = 1), is re-optimized, and chases cuts under the pin so the
     alternate is full-relaxation feasible. The first pin whose optimum keeps
     the unpinned value is returned: it has an active edge by construction.
     Returns (solution or None, number of pins tried). Requires sol to have
     no active edge and no unit value.
+
+    A pin fails when its LP is infeasible or its optimum rises above
+    sol.objective. Every optimize of a pin, in the chase too, runs with
+    ceiling=sol.objective, so a failing pin stops at the first pivot that
+    would raise the objective (see CoveringSimplex.optimize) instead of
+    solving to its higher optimum; a pin that gets past every optimize keeps
+    the value exactly, and anything else is a bug (AssertionError). The
+    pins tried, their order and the alternate returned are those of a sweep
+    that solves every pin to optimality.
     """
     if sol.active_edges:
         raise ValueError("solution already has an active edge")
@@ -341,12 +353,13 @@ def explore_alternate_bfs(
         pool = list(sol.cycle_pool)
         seen = {c.vertex_set for c in pool}
         try:
-            trial.optimize()
+            trial.optimize(ceiling=target)
             if trial.objective() != target:
-                continue
-            if any(r.objective_after != target for r in chase_cuts(g, trial, pool, seen, cap)):
-                continue
-        except InfeasibleError:
+                raise AssertionError(f"pin ({u},{v}) left the objective {target} without rising")
+            for r in chase_cuts(g, trial, pool, seen, cap, ceiling=target):
+                if r.objective_after != target:
+                    raise AssertionError(f"cut under pin ({u},{v}) moved the objective off {target}")
+        except (InfeasibleError, AboveCeilingError):
             continue
         alt = _assemble(g, trial, pool)
         if not alt.active_edges:

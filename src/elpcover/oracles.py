@@ -280,7 +280,8 @@ def small_edge_conjecture_probe(g: Graph, cap: Optional[int] = None) -> dict:
     where every optimal cover takes both endpoints refute the single-endpoint
     conjecture on this graph."""
     oracle = exact_vc(g, enumerate_all=True, cap=cap)
-    assert oracle.all_covers is not None
+    if oracle.all_covers is None:
+        raise AssertionError("exact_vc(enumerate_all=True) returned no cover list")
     relaxation = solve_elp(g)
     _, _, small = classify_edges(g, relaxation.x)
     edge_reports = []

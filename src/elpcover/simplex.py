@@ -26,10 +26,22 @@ divides each changed row by the gcd of its entries, right-hand side and
 denominator (Bareiss, Math. Comp. 22, 1968), so ratio tests and sign tests
 are integer comparisons. Rationals (Rat) appear only at the boundary:
 add_ge_row takes a sparse {column: coefficient} row and scales it by the lcm
-of its denominators, and values()/objective() return Rat. The engine keeps
-the integer rows it was given, untouched by pivots, and certified_values()
-checks the result against them exactly: feasibility and, through the duals
-read off the cost row, optimality.
+of its denominators, and values()/objective() return Rat. scaled_values()
+hands the point out as ints over one common denominator, which is what the
+odd-cycle separation consumes, so the cut loop builds no Rat per round. The
+engine keeps the integer rows it was given, untouched by pivots, and
+certified_values() checks the result against them exactly: feasibility and,
+through the duals read off the cost row, optimality.
+
+optimize(ceiling=c) serves callers that only care whether the optimum stays
+at the current objective c, such as the alternate-optimum pin sweep. The
+dual objective never decreases, and a pivot raises it exactly when its
+entering column has a positive reduced cost. Bland's entering rule takes the
+least ratio cost_q / -a_q, so a zero-cost column wins whenever one is
+eligible; the first time the chosen column has a positive cost, no zero-cost
+pivot was possible and the optimum is certainly above c. optimize then
+raises AboveCeilingError instead of pivoting, and every pivot it does make
+is one the unbounded call would have made too.
 """
 
 from __future__ import annotations
@@ -42,6 +54,10 @@ from ._rat import ZERO, Rat
 
 class InfeasibleError(Exception):
     """The problem (typically after pinning a row to equality) is infeasible."""
+
+
+class AboveCeilingError(Exception):
+    """optimize(ceiling=c) stopped before a pivot that raises the objective above c."""
 
 
 class PivotLimitError(RuntimeError):
@@ -107,13 +123,9 @@ class CoveringSimplex:
         integers once, by the lcm of its denominators, into a.x >= b, which
         is kept in _given. As a tableau row it reads s - a.x = -b for its
         new surplus s, which becomes the row's basic column."""
-        scale = lcm(int(rhs.denominator), *(int(c.denominator) for c in coeffs.values()))
-        row = {
-            j: int(c.numerator) * (scale // int(c.denominator))
-            for j, c in coeffs.items()
-            if c
-        }
-        bound = int(rhs.numerator) * (scale // int(rhs.denominator))
+        scale = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+        row = {j: c.numerator * (scale // c.denominator) for j, c in coeffs.items() if c}
+        bound = rhs.numerator * (scale // rhs.denominator)
         self._given.append((row, bound))
         a = [0] * self.num_vars
         for j, c in row.items():
@@ -140,11 +152,25 @@ class CoveringSimplex:
         self._den.append(den)
         self._basis.append(self.num_vars + len(self._basis))
 
-    def optimize(self, pivot_cap: int = 200_000) -> None:
+    def optimize(self, pivot_cap: int = 200_000, ceiling=None) -> None:
         """Dual simplex to optimality; raises InfeasibleError when primal empty.
 
         pivot_cap bounds the pivots of this call alone; PivotLimitError is
-        raised once it is exceeded."""
+        raised once it is exceeded.
+
+        With a ceiling, objective() must equal it on entry (ValueError
+        otherwise), and AboveCeilingError is raised in place of the first
+        pivot whose entering column has a positive reduced cost: that pivot
+        raises the objective, and since Bland's rule prefers any eligible
+        zero-cost column and the dual objective never decreases, the optimum
+        lies strictly above the ceiling. The engine is then left as it was
+        after the last zero-cost pivot. A normal return therefore means the
+        optimum equals the ceiling, reached by the same pivots as without it.
+        """
+        if ceiling is not None and (
+            -self._cost_rhs * ceiling.denominator != ceiling.numerator * self._cost_den
+        ):
+            raise ValueError(f"ceiling {ceiling} is not the objective {self.objective()}")
         rows, rhs, basis, nonbasic = self._rows, self._rhs, self._basis, self._nonbasic
         limit = self.pivots + pivot_cap
         while True:
@@ -173,6 +199,8 @@ class CoveringSimplex:
                         enter, best_cost, best_neg = q, c, -a
             if enter < 0:
                 raise InfeasibleError("no feasible point exists")
+            if best_cost > 0 and ceiling is not None:
+                raise AboveCeilingError(f"the optimum rises above {ceiling}")
             self._pivot(leave, enter)
             if self.pivots > limit:
                 raise PivotLimitError(f"exceeded {pivot_cap} pivots")
@@ -211,6 +239,20 @@ class CoveringSimplex:
     def objective(self):
         return Rat(-self._cost_rhs, self._cost_den)
 
+    def scaled_values(self) -> tuple[list[int], int]:
+        """(ints, L) with values()[j] == ints[j] / L for every column j.
+
+        L is the lcm of the denominators of the rows whose basic column is
+        structural (1 when there are none), not necessarily the least
+        common denominator of the values."""
+        n = self.num_vars
+        structural = [(b, i) for i, b in enumerate(self._basis) if b < n]
+        scale = lcm(*(self._den[i] for _, i in structural))
+        x = [0] * n
+        for b, i in structural:
+            x[b] = self._rhs[i] * (scale // self._den[i])
+        return x, scale
+
     def certified_values(self) -> list:
         """values(), after an exact proof that they are optimal.
 
@@ -221,16 +263,12 @@ class CoveringSimplex:
         A^T y <= 1, weak duality makes b.y a lower bound on 1.x over the
         whole feasible set, so b.y == 1.x proves the point optimal (the
         verify-the-basis check of Applegate, Cook, Dash & Espinoza, OR
-        Letters 35, 2007). x is kept multiplied by the lcm of its
-        denominators and y by _cost_den, so every check is an integer
-        comparison. A failure raises AssertionError.
+        Letters 35, 2007). x is taken from scaled_values() and y is kept
+        multiplied by _cost_den, so every check is an integer comparison.
+        A failure raises AssertionError.
         """
         n = self.num_vars
-        structural = [(b, i) for i, b in enumerate(self._basis) if b < n]
-        scale = lcm(*(self._den[i] for _, i in structural))
-        x = [0] * n
-        for b, i in structural:
-            x[b] = self._rhs[i] * (scale // self._den[i])
+        x, scale = self.scaled_values()
         if any(v < 0 for v in x):
             raise AssertionError("negative variable in solution")
         for i, (row, b) in enumerate(self._given):

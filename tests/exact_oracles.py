@@ -13,11 +13,12 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import networkx as nx
 
 from elpcover._rat import ONE, ZERO, Rat
+from elpcover.elp import ElpSolution, _assemble, _index, _round_cap, chase_cuts
 from elpcover.graph import Graph, OddCycle, normalize_edge, random_gnp_graph
 from elpcover.simplex import InfeasibleError, PivotLimitError
 
@@ -263,6 +264,53 @@ def _extract_simple_odd_cycle(walk: list[int]) -> tuple[int, ...]:
             walk = walk[i : j + 1]  # closed at walk[i] == walk[j]
         else:
             walk = walk[: i + 1] + walk[j + 1 :]
+
+
+# The pin sweep as it was before its optimize calls took a ceiling, kept
+# verbatim as the differential reference for elp.explore_alternate_bfs:
+# every pin is solved to its optimum before it is judged.
+def reference_explore_alternate(
+    g: Graph, sol: ElpSolution, pin_cap: Optional[int] = None
+) -> tuple[Optional[ElpSolution], int]:
+    """Search for an alternate optimum with an active edge by pinning edges.
+
+    For each edge in deterministic order, a copy of sol.engine gets the row
+    x_u + x_v <= 1 (as -x_u - x_v >= -1; with the edge row it pins
+    x_u + x_v = 1), is re-optimized, and chases cuts under the pin so the
+    alternate is full-relaxation feasible. The first pin whose optimum keeps
+    the unpinned value is returned: it has an active edge by construction.
+    Returns (solution or None, number of pins tried). Requires sol to have
+    no active edge and no unit value.
+    """
+    if sol.active_edges:
+        raise ValueError("solution already has an active edge")
+    if sol.one_vertices:
+        raise ValueError("solution has a variable at 1; {0,1}-reduction applies")
+    target = sol.objective
+    index = _index(g)
+    cap = _round_cap(g)
+    pins = 0
+    for u, v in g.edges():
+        if pin_cap is not None and pins >= pin_cap:
+            break
+        pins += 1
+        trial = sol.engine.copy()
+        trial.add_ge_row({index[u]: -1, index[v]: -1}, -1)
+        pool = list(sol.cycle_pool)
+        seen = {c.vertex_set for c in pool}
+        try:
+            trial.optimize()
+            if trial.objective() != target:
+                continue
+            if any(r.objective_after != target for r in chase_cuts(g, trial, pool, seen, cap)):
+                continue
+        except InfeasibleError:
+            continue
+        alt = _assemble(g, trial, pool)
+        if not alt.active_edges:
+            raise AssertionError("pinned alternate lost its active edge")
+        return alt, pins
+    return None, pins
 
 
 def reference_random_triangle_free_graph(n: int, p: float, seed: int) -> Graph:

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from elpcover import elp
@@ -14,12 +14,12 @@ from elpcover.elp import (
     classify_edges,
     explore_alternate_bfs,
     relaxation_engine,
+    scale_point,
     separate_odd_cycle,
     solve_elp,
 )
 from elpcover.graph import (
     Graph,
-    OddCycle,
     complete_graph,
     cycle_graph,
     petersen_graph,
@@ -32,6 +32,7 @@ from exact_oracles import (
     nx_min_odd_cycle_weight,
     nx_odd_cycles,
     random_connected_gnp,
+    reference_explore_alternate,
     reference_separate_odd_cycle,
 )
 
@@ -39,7 +40,7 @@ from exact_oracles import (
 def test_separation_c5_all_half():
     c5 = cycle_graph(5)
     x = {v: Rat(1, 2) for v in c5.vertices}
-    cycle, violation = separate_odd_cycle(c5, x)
+    cycle, violation = separate_odd_cycle(c5, scale_point(c5, x))
     assert cycle.vertex_set == frozenset(c5.vertices)
     assert violation == Rat(1, 2)  # 3 - 5/2
 
@@ -47,13 +48,13 @@ def test_separation_c5_all_half():
 def test_separation_none_on_bipartite():
     c4 = cycle_graph(4)
     x = {v: Rat(1, 2) for v in c4.vertices}
-    assert separate_odd_cycle(c4, x) is None
+    assert separate_odd_cycle(c4, scale_point(c4, x)) is None
 
 
 def test_separation_petersen_matches_bruteforce():
     pet = petersen_graph()
     x = {v: Rat(1, 2) for v in pet.vertices}
-    cycle, violation = separate_odd_cycle(pet, x)
+    cycle, violation = separate_odd_cycle(pet, scale_point(pet, x))
     assert cycle.length == 5 and violation == Rat(1, 2)
     # brute-force minimum over all odd cycles (networkx route)
     assert nx_min_odd_cycle_weight(pet, x) == 0
@@ -62,8 +63,11 @@ def test_separation_petersen_matches_bruteforce():
 
 
 def test_separation_requires_edge_feasibility():
-    with pytest.raises(ValueError):
-        separate_odd_cycle(complete_graph(2), {1: Rat(0), 2: Rat(0)})
+    k2 = complete_graph(2)
+    with pytest.raises(ValueError, match="edge inequality violated"):
+        separate_odd_cycle(k2, scale_point(k2, {1: Rat(0), 2: Rat(0)}))
+    with pytest.raises(ValueError, match="does not fit"):
+        separate_odd_cycle(complete_graph(3), ([1, 1], 2))  # one value short
 
 
 def test_separation_equivalence_random(subtests=None):
@@ -73,7 +77,7 @@ def test_separation_equivalence_random(subtests=None):
     for trial in range(60):
         g = random_connected_gnp(rng.randint(3, 9), rng.uniform(0.3, 0.7), rng)
         x = {v: values[rng.randrange(len(values))] for v in g.vertices}
-        found = separate_odd_cycle(g, x)
+        found = separate_odd_cycle(g, scale_point(g, x))
         best = nx_min_odd_cycle_weight(g, x)
         if found is None:
             assert best is None or Fraction(str(best)) >= 1
@@ -116,15 +120,18 @@ def _cut(found):
 @given(_graphs_with_feasible_points())
 def test_separation_tie_break_matches_reference(case):
     g, x = case
-    assert _cut(separate_odd_cycle(g, x)) == _cut(reference_separate_odd_cycle(g, x))
+    found = separate_odd_cycle(g, scale_point(g, x))
+    assert _cut(found) == _cut(reference_separate_odd_cycle(g, x))
 
 
 @pytest.mark.parametrize("g", [petersen_graph(), torus_grid_graph(5, 5)], ids=["petersen", "torus_grid(5,5)"])
 def test_separation_matches_reference_along_cut_loop(g, monkeypatch):
     calls = []
 
-    def checked(graph, x):
-        found = separate_odd_cycle(graph, x)
+    def checked(graph, point):
+        found = separate_odd_cycle(graph, point)
+        ints, scale = point
+        x = {v: Rat(s, scale) for v, s in zip(graph.vertices, ints)}
         assert _cut(found) == _cut(reference_separate_odd_cycle(graph, x))
         calls.append(found is not None)
         return found
@@ -173,20 +180,15 @@ def test_elp_final_x_satisfies_every_odd_cycle():
 
 
 def test_elp_cut_objectives_monotone():
+    # Also: no vertex set is pooled twice.
     rng = random.Random(71)
     for _ in range(20):
         g = random_connected_gnp(rng.randint(4, 10), rng.uniform(0.2, 0.5), rng)
         sol = solve_elp(g)
         objs = [r.objective_after for r in sol.rounds]
         assert objs == sorted(objs)
-
-
-def test_elp_cycle_pool_dedupes_by_vertex_set():
-    g = cycle_graph(5)
-    cycle = OddCycle((1, 2, 3, 4, 5))
-    sol = solve_elp(g, initial_pool=[cycle, OddCycle((2, 3, 4, 5, 1))])
-    assert len(sol.cycle_pool) == 1
-    assert sol.objective == 3
+        keys = [c.vertex_set for c in sol.cycle_pool]
+        assert len(keys) == len(set(keys))
 
 
 def test_elp_sandwich_bounds():
@@ -323,6 +325,96 @@ def test_explore_alternate_reuses_the_solved_engine(monkeypatch):
     monkeypatch.setattr(elp, "relaxation_engine", no_rebuild)
     assert explore_alternate_bfs(g, sol) == (None, g.m)
     assert sol.engine.objective() == objective and sol.engine._basis == basis
+
+
+def _sweep_matches_reference(g, sol):
+    """The sweep with the ceiling gives the reference sweep's pins and
+    alternate, reached by the same pivots."""
+    alt, pins = explore_alternate_bfs(g, sol)
+    ref_alt, ref_pins = reference_explore_alternate(g, sol)
+    assert pins == ref_pins
+    if ref_alt is None:
+        assert alt is None
+        return
+    assert alt is not None
+    assert alt.x == ref_alt.x and alt.cycle_pool == ref_alt.cycle_pool
+    assert alt.engine.pivots == ref_alt.engine.pivots
+
+
+@st.composite
+def _sweepable_solutions(draw):
+    """A solved connected G(n, p), n <= 10, whose optimum has no active edge
+    and no unit value, so the pin sweep applies to it. Most sparse graphs
+    have one or the other, so a seeded rng samples until one qualifies."""
+    n = draw(st.integers(4, 10))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    for _ in range(100):
+        g = random_connected_gnp(n, rng.uniform(0.3, 0.95), rng)
+        sol = solve_elp(g)
+        if not sol.active_edges and not sol.one_vertices:
+            return g, sol
+    assume(False)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_sweepable_solutions())
+def test_explore_alternate_matches_reference(case):
+    _sweep_matches_reference(*case)
+
+
+def test_explore_alternate_matches_reference_on_fixed_cases():
+    _sweep_matches_reference(*_hard_circulant_solution())  # every pin fails at its pin
+    _sweep_matches_reference(*_c5_edge_lp_solution())  # every pin fails in the chase
+
+
+def _hard_circulant_solution():
+    g = circulant(11, (1, 3))
+    return g, solve_elp(g)
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [(_hard_circulant_solution, 16), (_c5_edge_lp_solution, 0)],
+    ids=["C11(1,3)", "C5 edge LP"],
+)
+def test_explore_alternate_pivots_of_failing_pins(case, expected, monkeypatch):
+    # Solved to optimality, the 22 failing pins of C11(1,3) take 87 pivots
+    # and the 5 chased cuts of the C5 edge LP take 6; each pin stops at its
+    # first objective-raising pivot instead, at the pin or in the chase.
+    g, sol = case()
+    optimize = CoveringSimplex.optimize
+    pivots = [0]
+
+    def counted(engine, *args, **kwargs):
+        before = engine.pivots
+        try:
+            return optimize(engine, *args, **kwargs)
+        finally:
+            pivots[0] += engine.pivots - before
+
+    monkeypatch.setattr(CoveringSimplex, "optimize", counted)
+    assert explore_alternate_bfs(g, sol) == (None, g.m)
+    assert pivots[0] == expected
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [(_hard_circulant_solution, "left the objective"), (_c5_edge_lp_solution, "cut under pin")],
+    ids=["pin", "chase"],
+)
+def test_explore_alternate_rejects_an_objective_off_target(case, message, monkeypatch):
+    # Without the ceiling a failing pin solves on to its higher optimum; the
+    # sweep must flag that as a bug, not skip the pin. C11(1,3) rises at the
+    # pin itself, the C5 edge LP only after the chased cut.
+    g, sol = case()
+    optimize = CoveringSimplex.optimize
+
+    def no_ceiling(engine, pivot_cap=200_000, ceiling=None):
+        optimize(engine, pivot_cap)
+
+    monkeypatch.setattr(CoveringSimplex, "optimize", no_ceiling)
+    with pytest.raises(AssertionError, match=message):
+        explore_alternate_bfs(g, sol)
 
 
 def test_explore_alternate_precondition():

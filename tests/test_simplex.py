@@ -9,7 +9,12 @@ from elpcover._rat import Rat
 from elpcover.elp import relaxation_engine
 from elpcover.graph import complete_graph, cycle_graph
 from elpcover.oracles import rational_rank
-from elpcover.simplex import CoveringSimplex, InfeasibleError, PivotLimitError
+from elpcover.simplex import (
+    AboveCeilingError,
+    CoveringSimplex,
+    InfeasibleError,
+    PivotLimitError,
+)
 from exact_oracles import (
     ReferenceCoveringSimplex,
     lp_value_half_integral,
@@ -279,6 +284,57 @@ def test_pivot_cap_ignores_pivots_of_earlier_calls_and_copies():
     assert trial.objective() == 2
 
 
+def _path_engine():
+    # min x0 + x1 + x2 over x0 + x1 >= 1, solved at x = (1, 0, 0) with value 1.
+    engine = CoveringSimplex(3, [({0: 1, 1: 1}, 1)])
+    engine.optimize()
+    assert engine.values() == [1, 0, 0] and engine.pivots == 1
+    return engine
+
+
+def test_optimize_ceiling_follows_a_zero_cost_path():
+    # x1 + x2 >= 1 is cut off at (1, 0, 0); x1 enters at reduced cost 0
+    # (x1 = 1 - x0 + s0), so the value stays 1 and the ceiling lets it pass.
+    engine = _path_engine()
+    engine.add_ge_row({1: 1, 2: 1}, 1)
+    engine.optimize(ceiling=Rat(1))
+    assert engine.pivots == 2
+    assert engine.certified_values() == [0, 1, 0] and engine.objective() == 1
+
+
+def test_optimize_ceiling_raises_before_a_rising_pivot():
+    # x2 >= 1 can only be met by x2 entering at reduced cost 1: no pivot is
+    # made and the engine is left as it was.
+    def snapshot(e):
+        return (
+            [row.copy() for row in e._rows], list(e._rhs), list(e._den), list(e._basis),
+            list(e._nonbasic), list(e._cost), e._cost_rhs, e._cost_den,
+        )
+
+    engine = _path_engine()
+    engine.add_ge_row({2: 1}, 1)
+    before = snapshot(engine)
+    with pytest.raises(AboveCeilingError):
+        engine.optimize(ceiling=1)
+    assert engine.pivots == 1 and snapshot(engine) == before
+    engine.optimize()  # without the ceiling the same pivot is made
+    assert engine.pivots == 2 and engine.objective() == 2
+
+
+def test_optimize_ceiling_must_be_the_current_objective():
+    engine = _path_engine()
+    with pytest.raises(ValueError, match="ceiling"):
+        engine.optimize(ceiling=Rat(3, 2))
+
+
+def test_scaled_values_are_the_values_over_one_denominator():
+    engine = relaxation_engine(complete_graph(3))
+    assert engine.scaled_values() == ([0, 0, 0], 1)  # nothing basic yet
+    engine.optimize()
+    ints, scale = engine.scaled_values()
+    assert [Rat(v, scale) for v in ints] == engine.values() == [Rat(1, 2)] * 3
+
+
 def _optimize_both(engine, reference):
     """Run both engines to optimality and require the same outcome."""
     outcomes = []
@@ -293,6 +349,8 @@ def _optimize_both(engine, reference):
     assert engine._basis == reference._basis
     if outcomes[0]:
         assert engine.certified_values() == reference.values()
+        ints, scale = engine.scaled_values()
+        assert [Rat(v, scale) for v in ints] == reference.values()
         assert engine.objective() == sum(engine.values(), Rat(0))
 
 
