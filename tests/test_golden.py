@@ -1,11 +1,14 @@
 """Golden report digests: `vc solve` reports that must not move silently.
 
-Each digest is the sha256 of `runner.dump_json(solve_instance(...))` in
-enhanced mode, seed 0, edge rule maxsum, with the exact-oracle check. They
-were recorded before the compact-tableau simplex replaced the dict tableau,
-so any engine or pipeline change that alters a cover, a cycle pool, a value
-or a diagnostic on these instances fails here. A change that moves a report
-on purpose updates the digest and says so in CHANGES.md.
+Each digest is the sha256 of `runner.dump_json(solve_instance(...))` with
+seed 0 and the exact-oracle check. GOLDEN pins enhanced mode with edge rule
+maxsum; they were recorded before the compact-tableau simplex replaced the
+dict tableau, so any engine or pipeline change that alters a cover, a cycle
+pool, a value or a diagnostic on these instances fails here. GOLDEN_VARIANTS
+pins base mode (a cover, 3-cycle and active-edge steps, a hypothesis
+failure, and a {0,1}-only step before one) and the seeded random edge
+rule. A change that moves a report on purpose updates the digest and says
+so in CHANGES.md.
 """
 
 import hashlib
@@ -13,7 +16,14 @@ import random
 
 import pytest
 
-from elpcover.graph import complete_graph, cycle_graph, petersen_graph, torus_grid_graph
+from elpcover.graph import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    petersen_graph,
+    random_triangle_free_graph,
+    torus_grid_graph,
+)
 from elpcover.runner import dump_json, solve_instance
 from exact_oracles import circulant, random_connected_gnp
 
@@ -25,8 +35,16 @@ def _named_graphs():
     yield "petersen", petersen_graph()
     yield "cycle(5)", cycle_graph(5)
     yield "complete(4)", complete_graph(4)
-    yield "circulant(11,(1,3))", circulant(11, (1, 3))
+    hard = circulant(11, (1, 3))
+    yield "circulant(11,(1,3))", hard
+    # The circulant plus a disjoint edge: the first iteration only strips the
+    # integral component.
+    yield "circulant+edge", Graph.from_edges(
+        list(hard.vertices) + [20, 21], list(hard.edges()) + [(20, 21)]
+    )
     yield "torus_grid(5,5)", torus_grid_graph(5, 5)
+    # Active-edge steps in both modes, and 3-cycle steps on rewired graphs.
+    yield "trianglefree(17,0.37,11)", random_triangle_free_graph(17, 0.37, 11)
     rng = random.Random(SWEEP_SEED)
     for i in range(SWEEP_COUNT):
         n = rng.randint(4, 10)
@@ -41,7 +59,9 @@ GOLDEN = {
     "cycle(5)": "53a7b1740e8a1c32c9427d8d8203a0a6636e589d2ddc72044134b102004d7a62",
     "complete(4)": "8046d744ac8c29d5957bc1a4db91f8bdc70cd4f6003a4849b1e915ddd1e01081",
     "circulant(11,(1,3))": "0d57c010175d7aad255515b4385f12ae1b30dfab3b96275aa6cdc70b841b26c8",
+    "circulant+edge": "56c8462ac1f7315890f0b7862bff757f6b678d435605739a147250b42d5eea1a",
     "torus_grid(5,5)": "d5e0641fdca10c355a08a1ef83fa4313cb81d3604ee2b08f56ed0ab0b7e5d7ff",
+    "trianglefree(17,0.37,11)": "195c18d88829e7b9360523b791a4fbaf12545287524f8efa2a2cf86a67a0f132",
     "sweep-0": "918ef75e7d5f292dae260f6ddc1196896ba319ceb05e85383f6b5fd9dab0df71",
     "sweep-1": "b11f0028b5f69aae9d3d9491be24340379ddb61c475c811cec466e152ca570b9",
     "sweep-2": "80db0bad2ad32bb7cc525bd9697a5682c8ac9d3b12407912c8fb2caf9c0e4693",
@@ -64,10 +84,20 @@ GOLDEN = {
     "sweep-19": "0a9a10402f14959f06a6bb6649fd6ea7d7e38e86abcc293092d397e803017e68",
 }
 
+# (instance, mode, edge rule) -> digest.
+GOLDEN_VARIANTS = {
+    ("petersen", "base", "maxsum"): "4c5b4122876a9cb3db494d90c9c524e5ca62f2763917c1b900830038affa017f",
+    ("complete(4)", "base", "maxsum"): "5020c99715023998b1636c8c8115245c8fad67aa02eb9d2f8c0dfbed89bcdca6",
+    ("circulant(11,(1,3))", "base", "maxsum"): "d333eb1ffa924a7c26566de3eae98dbcbe5e9735b7f4daaa4003512e77321202",
+    ("circulant+edge", "base", "maxsum"): "39f06d048048e487e025bbfa6f9b91f57f278ba49131fe0d1c9f4a13aa8bddcd",
+    ("trianglefree(17,0.37,11)", "base", "maxsum"): "012e34529bd3a1e34ab9d64da38a4c80f0b36531976091887bc28fcb4a7b57f7",
+    ("circulant(11,(1,3))", "enhanced", "random"): "66d3aec1559c8e16a75e7d9fe2a754da25f3685901e2beba4b55b5861114bc5e",
+}
 
-def _digest(name: str) -> str:
+
+def _digest(name: str, mode: str = "enhanced", edge_rule: str = "maxsum") -> str:
     report = solve_instance(
-        GRAPHS[name], name, "golden", mode="enhanced", seed=0, edge_rule="maxsum"
+        GRAPHS[name], name, "golden", mode=mode, seed=0, edge_rule=edge_rule
     )
     return hashlib.sha256(dump_json(report).encode()).hexdigest()
 
@@ -79,3 +109,8 @@ def test_golden_covers_every_instance():
 @pytest.mark.parametrize("name", list(GRAPHS))
 def test_golden_report_digest(name):
     assert _digest(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name,mode,edge_rule", list(GOLDEN_VARIANTS))
+def test_golden_variant_digest(name, mode, edge_rule):
+    assert _digest(name, mode, edge_rule) == GOLDEN_VARIANTS[name, mode, edge_rule]
