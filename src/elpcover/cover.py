@@ -59,17 +59,15 @@ def backtrack(trace: ReductionTrace, sizes: Optional[list] = None) -> Cover:
     for rec in reversed(trace.records):
         previous = frozenset(cover)  # S_{k+1}, the cover of G_{k+1}
         cover |= rec.i1
-        if rec.triangle is not None:
+        if rec.kind == KIND_THREE_CYCLE:
             cover |= rec.triangle.vertex_set
-        if rec.active_pair is not None:
-            i, j = rec.active_pair
+        elif rec.kind == KIND_ACTIVE:
+            i, j = rec.pair
             if rec.d_i is None:
                 raise ValueError(f"record {rec.index} lacks its neighbor set")
             cover.add(j if rec.d_i <= previous else i)
-        if rec.over_pair is not None:
-            cover.update(rec.over_pair)
-        if rec.random_pair is not None:
-            cover.update(rec.random_pair)
+        elif rec.kind in (KIND_OVER_ACTIVE, KIND_RANDOM):
+            cover.update(rec.pair)
         if sizes is not None:
             sizes.append((rec.index, len(cover)))
     return frozenset(cover)

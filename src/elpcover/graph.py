@@ -217,12 +217,10 @@ class Graph:
             }
         )
 
-    def rewire_active_edge(
-        self, i: int, j: int
-    ) -> tuple["Graph", frozenset[int], frozenset[int]]:
+    def rewire_active_edge(self, i: int, j: int) -> tuple["Graph", frozenset[int]]:
         """Connect every neighbor of i (except j) to every neighbor of j
-        (except i), then delete i and j. Returns the new graph plus the two
-        recorded neighbor sets needed later by the cover reconstruction.
+        (except i), then delete i and j. Returns the new graph plus D_i, the
+        neighbors of i other than j, which the cover reconstruction needs.
 
         Pairs with s == t (possible only when a triangle runs through (i, j))
         would be self-loops and are skipped; callers that rely on the value
@@ -231,13 +229,12 @@ class Graph:
         if not self.has_edge(i, j):
             raise ValueError(f"({i},{j}) is not an edge")
         d_i = frozenset(s for s in self._adj[i] if s != j)
-        d_j = frozenset(t for t in self._adj[j] if t != i)
         survivors = [v for v in self._adj if v != i and v != j]
         edges = [
             (u, v) for (u, v) in self.edges() if u not in (i, j) and v not in (i, j)
         ]
-        edges.extend((s, t) for s in d_i for t in d_j if s != t)
-        return Graph.from_edges(survivors, edges), d_i, d_j
+        edges.extend((s, t) for s in d_i for t in self._adj[j] if t != i and s != t)
+        return Graph.from_edges(survivors, edges), d_i
 
     # ------------------------------------------------------------- dunder
 

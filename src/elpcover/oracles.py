@@ -11,7 +11,7 @@ from itertools import combinations
 from typing import Optional
 
 from ._rat import ONE, ZERO, Rat
-from .elp import classify_edges, relaxation_engine, solve_elp
+from .elp import relaxation_engine, solve_elp
 from .graph import Graph, OddCycle
 
 
@@ -283,7 +283,7 @@ def small_edge_conjecture_probe(g: Graph, cap: Optional[int] = None) -> dict:
     if oracle.all_covers is None:
         raise AssertionError("exact_vc(enumerate_all=True) returned no cover list")
     relaxation = solve_elp(g)
-    _, _, small = classify_edges(g, relaxation.x)
+    small = relaxation.small_edges
     edge_reports = []
     violating = []
     for u, v in small:

@@ -1,22 +1,23 @@
 """Reduction pipeline: repeatedly solve the odd-cycle relaxation and shrink
 the graph until the {0,1}-reduction consumes everything.
 
-Each iteration k solves the relaxation on G_k and then applies, in mode
-order, at most one structural reduction:
+Each iteration k solves the relaxation on G_k, applies the {0,1}-reduction,
+and then at most one structural reduction: the first kind in the mode's
+STEP_ORDER that has a candidate. Enhanced mode first sweeps for an
+alternate optimum with an active edge (pinning each edge inequality to
+equality) when the optimum has neither a unit value nor an active edge. If
+that sweep fails, the iteration skips the {0,1}-reduction and may fall
+through to the random-edge step, which removes both endpoints of a chosen
+edge, so enhanced mode always makes progress.
 
-  base mode:     {0,1} -> 3-cycle -> active edge -> over-active edge
-  enhanced mode: alternate-optimum search -> {0,1} -> active edge -> 3-cycle
-                 -> over-active edge -> random edge
+When no step fires, an iteration whose {0,1}-reduction removed a vertex
+re-solves on the smaller graph. Otherwise base mode stops with the
+hypothesis-failed flag, enhanced mode raises PipelineError, and a run past
+a failed sweep ends on its isolated vertices.
 
-In base mode, a graph whose optimum has no unit values, no triangle, and no
-(over-)active edge stops the run with the hypothesis-failed flag. Enhanced
-mode first sweeps for an alternate optimum with an active edge (pinning each
-edge inequality to equality) and otherwise removes both endpoints of a chosen
-edge, so it always makes progress.
-
-Every record stores what the backtracking step needs (value-1 set, triangle,
-active pair with its neighbor set, deleted pairs) plus the guaranteed
-objective decrease d_k for the value ledger.
+Every record stores what the backtracking step needs (value-1 set,
+triangle, removed or rewired pair, and the active pair's neighbor set) plus
+the guaranteed objective decrease d_k for the value ledger.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ._rat import FOUR_THIRDS, ONE, ZERO, Rat
-from .elp import ElpSolution, classify_edges, explore_alternate_bfs, solve_elp
+from .elp import ElpSolution, explore_alternate_bfs, solve_elp
 from .graph import Graph, OddCycle
 
 log = logging.getLogger("elpcover.reductions")
@@ -57,6 +58,12 @@ GROWTH_TABLE = {
     KIND_RANDOM: 2,
 }
 
+# Structural reductions per mode, tried in this order after the {0,1} step.
+STEP_ORDER = {
+    "base": (KIND_THREE_CYCLE, KIND_ACTIVE, KIND_OVER_ACTIVE),
+    "enhanced": (KIND_ACTIVE, KIND_THREE_CYCLE, KIND_OVER_ACTIVE, KIND_RANDOM),
+}
+
 
 class PipelineError(RuntimeError):
     """Internal invariant broken (no progress, bad precondition)."""
@@ -70,7 +77,7 @@ class PipelineConfig:
     pin_cap: Optional[int] = None  # alternate-optimum sweep budget (None = all edges)
 
     def __post_init__(self):
-        if self.mode not in ("base", "enhanced"):
+        if self.mode not in STEP_ORDER:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.edge_rule not in ("maxsum", "random"):
             raise ValueError(f"unknown edge rule {self.edge_rule!r}")
@@ -86,11 +93,8 @@ class ReductionRecord:
     i1: frozenset[int]
     zero_one_applied: bool = True
     triangle: Optional[OddCycle] = None
-    active_pair: Optional[tuple[int, int]] = None
-    d_i: Optional[frozenset[int]] = None
-    d_j: Optional[frozenset[int]] = None
-    over_pair: Optional[tuple[int, int]] = None
-    random_pair: Optional[tuple[int, int]] = None
+    pair: Optional[tuple[int, int]] = None  # active, over-active or random edge
+    d_i: Optional[frozenset[int]] = None  # active pair (i, j): i's other neighbors
     alternate_used: bool = False
 
     @property
@@ -137,52 +141,55 @@ def zero_one_sets(x: dict) -> tuple[frozenset[int], frozenset[int]]:
     return i0, i1
 
 
-def step_zero_one(g: Graph, x: dict):
-    """Delete the 0- and 1-valued vertices; terminal when nothing is left."""
-    i0, i1 = zero_one_sets(x)
-    reduced = g.delete_vertices(i0 | i1)
-    return reduced, i0, i1, reduced.n == 0
+def step(g: Graph, kind: str, candidates) -> tuple[Graph, dict]:
+    """Apply the structural reduction `kind` to g at candidates[0], a
+    triangle for the 3-cycle step and an edge otherwise. Returns G_{k+1} and
+    the record fields that backtracking needs.
+
+    An active edge (i, j) is rewired; it must have no triangle through it
+    (after a {0,1}-reduction a triangle would have forced the third vertex
+    to value 1, so hitting one here is an internal bug). Every other step
+    deletes the candidate's vertices.
+    """
+    if not candidates:
+        raise PipelineError(f"no candidate for the {kind} step")
+    chosen = candidates[0]
+    if kind == KIND_THREE_CYCLE:
+        return g.delete_vertices(chosen.vertex_set), {"triangle": chosen}
+    if kind == KIND_ACTIVE:
+        i, j = chosen
+        if g.has_triangle_through(i, j):
+            raise PipelineError(f"triangle through active edge ({i},{j})")
+        reduced, d_i = g.rewire_active_edge(i, j)
+        return reduced, {"pair": chosen, "d_i": d_i}
+    return g.delete_vertices(chosen), {"pair": chosen}
 
 
-def step_three_cycle(g: Graph):
-    triangle = g.find_triangle()
-    if triangle is None:
-        raise PipelineError("no triangle available")
-    return g.delete_vertices(triangle.vertex_set), triangle
-
-
-def step_active_edge(g: Graph, x: dict):
-    """Rewire along the smallest active edge; requires no triangle through it
-    (after a {0,1}-reduction a triangle would have forced the third vertex to
-    value 1, so hitting one here is an internal bug)."""
-    active, _, _ = classify_edges(g, x)
-    if not active:
-        raise PipelineError("no active edge available")
-    i, j = active[0]
-    if g.has_triangle_through(i, j):
-        raise PipelineError(f"triangle through active edge ({i},{j})")
-    reduced, d_i, d_j = g.rewire_active_edge(i, j)
-    return reduced, (i, j), d_i, d_j
-
-
-def step_over_active(g: Graph, x: dict):
-    _, over, _ = classify_edges(g, x)
-    if not over:
-        raise PipelineError("no over-active edge available")
-    i, j = over[0]
-    return g.delete_vertices({i, j}), (i, j)
-
-
-def step_random_edge(g: Graph, x: dict, rule: str, rng: random.Random):
-    """Delete both endpoints of an edge chosen by the configured rule."""
+def choose_edge(g: Graph, x: dict, rule: str, rng: random.Random) -> tuple[int, int]:
+    """The random-edge step's edge: the largest x_u + x_v with ties to the
+    lexicographically smallest edge ("maxsum"), or a seeded uniform choice
+    ("random")."""
     edges = g.edge_list()
     if not edges:
         raise PipelineError("random-edge step on an edgeless graph")
     if rule == "maxsum":
-        edge = max(edges, key=lambda e: (Rat(x[e[0]]) + Rat(x[e[1]]), (-e[0], -e[1])))
-    else:
-        edge = rng.choice(edges)
-    return g.delete_vertices(set(edge)), edge
+        return max(edges, key=lambda e: (x[e[0]] + x[e[1]], (-e[0], -e[1])))
+    return rng.choice(edges)
+
+
+def _candidates(kind: str, g: Graph, sol: ElpSolution, swept: bool, cfg, rng) -> tuple:
+    """Candidates of `kind` on g, the graph left by the {0,1} step (or G_k
+    itself after a failed sweep). sol's (over-)active edges that g keeps are
+    exactly those of g under sol.x: deleting vertices keeps the order and
+    the values of the remaining edges. The random-edge step applies only
+    after a failed sweep."""
+    if kind == KIND_THREE_CYCLE:
+        triangle = g.find_triangle()
+        return () if triangle is None else (triangle,)
+    if kind == KIND_RANDOM:
+        return (choose_edge(g, sol.x, cfg.edge_rule, rng),) if swept and g.m else ()
+    edges = sol.active_edges if kind == KIND_ACTIVE else sol.over_active_edges
+    return tuple(e for e in edges if g.has_edge(*e))
 
 
 def run_pipeline(
@@ -197,8 +204,7 @@ def run_pipeline(
     cfg = config if config is not None else PipelineConfig(mode=mode)
     rng = random.Random(cfg.seed)
     trace = ReductionTrace(mode=cfg.mode)
-    diag = trace.diagnostics
-    diag.update(
+    trace.diagnostics.update(
         {
             "cut_rounds": 0,
             "pin_solves": 0,
@@ -214,12 +220,8 @@ def run_pipeline(
             raise PipelineError("iteration count exceeded |V|+1; no progress")
         current = graphs[-1]
         sol = solve_elp(current)
-        diag["cut_rounds"] += len(sol.rounds)
-        if cfg.mode == "enhanced":
-            done = _enhanced_iteration(current, sol, k, cfg, rng, trace, graphs, diag)
-        else:
-            done = _base_iteration(current, sol, k, trace, graphs, diag)
-        if done:
+        trace.diagnostics["cut_rounds"] += len(sol.rounds)
+        if _iteration(current, sol, k, cfg, rng, trace, graphs):
             return trace, graphs
         k += 1
 
@@ -233,124 +235,57 @@ def _finish(trace: ReductionTrace, k: int, sol: ElpSolution, i0, i1) -> bool:
     return True
 
 
-def _base_iteration(current, sol, k, trace, graphs, diag) -> bool:
-    x = sol.x
-    reduced, i0, i1, terminal = step_zero_one(current, x)
-    if terminal:
-        return _finish(trace, k, sol, i0, i1)
-    xr = {v: x[v] for v in reduced.vertices}
-    base = dict(index=k, f=sol.objective, x=dict(x), i0=i0, i1=i1)
-    if reduced.find_triangle() is not None:
-        nxt, triangle = step_three_cycle(reduced)
-        trace.records.append(
-            ReductionRecord(kind=KIND_THREE_CYCLE, triangle=triangle, **base)
-        )
-        graphs.append(nxt)
-        return False
-    active, over, _ = classify_edges(reduced, xr)
-    if not active and not over:
-        if i0 or i1:
-            # Progress was made; re-solve on the smaller graph.
-            trace.records.append(ReductionRecord(kind=KIND_ZERO_ONE, **base))
-            graphs.append(reduced)
-            return False
-        trace.hypothesis_failed = True
-        trace.L = k
-        trace.final_f = sol.objective
-        trace.final_x = dict(sol.x)
-        log.info("active edge hypothesis failed at iteration %d (n=%d)", k, current.n)
-        return True
-    if active:
-        nxt, pair, d_i, d_j = step_active_edge(reduced, xr)
-        trace.records.append(
-            ReductionRecord(kind=KIND_ACTIVE, active_pair=pair, d_i=d_i, d_j=d_j, **base)
-        )
-        graphs.append(nxt)
-        return False
-    nxt, pair = step_over_active(reduced, xr)
-    trace.records.append(ReductionRecord(kind=KIND_OVER_ACTIVE, over_pair=pair, **base))
-    graphs.append(nxt)
-    return False
-
-
-def _enhanced_iteration(current, sol, k, cfg, rng, trace, graphs, diag) -> bool:
-    x = sol.x
-    i0, i1 = zero_one_sets(x)
-    alternate_used = False
-    apply_zero_one = True
-    if not i1 and not sol.active_edges:
+def _iteration(current, sol, k, cfg, rng, trace, graphs) -> bool:
+    """One iteration on G_k = current; True when the run ends here."""
+    diag = trace.diagnostics
+    i0, i1 = zero_one_sets(sol.x)
+    alternate_used = swept = False
+    if cfg.mode == "enhanced" and not i1 and not sol.active_edges:
         alt, pins = explore_alternate_bfs(current, sol, pin_cap=cfg.pin_cap)
         diag["pin_solves"] += pins
         if alt is not None:
             diag["alternate_hits"] += 1
-            sol = alt
-            x = sol.x
-            i0, i1 = zero_one_sets(x)  # recomputed from the swapped solution
-            alternate_used = True
+            sol, alternate_used = alt, True
+            i0, i1 = zero_one_sets(sol.x)
         else:
             # Literal T=0 branch: continue at the 3-cycle step, skipping the
             # {0,1}-reduction even when I_{k,0} is nonempty.
-            apply_zero_one = False
-            if i0 | i1:
-                diag["skipped_zero_one"].append((k, sorted(i0 | i1)))
+            swept = True
+            if i0:
+                diag["skipped_zero_one"].append((k, sorted(i0)))
                 log.info(
                     "iteration %d: alternate sweep failed; skipping {0,1} with "
                     "nonempty I(k,0) per the literal step order", k,
                 )
-    base = dict(
-        index=k, f=sol.objective, x=dict(x), i0=i0, i1=i1,
-        zero_one_applied=apply_zero_one, alternate_used=alternate_used,
-    )
-    if apply_zero_one:
-        reduced, i0, i1, terminal = step_zero_one(current, x)
-        if terminal:
+    if swept:
+        reduced = current
+    else:
+        reduced = current.delete_vertices(i0 | i1)
+        if reduced.n == 0:
             return _finish(trace, k, sol, i0, i1)
-        xr = {v: x[v] for v in reduced.vertices}
-        active, over, _ = classify_edges(reduced, xr)
-        if active:
-            nxt, pair, d_i, d_j = step_active_edge(reduced, xr)
-            trace.records.append(
-                ReductionRecord(
-                    kind=KIND_ACTIVE, active_pair=pair, d_i=d_i, d_j=d_j, **base
-                )
-            )
+    record = dict(
+        index=k, f=sol.objective, x=dict(sol.x), i0=i0, i1=i1,
+        zero_one_applied=not swept, alternate_used=alternate_used,
+    )
+    for kind in STEP_ORDER[cfg.mode]:
+        candidates = _candidates(kind, reduced, sol, swept, cfg, rng)
+        if candidates:
+            nxt, fields = step(reduced, kind, candidates)
+            trace.records.append(ReductionRecord(kind=kind, **record, **fields))
             graphs.append(nxt)
             return False
-    else:
-        reduced = current
-        xr = x
-        _, over, _ = classify_edges(reduced, xr)  # no active edge by construction
-    if reduced.find_triangle() is not None:
-        nxt, triangle = step_three_cycle(reduced)
-        trace.records.append(
-            ReductionRecord(kind=KIND_THREE_CYCLE, triangle=triangle, **base)
-        )
-        graphs.append(nxt)
+    if swept:
+        # "Choose any edge" is undefined; isolated vertices need no cover.
+        diag["isolated_terminal"] = True
+        return _finish(trace, k, sol, i0, i1)
+    if i0 or i1:
+        # The restricted values are not an optimal solution of the reduced
+        # graph, so hypothesis failure cannot be affirmed; re-solve on it.
+        trace.records.append(ReductionRecord(kind=KIND_ZERO_ONE, **record))
+        graphs.append(reduced)
         return False
-    if over:
-        nxt, pair = step_over_active(reduced, xr)
-        trace.records.append(
-            ReductionRecord(kind=KIND_OVER_ACTIVE, over_pair=pair, **base)
-        )
-        graphs.append(nxt)
-        return False
-    hypothesis_known_failed = not apply_zero_one  # came through the failed sweep
-    if hypothesis_known_failed:
-        if reduced.m == 0:
-            # "Choose any edge" is undefined; isolated vertices need no cover.
-            diag["isolated_terminal"] = True
-            return _finish(trace, k, sol, i0, i1)
-        nxt, pair = step_random_edge(reduced, xr, cfg.edge_rule, rng)
-        trace.records.append(
-            ReductionRecord(kind=KIND_RANDOM, random_pair=pair, **base)
-        )
-        graphs.append(nxt)
-        return False
-    # A {0,1}-reduction happened but nothing else fired. The restricted values
-    # are not an optimal solution of the reduced graph, so hypothesis failure
-    # cannot be affirmed; re-solve on the smaller graph instead.
-    if not (i0 or i1):
+    if cfg.mode == "enhanced":
         raise PipelineError("enhanced iteration made no progress")
-    trace.records.append(ReductionRecord(kind=KIND_ZERO_ONE, **base))
-    graphs.append(reduced)
-    return False
+    trace.hypothesis_failed = True
+    log.info("active edge hypothesis failed at iteration %d (n=%d)", k, current.n)
+    return _finish(trace, k, sol, i0, i1)

@@ -21,15 +21,9 @@ from typing import Optional
 
 from ._rat import Rat, rat_str
 from .cover import HypothesisFailedError, backtrack, certify, validate_cover
-from .graph import (
-    Graph,
-    generate,
-    random_triangle_free_graph,
-    to_dimacs,
-    torus_grid_graph,
-)
+from .graph import Graph, random_triangle_free_graph, torus_grid_graph
 from .oracles import CapExceededError, exact_vc, matching_2approx, nt_half_integral_round
-from .reductions import PipelineConfig, run_pipeline
+from .reductions import KIND_ACTIVE, PipelineConfig, run_pipeline
 
 log = logging.getLogger("elpcover.runner")
 
@@ -71,13 +65,12 @@ def _trace_summary(trace) -> list[dict]:
 def _record_detail(rec) -> Optional[dict]:
     if rec.triangle is not None:
         return {"triangle": sorted(rec.triangle.vertex_set)}
-    if rec.active_pair is not None:
-        return {"activeEdge": list(rec.active_pair), "dI": sorted(rec.d_i)}
-    if rec.over_pair is not None:
-        return {"overActiveEdge": list(rec.over_pair)}
-    if rec.random_pair is not None:
-        return {"randomEdge": list(rec.random_pair)}
-    return None
+    if rec.pair is None:
+        return None
+    detail = {rec.kind: list(rec.pair)}  # the KIND_* strings are the report keys
+    if rec.kind == KIND_ACTIVE:
+        detail["dI"] = sorted(rec.d_i)
+    return detail
 
 
 def _diagnostics_payload(trace) -> dict:
@@ -242,13 +235,12 @@ def _hunt_worker(args) -> tuple[int, dict]:
         oracle_cap=oracle_cap,
     )
     report["huntIndex"] = index
-    report["dimacs"] = to_dimacs(g, comments=[name]) if report["certificate"]["xi"] != "0" else None
     return index, report
 
 
 HUNT_CSV_COLUMNS = [
     "index", "name", "n", "m", "f1", "coverSize", "optSize", "ratio",
-    "eta", "gamma", "delta", "sigma", "alpha", "lambda", "xi", "valid",
+    "eta", "gamma", "delta", "sigma", "alpha", "lambda", "xi",
 ]
 
 
@@ -263,9 +255,9 @@ def hunt(
 ) -> tuple[dict, list[dict]]:
     """Run the batch sweep; returns (summary, per-instance rows).
 
-    Nonzero-xi instances keep their DIMACS text in the row for archiving.
-    jobs is clamped to min(jobs, trials, os.cpu_count()); one job runs in
-    process.
+    Rows carry no graph: the summary lists the nonzero-xi instances by
+    index, and the descriptor of that index rebuilds each one. jobs is
+    clamped to min(jobs, trials, os.cpu_count()); one job runs in process.
     """
     n_lo, n_hi = n_range
     descriptors = [
@@ -302,7 +294,6 @@ def hunt(
             "alpha": cert["alpha"],
             "lambda": cert["lambda"],
             "xi": cert["xi"],
-            "valid": True,
         }
         rows.append(row)
         if cert["xi"] == "0":

@@ -5,7 +5,13 @@ import pytest
 
 from elpcover.cli import main
 from elpcover.graph import to_dimacs
-from elpcover.runner import compare_instance, hunt, hunt_rows_csv, solve_instance
+from elpcover.runner import (
+    HUNT_CSV_COLUMNS,
+    compare_instance,
+    hunt,
+    hunt_rows_csv,
+    solve_instance,
+)
 from exact_oracles import circulant, random_bipartite
 
 
@@ -179,6 +185,7 @@ def test_hunt_small_batch(tmp_path):
     assert not summary["guaranteeViolations"]
     csv_text = (tmp_path / "h" / "hunt.csv").read_text()
     assert csv_text.count("\n") == 9  # header + 8 rows
+    assert csv_text.splitlines()[0] == ",".join(HUNT_CSV_COLUMNS)
 
 
 def test_hunt_deterministic_and_parallel_equivalent():

@@ -30,9 +30,8 @@ def active_record(k, pair, d_i, i1=frozenset(), f=Rat(0)):
         x={},
         i0=frozenset(),
         i1=i1,
-        active_pair=pair,
+        pair=pair,
         d_i=frozenset(d_i),
-        d_j=frozenset(),
     )
 
 
@@ -116,7 +115,7 @@ def random_record(k):
         x={},
         i0=frozenset(),
         i1=frozenset(),
-        random_pair=(2 * k, 2 * k + 1),
+        pair=(2 * k, 2 * k + 1),
     )
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from elpcover._rat import Rat
-from elpcover.elp import solve_elp
+from elpcover.elp import classify_edges, solve_elp
 from elpcover.graph import (
     Graph,
     complete_graph,
@@ -14,18 +14,18 @@ from elpcover.graph import (
 from elpcover.oracles import enumerate_odd_cycles
 from elpcover.reductions import (
     KIND_ACTIVE,
+    KIND_OVER_ACTIVE,
     KIND_RANDOM,
     KIND_THREE_CYCLE,
     KIND_ZERO_ONE,
+    STEP_ORDER,
     PipelineConfig,
     PipelineError,
     ReductionTrace,
+    choose_edge,
     run_pipeline,
-    step_active_edge,
-    step_over_active,
-    step_random_edge,
-    step_three_cycle,
-    step_zero_one,
+    step,
+    zero_one_sets,
 )
 from exact_oracles import circulant, random_connected_gnp
 
@@ -48,54 +48,86 @@ def relabel(g, offset):
 # ------------------------------------------------------------------ steps
 
 
+def zero_one_step(g, x):
+    """The {0,1}-reduction as an iteration applies it: (G', I0, I1, terminal)."""
+    i0, i1 = zero_one_sets(x)
+    reduced = g.delete_vertices(i0 | i1)
+    return reduced, i0, i1, reduced.n == 0
+
+
+def triangles(g):
+    """The 3-cycle step's candidates: the lexicographically smallest triangle."""
+    triangle = g.find_triangle()
+    return () if triangle is None else (triangle,)
+
+
+def test_pipeline_config_rejects_unknown_mode_and_rule():
+    # The modes are the keys of the step-order table.
+    assert PipelineConfig(mode="base").mode in STEP_ORDER
+    with pytest.raises(ValueError):
+        PipelineConfig(mode="greedy")
+    with pytest.raises(ValueError):
+        PipelineConfig(edge_rule="minsum")
+
+
 def test_step_zero_one_terminal_on_k3():
     k3 = complete_graph(3)
     sol = solve_elp(k3)
     # the optimum of the strengthened relaxation on K3 is integral (1,1,0)
     assert sorted(sol.x.values()) == [0, 1, 1]
-    reduced, i0, i1, terminal = step_zero_one(k3, sol.x)
+    reduced, i0, i1, terminal = zero_one_step(k3, sol.x)
     assert terminal and len(i1) == 2 and len(i0) == 1
 
 
 def test_step_zero_one_noop_on_uniform():
     t = cycle_graph(5)
     x = {v: Rat(3, 5) for v in t.vertices}
-    reduced, i0, i1, terminal = step_zero_one(t, x)
+    reduced, i0, i1, terminal = zero_one_step(t, x)
     assert not terminal and reduced == t and i0 == i1 == frozenset()
 
 
 def test_step_zero_one_star():
     star = Graph.from_edges([1, 2, 3, 4], [(1, 2), (1, 3), (1, 4)])
     x = {1: Rat(1), 2: Rat(0), 3: Rat(0), 4: Rat(0)}
-    _, i0, i1, terminal = step_zero_one(star, x)
+    _, i0, i1, terminal = zero_one_step(star, x)
     assert terminal and i1 == frozenset({1})
 
 
 def test_step_three_cycle():
-    reduced, tri = step_three_cycle(complete_graph(3))
-    assert reduced.n == 0 and tri.vertex_set == {1, 2, 3}
-    reduced, tri = step_three_cycle(complete_graph(4))
-    assert reduced.n == 1 and tri.vertices == (1, 2, 3)
+    reduced, fields = step(complete_graph(3), KIND_THREE_CYCLE, triangles(complete_graph(3)))
+    assert reduced.n == 0 and fields["triangle"].vertex_set == {1, 2, 3}
+    reduced, fields = step(complete_graph(4), KIND_THREE_CYCLE, triangles(complete_graph(4)))
+    assert reduced.n == 1 and fields["triangle"].vertices == (1, 2, 3)
     two = union(complete_graph(3), relabel(complete_graph(3), 10))
-    reduced, _ = step_three_cycle(two)
+    reduced, _ = step(two, KIND_THREE_CYCLE, triangles(two))
     assert reduced.find_triangle() is not None
+    assert triangles(cycle_graph(5)) == ()
     with pytest.raises(PipelineError):
-        step_three_cycle(cycle_graph(5))
+        step(cycle_graph(5), KIND_THREE_CYCLE, triangles(cycle_graph(5)))
 
 
 def test_step_active_edge_p3_absorbed_by_zero_one():
     p3 = path_graph(3)
     sol = solve_elp(p3)
     assert sorted(sol.x.values()) == [0, 0, 1]  # (0,1,0): no active-edge step
-    _, _, _, terminal = step_zero_one(p3, sol.x)
+    _, _, _, terminal = zero_one_step(p3, sol.x)
     assert terminal
 
 
 def test_step_active_edge_rejects_triangle_through_edge():
     k3 = complete_graph(3)
     x = {1: Rat(1, 2), 2: Rat(1, 2), 3: Rat(1)}
+    active, _, _ = classify_edges(k3, x)
+    assert active[0] == (1, 2)
     with pytest.raises(PipelineError):
-        step_active_edge(k3, x)
+        step(k3, KIND_ACTIVE, active)
+
+
+def test_step_active_edge_rewires_and_records_neighbors():
+    p5 = path_graph(5)
+    reduced, fields = step(p5, KIND_ACTIVE, ((2, 3),))
+    assert fields == {"pair": (2, 3), "d_i": frozenset({1})}
+    assert reduced == Graph.from_edges([1, 4, 5], [(1, 4), (4, 5)])
 
 
 def test_step_active_edge_projection_feasible():
@@ -142,32 +174,39 @@ def test_active_edge_interior_cycle_sums():
 def test_step_over_active_boundary():
     tri = complete_graph(3)
     x = {1: Rat(2, 3), 2: Rat(2, 3), 3: Rat(2, 3)}
-    reduced, pair = step_over_active(tri, x)
-    assert pair == (1, 2) and reduced.vertices == (3,)
+    _, over, _ = classify_edges(tri, x)  # 2/3 + 2/3 = 4/3: boundary included
+    reduced, fields = step(tri, KIND_OVER_ACTIVE, over)
+    assert fields == {"pair": (1, 2)} and reduced.vertices == (3,)
     c5 = cycle_graph(5)
+    _, over, _ = classify_edges(c5, {v: Rat(3, 5) for v in c5.vertices})
+    assert over == ()  # 6/5 < 4/3
     with pytest.raises(PipelineError):
-        step_over_active(c5, {v: Rat(3, 5) for v in c5.vertices})  # 6/5 < 4/3
+        step(c5, KIND_OVER_ACTIVE, over)
     x = {v: Rat(3, 5) for v in c5.vertices}
     x[1] = Rat(1)
     x[2] = Rat(1, 2)
-    reduced, pair = step_over_active(c5, x)  # 1 + 1/2 >= 4/3
-    assert pair == (1, 2)
+    _, over, _ = classify_edges(c5, x)  # 1 + 1/2 >= 4/3
+    _, fields = step(c5, KIND_OVER_ACTIVE, over)
+    assert fields == {"pair": (1, 2)}
 
 
 def test_step_random_edge():
     k2 = complete_graph(2)
-    reduced, pair = step_random_edge(k2, {1: Rat(3, 5), 2: Rat(3, 5)}, "maxsum", random.Random(0))
-    assert reduced.n == 0 and pair == (1, 2)
+    pair = choose_edge(k2, {1: Rat(3, 5), 2: Rat(3, 5)}, "maxsum", random.Random(0))
+    reduced, fields = step(k2, KIND_RANDOM, (pair,))
+    assert reduced.n == 0 and fields == {"pair": (1, 2)}
     c5 = cycle_graph(5)
     x = {v: Rat(3, 5) for v in c5.vertices}
-    reduced, pair = step_random_edge(c5, x, "maxsum", random.Random(0))
+    pair = choose_edge(c5, x, "maxsum", random.Random(0))
     assert pair == (1, 2)  # all sums equal; lexicographic tie-break
+    reduced, _ = step(c5, KIND_RANDOM, (pair,))
     assert reduced == Graph.from_edges([3, 4, 5], [(3, 4), (4, 5)])
     x[4] = Rat(9, 10)
-    _, pair = step_random_edge(c5, x, "maxsum", random.Random(0))
+    pair = choose_edge(c5, x, "maxsum", random.Random(0))
     assert pair in ((3, 4), (4, 5)) and pair == (3, 4)
+    assert choose_edge(c5, x, "random", random.Random(0)) == random.Random(0).choice(c5.edge_list())
     with pytest.raises(PipelineError):
-        step_random_edge(Graph.from_edges([1, 2]), {1: Rat(0), 2: Rat(0)}, "maxsum", random.Random(0))
+        choose_edge(Graph.from_edges([1, 2]), {1: Rat(0), 2: Rat(0)}, "maxsum", random.Random(0))
 
 
 # --------------------------------------------------------------- pipeline
@@ -222,14 +261,14 @@ def test_pipeline_edge_rules_deterministic_and_seeded():
     g = circulant(11, (1, 3))
     a, _ = run_pipeline(g, "enhanced", config=PipelineConfig(edge_rule="maxsum"))
     b, _ = run_pipeline(g, "enhanced", config=PipelineConfig(edge_rule="maxsum"))
-    assert [r.random_pair for r in a.records] == [r.random_pair for r in b.records]
+    assert [r.pair for r in a.records] == [r.pair for r in b.records]
     c, _ = run_pipeline(
         g, "enhanced", config=PipelineConfig(edge_rule="random", seed=123)
     )
     d, _ = run_pipeline(
         g, "enhanced", config=PipelineConfig(edge_rule="random", seed=123)
     )
-    assert [r.random_pair for r in c.records] == [r.random_pair for r in d.records]
+    assert [r.pair for r in c.records] == [r.pair for r in d.records]
 
 
 def test_pipeline_value_ledger_and_termination():
