@@ -4,8 +4,9 @@ Instances are DIMACS or whitespace edge-list files (format sniffed, or forced
 with --format), or inline generator specs prefixed with "gen:", e.g.
 "gen:cycle(5)". Exit codes: 0 success, 2 parse error (unreadable or malformed
 instance, bad generator spec, bad arguments), 3 hypothesis failure (base
-mode), 4 size cap exceeded. An internal error is not caught: it ends the run
-with its traceback. Set VC_LOG=debug|info|warning for logging.
+mode), 4 size cap exceeded, 5 internal error (a solver safety cap was
+reached or a cover broke its proven bound: a bug, reported in one line).
+Set VC_LOG=debug|info|warning for logging.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ import os
 import sys
 from pathlib import Path
 
-from .cover import Cover
+from .cover import Cover, GuaranteeViolation
+from .elp import CutLoopLimitError
 from .graph import GraphFormatError, detect_format, generate, parse_graph, to_dimacs
 from .oracles import CapExceededError, exact_vc
+from .reductions import PipelineError
 from .runner import (
     compare_instance,
     dump_json,
@@ -27,11 +30,17 @@ from .runner import (
     hunt_rows_csv,
     solve_instance,
 )
+from .simplex import PivotLimitError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_CAP = 4
+EXIT_INTERNAL = 5
+
+# Raised only when the program itself is at fault: a safety cap that a
+# correct solver never reaches, or a cover that breaks its proven bound.
+INTERNAL_ERRORS = (PipelineError, CutLoopLimitError, PivotLimitError, GuaranteeViolation)
 
 log = logging.getLogger("elpcover.cli")
 
@@ -243,6 +252,9 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except INTERNAL_ERRORS as exc:
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

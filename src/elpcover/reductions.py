@@ -119,7 +119,6 @@ class ReductionTrace:
     final_i1: frozenset[int] = frozenset()
     final_i0: frozenset[int] = frozenset()
     final_f: object = ZERO
-    final_x: dict = field(default_factory=dict)
     hypothesis_failed: bool = False
     diagnostics: dict = field(default_factory=dict)
 
@@ -231,7 +230,6 @@ def _finish(trace: ReductionTrace, k: int, sol: ElpSolution, i0, i1) -> bool:
     trace.final_i0 = i0
     trace.final_i1 = i1
     trace.final_f = sol.objective
-    trace.final_x = dict(sol.x)
     return True
 
 

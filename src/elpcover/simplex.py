@@ -11,9 +11,18 @@ bounded below by zero, so unboundedness cannot occur; infeasibility (possible
 only with rows of negative right-hand side, such as the upper half of an
 equality) is reported via InfeasibleError.
 
-All arithmetic is exact; the pivot rule is Bland-style lowest-index on both
-the leaving and the entering side, which rules out cycling and makes every
-returned basic solution deterministic.
+All arithmetic is exact and every pivot choice is a deterministic integer
+comparison. The leaving row is picked by exact dual steepest edge (Forrest &
+Goldfarb, Math. Programming 57, 1992): among rows with a negative
+right-hand side, the one whose hyperplane lies farthest from the current
+basic solution, with the norms recomputed on every pivot. The entering
+column is Bland's least ratio, ties to the lowest column index. Steepest
+edge alone can cycle on degenerate pivots, so after STALL_LIMIT
+consecutive pivots that leave the objective unchanged, the leaving rule
+falls back to Bland's lowest basic column until a pivot raises the
+objective. Each pivot either raises the dual objective, which never
+decreases, or is one of a bounded run of steepest-edge pivots followed by
+Bland's rule, which cannot cycle; so optimize terminates.
 
 The tableau is kept in dictionary form (Chvatal, Linear Programming, 1983):
 only the num_vars nonbasic columns are stored, so each row is a dense list
@@ -36,20 +45,29 @@ through the duals read off the cost row, optimality.
 optimize(ceiling=c) serves callers that only care whether the optimum stays
 at the current objective c, such as the alternate-optimum pin sweep. The
 dual objective never decreases, and a pivot raises it exactly when its
-entering column has a positive reduced cost. Bland's entering rule takes the
-least ratio cost_q / -a_q, so a zero-cost column wins whenever one is
-eligible; the first time the chosen column has a positive cost, no zero-cost
-pivot was possible and the optimum is certainly above c. optimize then
-raises AboveCeilingError instead of pivoting, and every pivot it does make
-is one the unbounded call would have made too.
+entering column has a positive reduced cost. Take any row i with
+rhs_i < 0 whose least ratio cost_q / -a_q over its a_q < 0 is t > 0. Row
+i reads x_{B_i} = (rhs_i - sum_q a_q x_q) / den_i, so every feasible point
+has sum_q -a_q x_q >= -rhs_i > 0 over the a_q < 0 columns; all reduced
+costs are >= 0, so its objective exceeds c by at least t * -rhs_i > 0 (up
+to the positive denominators). So whichever row the leaving rule picked,
+the first time its chosen column has a positive cost the optimum is
+certainly above c. optimize then raises AboveCeilingError instead of
+pivoting, and every pivot it does make is one the unbounded call would
+have made too.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping
 
 from ._rat import ZERO, Rat
+
+# optimize() leaves by Bland's rule after this many consecutive pivots that
+# enter at zero reduced cost, until a pivot raises the objective.
+STALL_LIMIT = 20
 
 
 class InfeasibleError(Exception):
@@ -155,17 +173,23 @@ class CoveringSimplex:
     def optimize(self, pivot_cap: int = 200_000, ceiling=None) -> None:
         """Dual simplex to optimality; raises InfeasibleError when primal empty.
 
+        The leaving row is the dual steepest-edge choice (_steepest_row)
+        until STALL_LIMIT consecutive pivots have entered at zero reduced
+        cost; from then on it is Bland's lowest basic column (_bland_row)
+        until a pivot raises the objective. The entering column is always
+        Bland's least ratio.
+
         pivot_cap bounds the pivots of this call alone; PivotLimitError is
         raised once it is exceeded.
 
         With a ceiling, objective() must equal it on entry (ValueError
         otherwise), and AboveCeilingError is raised in place of the first
-        pivot whose entering column has a positive reduced cost: that pivot
-        raises the objective, and since Bland's rule prefers any eligible
-        zero-cost column and the dual objective never decreases, the optimum
-        lies strictly above the ceiling. The engine is then left as it was
-        after the last zero-cost pivot. A normal return therefore means the
-        optimum equals the ceiling, reached by the same pivots as without it.
+        pivot whose entering column has a positive reduced cost. That
+        column has the least ratio in a row with rhs < 0, so every feasible
+        point lies strictly above the ceiling, whichever row was picked (see
+        the module docstring). The engine is then left as it was after the
+        last zero-cost pivot. A normal return therefore means the optimum
+        equals the ceiling, reached by the same pivots as without it.
         """
         if ceiling is not None and (
             -self._cost_rhs * ceiling.denominator != ceiling.numerator * self._cost_den
@@ -173,12 +197,12 @@ class CoveringSimplex:
             raise ValueError(f"ceiling {ceiling} is not the objective {self.objective()}")
         rows, rhs, basis, nonbasic = self._rows, self._rhs, self._basis, self._nonbasic
         limit = self.pivots + pivot_cap
+        stalled = 0
         while True:
-            leave = -1
-            leave_var = None
-            for i, b in enumerate(rhs):
-                if b < 0 and (leave_var is None or basis[i] < leave_var):
-                    leave, leave_var = i, basis[i]
+            if stalled < STALL_LIMIT:
+                leave = _steepest_row(rows, rhs, self._den, basis)
+            else:
+                leave = _bland_row(rhs, basis)
             if leave < 0:
                 return
             # Bland entering rule: least ratio cost_q / -a_q over a_q < 0,
@@ -199,8 +223,12 @@ class CoveringSimplex:
                         enter, best_cost, best_neg = q, c, -a
             if enter < 0:
                 raise InfeasibleError("no feasible point exists")
-            if best_cost > 0 and ceiling is not None:
-                raise AboveCeilingError(f"the optimum rises above {ceiling}")
+            if best_cost > 0:
+                if ceiling is not None:
+                    raise AboveCeilingError(f"the optimum rises above {ceiling}")
+                stalled = 0
+            else:
+                stalled += 1
             self._pivot(leave, enter)
             if self.pivots > limit:
                 raise PivotLimitError(f"exceeded {pivot_cap} pivots")
@@ -297,6 +325,40 @@ class CoveringSimplex:
                 f"duality gap: b.y = {Rat(bound, den)} != 1.x = {Rat(total, scale)}"
             )
         return self.values()
+
+
+def _steepest_row(rows, rhs, den, basis) -> int:
+    """Dual steepest-edge leaving row, or -1 when every rhs is >= 0.
+
+    Among rows with rhs_i < 0 it maximises rhs_i^2 / ||row_i||^2, the
+    squared distance from the current basic solution to the row's
+    hyperplane, where the norm is taken over the dictionary row and its
+    implicit basic unit entry: den_i^2 + sum_q rows[i][q]^2. A common
+    scale of the row cancels, so the ratio is compared by integer
+    cross-multiplication; ties go to the lowest basic column.
+    """
+    leave = -1
+    best_sq = best_norm = 0
+    for i, b in enumerate(rhs):
+        if b < 0:
+            row = rows[i]
+            norm = den[i] * den[i] + sum(map(mul, row, row))
+            sq = b * b
+            if leave >= 0:
+                lhs, rhs_ = sq * best_norm, best_sq * norm
+                if lhs < rhs_ or (lhs == rhs_ and basis[i] > basis[leave]):
+                    continue
+            leave, best_sq, best_norm = i, sq, norm
+    return leave
+
+
+def _bland_row(rhs, basis) -> int:
+    """Row with rhs_i < 0 of the lowest basic column, or -1 when none."""
+    leave = -1
+    for i, b in enumerate(rhs):
+        if b < 0 and (leave < 0 or basis[i] < basis[leave]):
+            leave = i
+    return leave
 
 
 def _normalize(row: list, rhs: int, den: int):

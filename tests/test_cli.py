@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from elpcover import cli
 from elpcover.cli import main
 from elpcover.graph import to_dimacs
 from elpcover.runner import (
@@ -87,6 +88,24 @@ def test_internal_value_error_is_not_a_parse_error(monkeypatch):
     monkeypatch.setattr(elp, "separate_odd_cycle", broken)
     with pytest.raises(ValueError, match="edge inequality violated"):
         run_cli(["solve", "gen:cycle(5)"])
+
+
+@pytest.mark.parametrize("error", cli.INTERNAL_ERRORS, ids=lambda e: e.__name__)
+def test_exit_code_internal_error(error, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise error("cap reached")
+
+    monkeypatch.setattr(cli, "solve_instance", broken)
+    assert run_cli(["solve", "gen:cycle(5)"]) == cli.EXIT_INTERNAL == 5
+    assert capsys.readouterr().err == f"error: internal {error.__name__}: cap reached\n"
+
+
+def test_cut_round_cap_exits_as_internal_error(monkeypatch, capsys):
+    from elpcover import elp
+
+    monkeypatch.setattr(elp, "ROUNDS_PER_VERTEX", 0)  # C5 needs one cut
+    assert run_cli(["solve", "gen:cycle(5)"]) == cli.EXIT_INTERNAL
+    assert "CutLoopLimitError" in capsys.readouterr().err
 
 
 def test_exit_code_hypothesis_failure(tmp_path):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elpcover import simplex
 from elpcover._rat import Rat
-from elpcover.elp import relaxation_engine
+from elpcover.elp import relaxation_engine, solve_elp
 from elpcover.graph import complete_graph, cycle_graph
 from elpcover.oracles import rational_rank
 from elpcover.simplex import (
@@ -17,6 +18,7 @@ from elpcover.simplex import (
 )
 from exact_oracles import (
     ReferenceCoveringSimplex,
+    circulant,
     lp_value_half_integral,
     lp_vertex_enumeration,
     random_connected_gnp,
@@ -327,6 +329,36 @@ def test_optimize_ceiling_must_be_the_current_objective():
         engine.optimize(ceiling=Rat(3, 2))
 
 
+def test_stall_fallback_ends_certified_optimal(monkeypatch):
+    # The C11(1,3) optimum is degenerate, so its pinned LPs make runs of
+    # zero-cost pivots. With STALL_LIMIT = 1 the leaving rule falls back to
+    # Bland's after each one; every pin must still end certified optimal at
+    # the value that pure Bland (STALL_LIMIT = 0) reaches.
+    g = circulant(11, (1, 3))
+    sol = solve_elp(g)
+    index = {v: j for j, v in enumerate(g.vertices)}
+
+    def pinned_objective(u, v, stall_limit):
+        monkeypatch.setattr(simplex, "STALL_LIMIT", stall_limit)
+        trial = sol.engine.copy()
+        trial.add_ge_row({index[u]: -1, index[v]: -1}, -1)
+        trial.optimize()
+        return sum(trial.certified_values(), Rat(0))
+
+    pins = list(g.edges())
+    expected = [pinned_objective(u, v, 0) for u, v in pins]
+    bland_row = simplex._bland_row
+    fallbacks = [0]
+
+    def counted(*args):
+        fallbacks[0] += 1
+        return bland_row(*args)
+
+    monkeypatch.setattr(simplex, "_bland_row", counted)
+    assert [pinned_objective(u, v, 1) for u, v in pins] == expected
+    assert fallbacks[0] > 0  # the fallback did pick leaving rows
+
+
 def test_scaled_values_are_the_values_over_one_denominator():
     engine = relaxation_engine(complete_graph(3))
     assert engine.scaled_values() == ([0, 0, 0], 1)  # nothing basic yet
@@ -335,8 +367,11 @@ def test_scaled_values_are_the_values_over_one_denominator():
     assert [Rat(v, scale) for v in ints] == engine.values() == [Rat(1, 2)] * 3
 
 
-def _optimize_both(engine, reference):
-    """Run both engines to optimality and require the same outcome."""
+def _optimize_both(engine, reference, same_pivots):
+    """Run both engines to optimality and require the same outcome: the
+    same InfeasibleError behaviour and objective, with the engine's point
+    certified optimal. With same_pivots (both engines on Bland's rule) the
+    pivot counts, bases and vertices must match too."""
     outcomes = []
     for e in (engine, reference):
         try:
@@ -345,13 +380,16 @@ def _optimize_both(engine, reference):
         except InfeasibleError:
             outcomes.append(False)
     assert outcomes[0] == outcomes[1]
-    assert engine.pivots == reference.pivots
-    assert engine._basis == reference._basis
+    if same_pivots:
+        assert engine.pivots == reference.pivots
+        assert engine._basis == reference._basis
     if outcomes[0]:
-        assert engine.certified_values() == reference.values()
+        values = engine.certified_values()
+        assert engine.objective() == sum(values, Rat(0)) == reference.objective()
+        if same_pivots:
+            assert values == reference.values()
         ints, scale = engine.scaled_values()
-        assert [Rat(v, scale) for v in ints] == reference.values()
-        assert engine.objective() == sum(engine.values(), Rat(0))
+        assert [Rat(v, scale) for v in ints] == values
 
 
 _ROW = st.tuples(
@@ -368,20 +406,27 @@ _ROW = st.tuples(
     st.integers(min_value=0, max_value=7),
 )
 def test_compact_engine_matches_reference_engine(n, rows, cuts, pin):
-    # Same pivots, bases and vertices as the dict-tableau engine: on the
-    # initial rows, after each appended cut, and on copies with one row
-    # pinned to equality by its negation.
+    # The reference is the dict-tableau engine on Bland's rules. With
+    # STALL_LIMIT = 0 the compact engine leaves by Bland's rule too and
+    # must make the same pivots and reach the same bases and vertices; under
+    # the steepest-edge rule it must reach the same outcome and objective.
+    # Both runs cover the initial rows, each appended cut, and copies with
+    # one row pinned to equality by its negation.
     rows = [(coeffs[:n], rhs) for coeffs, rhs in rows]
-    engine = CoveringSimplex(n, [(dict(enumerate(c)), r) for c, r in rows])
-    reference = ReferenceCoveringSimplex(n, rows)
-    _optimize_both(engine, reference)
-    for coeffs, rhs in cuts:
-        engine.add_ge_row(dict(enumerate(coeffs[:n])), rhs)
-        reference.add_ge_row(coeffs[:n], rhs)
-        _optimize_both(engine, reference)
-    coeffs, rhs = (rows + [(c[:n], r) for c, r in cuts])[pin % (len(rows) + len(cuts))]
-    trial, reference_trial = engine.copy(), reference.copy()
-    trial.add_ge_row({j: -c for j, c in enumerate(coeffs)}, -rhs)
-    reference_trial.add_ge_row([-c for c in coeffs], -rhs)
-    _optimize_both(trial, reference_trial)
-    _optimize_both(engine, reference)  # the copies left the originals alone
+    for stall_limit in (0, simplex.STALL_LIMIT):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simplex, "STALL_LIMIT", stall_limit)
+            same = stall_limit == 0
+            engine = CoveringSimplex(n, [(dict(enumerate(c)), r) for c, r in rows])
+            reference = ReferenceCoveringSimplex(n, rows)
+            _optimize_both(engine, reference, same)
+            for coeffs, rhs in cuts:
+                engine.add_ge_row(dict(enumerate(coeffs[:n])), rhs)
+                reference.add_ge_row(coeffs[:n], rhs)
+                _optimize_both(engine, reference, same)
+            coeffs, rhs = (rows + [(c[:n], r) for c, r in cuts])[pin % (len(rows) + len(cuts))]
+            trial, reference_trial = engine.copy(), reference.copy()
+            trial.add_ge_row({j: -c for j, c in enumerate(coeffs)}, -rhs)
+            reference_trial.add_ge_row([-c for c in coeffs], -rhs)
+            _optimize_both(trial, reference_trial, same)
+            _optimize_both(engine, reference, same)  # the copies left the originals alone
