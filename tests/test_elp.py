@@ -374,11 +374,11 @@ def _hard_circulant_solution():
 
 @pytest.mark.parametrize(
     "case, expected",
-    [(_hard_circulant_solution, 16), (_c5_edge_lp_solution, 0)],
+    [(_hard_circulant_solution, 17), (_c5_edge_lp_solution, 0)],
     ids=["C11(1,3)", "C5 edge LP"],
 )
 def test_explore_alternate_pivots_of_failing_pins(case, expected, monkeypatch):
-    # Solved to optimality, the 22 failing pins of C11(1,3) take 87 pivots
+    # Solved to optimality, the 22 failing pins of C11(1,3) take 75 pivots
     # and the 5 chased cuts of the C5 edge LP take 6; each pin stops at its
     # first objective-raising pivot instead, at the pin or in the chase.
     g, sol = case()
@@ -440,14 +440,15 @@ def _check_tableau_invariants(engine):
     assert gcd(engine._cost_den, engine._cost_rhs, *engine._cost) == 1
 
 
-# Bland's rules pick one vertex among the optima; these were recorded from
-# the Fraction-tableau engine and must not move with the arithmetic.
-BLAND_VERTICES = {
+# The pivot rules pick one vertex among the optima; these were recorded
+# under the dual steepest-edge leaving rule and must not move with the
+# arithmetic.
+STEEPEST_EDGE_VERTICES = {
     "petersen": (
         petersen_graph(),
         6,
         {2, 4, 5, 6, 7, 8},
-        27,
+        21,
         (
             (1, 2, 3, 4, 5), (2, 3, 4, 9, 7), (1, 5, 4, 9, 6), (1, 2, 3, 8, 6),
             (1, 2, 7, 10, 5), (3, 4, 5, 10, 8), (6, 8, 10, 7, 9),
@@ -456,33 +457,27 @@ BLAND_VERTICES = {
     "torus_grid(5,5)": (
         torus_grid_graph(5, 5),
         15,
-        {2, 3, 5, 6, 7, 9, 11, 13, 15, 17, 19, 20, 21, 23, 24},
-        404,
+        {2, 4, 5, 6, 8, 10, 11, 12, 14, 17, 18, 20, 21, 23, 24},
+        136,
         (
             (1, 2, 3, 4, 5), (2, 3, 4, 5, 10, 6, 7), (1, 5, 4, 3, 8, 7, 6),
             (1, 2, 7, 8, 9, 4, 5), (1, 2, 3, 8, 9, 10, 5), (1, 2, 3, 4, 9, 10, 6),
-            (6, 7, 8, 9, 10), (1, 5, 4, 9, 8, 13, 12, 11, 6), (8, 9, 10, 15, 11, 12, 13),
-            (1, 2, 7, 12, 13, 14, 9, 4, 5), (1, 5, 4, 9, 14, 13, 12, 7, 6),
-            (1, 2, 3, 4, 9, 14, 15, 11, 6), (1, 2, 7, 8, 13, 14, 15, 11, 6),
-            (2, 3, 4, 9, 14, 15, 11, 6, 7), (1, 2, 7, 12, 13, 14, 9, 10, 5),
-            (6, 7, 12, 13, 14, 15, 10), (11, 12, 13, 18, 19, 20, 16),
-            (11, 12, 17, 18, 19, 14, 15), (11, 15, 14, 19, 24, 23, 22, 17, 16),
-            (7, 8, 9, 14, 15, 20, 16, 17, 12), (3, 4, 9, 14, 15, 20, 16, 17, 12, 13, 8),
-            (4, 5, 10, 15, 20, 16, 17, 12, 13, 8, 9), (21, 22, 23, 24, 25),
-            (3, 4, 5, 10, 15, 11, 16, 17, 18, 13, 8), (4, 9, 14, 19, 24),
-            (12, 13, 14, 15, 20, 16, 17), (1, 5, 4, 9, 8, 13, 18, 17, 16, 11, 6),
-            (8, 9, 10, 15, 11, 16, 17, 18, 13), (1, 5, 4, 9, 14, 13, 18, 17, 16, 11, 6),
-            (13, 14, 15, 20, 16, 17, 18), (3, 4, 5, 25, 21, 22, 23), (5, 10, 15, 20, 25),
-            (1, 6, 11, 16, 21), (2, 7, 12, 17, 22),
-            (1, 2, 22, 17, 12, 13, 14, 19, 20, 25, 5), (3, 8, 13, 18, 23),
+            (6, 7, 8, 9, 10), (2, 3, 4, 9, 10, 15, 11, 12, 7), (8, 9, 10, 15, 11, 12, 13),
+            (1, 2, 7, 12, 13, 14, 9, 10, 5), (1, 5, 4, 9, 14, 13, 12, 7, 6),
+            (6, 7, 12, 13, 14, 15, 10), (1, 2, 3, 8, 9, 14, 15, 11, 6),
+            (2, 3, 4, 9, 14, 15, 11, 6, 7), (11, 12, 13, 14, 19, 20, 16),
+            (16, 17, 18, 19, 24, 25, 21), (13, 14, 15, 20, 25, 21, 22, 17, 18),
+            (2, 7, 12, 17, 22), (21, 22, 23, 24, 25), (3, 8, 13, 18, 23),
+            (1, 5, 25, 20, 15, 11, 6), (11, 15, 14, 13, 18, 17, 16),
+            (16, 17, 18, 19, 20), (11, 12, 13, 14, 15),
         ),
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(BLAND_VERTICES))
-def test_elp_bland_vertex_and_tableau_invariants(name, monkeypatch):
-    g, objective, ones, pivots, pool = BLAND_VERTICES[name]
+@pytest.mark.parametrize("name", sorted(STEEPEST_EDGE_VERTICES))
+def test_elp_steepest_edge_vertex_and_tableau_invariants(name, monkeypatch):
+    g, objective, ones, pivots, pool = STEEPEST_EDGE_VERTICES[name]
     pivot = CoveringSimplex._pivot
     count = [0]
 
