@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .cover import Cover, GuaranteeViolation
+from .cover import GuaranteeViolation
 from .elp import CutLoopLimitError
 from .graph import GraphFormatError, detect_format, generate, parse_graph, to_dimacs
 from .oracles import CapExceededError, exact_vc
