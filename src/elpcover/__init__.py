@@ -18,7 +18,6 @@ from .elp import (
     ElpSolution,
     classify_edges,
     explore_alternate_bfs,
-    scale_point,
     separate_odd_cycle,
     solve_elp,
 )

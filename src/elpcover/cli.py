@@ -93,7 +93,6 @@ def _cmd_solve(args) -> int:
         mode=args.mode,
         seed=args.seed,
         edge_rule=args.edge_rule,
-        pin_cap=args.pin_cap,
         with_oracle=not args.no_oracle,
         oracle_cap=args.oracle_cap,
         timings=args.timings,
@@ -203,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mode", choices=["base", "enhanced"], default="enhanced")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--edge-rule", choices=["maxsum", "random"], default="maxsum")
-    solve.add_argument("--pin-cap", type=int, default=None, help="alternate-optimum sweep budget")
     solve.add_argument("--no-oracle", action="store_true", help="skip the exact optimum check")
     solve.add_argument("--oracle-cap", type=int, default=26)
     solve.add_argument("--timings", action="store_true", help="include wall-clock (breaks byte-determinism)")

@@ -10,11 +10,11 @@ closed sub-walks of even length never increases the weight).
 
 Every LP goes through one CoveringSimplex engine, built by
 relaxation_engine from sparse int rows (x_u + x_v >= 1 per edge, one row
-per pooled cycle), and one cut chase, chase_cuts, serves both the optimum
-and the alternate-optimum sweep. The chase hands the engine's point to
-separation as ints over one common denominator (CoveringSimplex.
-scaled_values), and scale_point builds the same pair from a
-{vertex: rational} map. The solution returned after the loop is a
+per pooled cycle), and one cut chase, _chase, takes an engine to the
+optimum of the full relaxation, both for solve_elp and for each pin of the
+alternate-optimum sweep. The chase hands the engine's point to separation
+and edge classification as ints over one common denominator
+(CoveringSimplex.scaled_values). The solution returned after the loop is a
 vertex of the cut-augmented polytope, certified optimal for it by the
 engine's exact dual check; a final separation pass certifies it is
 feasible, hence optimal, for the full relaxation. Whether it is also a
@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import heapq
 import logging
-from dataclasses import dataclass, field
-from math import lcm
-from typing import Iterator, Mapping, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ._rat import ZERO, Rat
 from .graph import Graph, OddCycle
@@ -45,13 +44,6 @@ class CutLoopLimitError(RuntimeError):
     """Cutting-plane round cap exceeded; signals a separation/extraction bug."""
 
 
-@dataclass(frozen=True)
-class CutRound:
-    cycle: OddCycle
-    violation: object
-    objective_after: object
-
-
 @dataclass(frozen=True, eq=False)
 class ElpSolution:
     x: dict
@@ -61,7 +53,6 @@ class ElpSolution:
     over_active_edges: tuple[tuple[int, int], ...]
     small_edges: tuple[tuple[int, int], ...]
     engine: CoveringSimplex  # optimal for the edge rows and cycle_pool (plus a pin)
-    rounds: tuple[CutRound, ...] = field(default=())
 
     @property
     def one_vertices(self) -> frozenset[int]:
@@ -88,22 +79,14 @@ def _add_cycle_row(engine: CoveringSimplex, cycle: OddCycle, index) -> None:
     engine.add_ge_row(dict.fromkeys((index[v] for v in cycle.vertices), 1), cycle.rhs)
 
 
-def scale_point(g: Graph, x: Mapping[int, object]) -> tuple[list[int], int]:
-    """x as the pair (ints, L) that separate_odd_cycle takes: L is the lcm
-    of the denominators of x's values and ints[i] = L * x[g.vertices[i]]."""
-    values = [Rat(x[v]) for v in g.vertices]
-    scale = lcm(*(r.denominator for r in values))
-    return [r.numerator * (scale // r.denominator) for r in values], scale
-
-
 def separate_odd_cycle(g: Graph, point: tuple[list[int], int]):
     """Most-violated odd-cycle inequality at a point x, or None if all are satisfied.
 
     point is x scaled to integers, (ints, L) with L > 0 and
     x[g.vertices[i]] = ints[i] / L: CoveringSimplex.scaled_values() of an
-    engine over g.vertices, or scale_point(g, x). Any common denominator L
-    gives the same result. Requires x to satisfy every edge inequality so the
-    weights w(u,v) = x_u + x_v - 1 are nonnegative (ValueError otherwise).
+    engine over g.vertices. Any common denominator L gives the same result.
+    Requires x to satisfy every edge inequality so the weights
+    w(u,v) = x_u + x_v - 1 are nonnegative (ValueError otherwise).
     Returns (cycle, violation) where violation = (s+1) - sum_{v in cycle} x_v
     > 0, a Rat, and the cycle has minimum weight among all odd cycles (so it
     is a most-violated one).
@@ -217,15 +200,16 @@ def _extract_simple_odd_cycle(walk: list[int]) -> tuple[int, ...]:
             walk = walk[: i + 1] + walk[j + 1 :]
 
 
-def classify_edges(g: Graph, x: Mapping[int, object]):
-    """(active, over-active, small) edge sets at x, all by exact comparison.
+def classify_edges(g: Graph, point: tuple[list[int], int]):
+    """(active, over-active, small) edge sets at a point x, all by exact comparison.
 
     active: x_u + x_v = 1; over-active: x_u + x_v >= 4/3 (boundary included);
     small: argmin over edges of x_u + x_v (empty only for edgeless graphs).
-    x is scaled once by L, the lcm of its denominators, so the tests are the
-    int comparisons L x_u + L x_v == L and 3 (L x_u + L x_v) >= 4 L.
+    point is x scaled to integers, (ints, L) as separate_odd_cycle takes it,
+    so the tests are the int comparisons L x_u + L x_v == L and
+    3 (L x_u + L x_v) >= 4 L.
     """
-    ints, scale = scale_point(g, x)
+    ints, scale = point
     scaled = dict(zip(g.vertices, ints))
     active = []
     over = []
@@ -244,40 +228,44 @@ def classify_edges(g: Graph, x: Mapping[int, object]):
     return tuple(active), tuple(over), tuple(small)
 
 
-def _assemble(g: Graph, engine: CoveringSimplex, pool, rounds=()) -> ElpSolution:
+def _assemble(g: Graph, engine: CoveringSimplex, pool) -> ElpSolution:
     values = engine.certified_values()
-    x = dict(zip(g.vertices, values))
-    active, over, small = classify_edges(g, x)
+    active, over, small = classify_edges(g, engine.scaled_values())
     return ElpSolution(
-        x=x,
+        x=dict(zip(g.vertices, values)),
         objective=sum(values, ZERO),
         cycle_pool=tuple(pool),
         active_edges=active,
         over_active_edges=over,
         small_edges=small,
         engine=engine,
-        rounds=tuple(rounds),
     )
 
 
-def chase_cuts(
-    g: Graph, engine: CoveringSimplex, pool: list, seen: set, cap: int, ceiling=None
-) -> Iterator[CutRound]:
-    """Add most-violated odd-cycle cuts to an optimal engine until x
-    satisfies every odd-cycle inequality of g, yielding one CutRound per cut.
+def _chase(g: Graph, engine: CoveringSimplex, pool: list, ceiling=None) -> ElpSolution:
+    """Optimize engine, then add most-violated odd-cycle cuts until x
+    satisfies every odd-cycle inequality of g; the certified optimum.
 
-    Each cut is appended to pool and its vertex set to seen, and the engine
-    is re-optimized with the given ceiling (InfeasibleError and
-    AboveCeilingError propagate). More than cap cuts raise
-    CutLoopLimitError. A caller that stops iterating leaves the engine
-    optimal for the cuts added so far.
+    engine holds the edge rows of g and one row per cycle of pool (plus a
+    pin, for the alternate sweep), and each cut is appended to pool. Every
+    optimize runs with the given ceiling (InfeasibleError and
+    AboveCeilingError propagate), and when one returns under a ceiling the
+    objective must equal it (AssertionError otherwise). More than
+    ROUNDS_PER_VERTEX * max(1, n) cuts raise CutLoopLimitError.
     """
     index = _index(g)
+    seen = {c.vertex_set for c in pool}
+    cap = ROUNDS_PER_VERTEX * max(1, g.n)
     added = 0
     while True:
+        engine.optimize(ceiling=ceiling)
+        if ceiling is not None and engine.objective() != ceiling:
+            raise AssertionError(
+                f"objective {engine.objective()} left its ceiling {ceiling} at cut round {added}"
+            )
         found = separate_odd_cycle(g, engine.scaled_values())
         if found is None:
-            return
+            return _assemble(g, engine, pool)
         if added >= cap:
             raise CutLoopLimitError(f"exceeded {cap} cutting-plane rounds on n={g.n}")
         cycle, violation = found
@@ -286,18 +274,8 @@ def chase_cuts(
         seen.add(cycle.vertex_set)
         pool.append(cycle)
         _add_cycle_row(engine, cycle, index)
-        engine.optimize(ceiling=ceiling)
         added += 1
-        objective = engine.objective()
-        log.debug(
-            "cut round %d: cycle %s violation %s objective %s",
-            added, cycle.vertices, violation, objective,
-        )
-        yield CutRound(cycle, violation, objective)
-
-
-def _round_cap(g: Graph) -> int:
-    return ROUNDS_PER_VERTEX * max(1, g.n)
+        log.debug("cut round %d: cycle %s violation %s", added, cycle.vertices, violation)
 
 
 def solve_elp(g: Graph) -> ElpSolution:
@@ -307,28 +285,22 @@ def solve_elp(g: Graph) -> ElpSolution:
     inequality of g (certified by a final separation pass), and its value is
     the exact optimum of the full relaxation.
     """
-    engine = relaxation_engine(g)
-    engine.optimize()
-    pool: list[OddCycle] = []
-    rounds = list(chase_cuts(g, engine, pool, set(), _round_cap(g)))
-    return _assemble(g, engine, pool, rounds)
+    return _chase(g, relaxation_engine(g), [])
 
 
-def explore_alternate_bfs(
-    g: Graph, sol: ElpSolution, pin_cap: Optional[int] = None
-) -> tuple[Optional[ElpSolution], int]:
+def explore_alternate_bfs(g: Graph, sol: ElpSolution) -> tuple[Optional[ElpSolution], int]:
     """Search for an alternate optimum with an active edge by pinning edges.
 
     For each edge in g.edges() order, a copy of sol.engine gets the row
     x_u + x_v <= 1 (as -x_u - x_v >= -1; with the edge row it pins
-    x_u + x_v = 1), is re-optimized, and chases cuts under the pin so the
+    x_u + x_v = 1) and goes through the same cut chase as solve_elp, so the
     alternate is full-relaxation feasible. The first pin whose optimum keeps
     the unpinned value is returned: it has an active edge by construction.
     Returns (solution or None, number of pins tried). Requires sol to have
     no active edge and no unit value.
 
     A pin fails when its LP is infeasible or its optimum rises above
-    sol.objective. Every optimize of a pin, in the chase too, runs with
+    sol.objective. Every optimize of a pin's chase runs with
     ceiling=sol.objective, so a failing pin stops at the first pivot that
     would raise the objective (see CoveringSimplex.optimize) instead of
     solving to its higher optimum; a pin that gets past every optimize keeps
@@ -340,29 +312,15 @@ def explore_alternate_bfs(
         raise ValueError("solution already has an active edge")
     if sol.one_vertices:
         raise ValueError("solution has a variable at 1; {0,1}-reduction applies")
-    target = sol.objective
     index = _index(g)
-    cap = _round_cap(g)
-    pins = 0
-    for u, v in g.edges():
-        if pin_cap is not None and pins >= pin_cap:
-            break
-        pins += 1
+    for pins, (u, v) in enumerate(g.edges(), 1):
         trial = sol.engine.copy()
         trial.add_ge_row({index[u]: -1, index[v]: -1}, -1)
-        pool = list(sol.cycle_pool)
-        seen = {c.vertex_set for c in pool}
         try:
-            trial.optimize(ceiling=target)
-            if trial.objective() != target:
-                raise AssertionError(f"pin ({u},{v}) left the objective {target} without rising")
-            for r in chase_cuts(g, trial, pool, seen, cap, ceiling=target):
-                if r.objective_after != target:
-                    raise AssertionError(f"cut under pin ({u},{v}) moved the objective off {target}")
+            alt = _chase(g, trial, list(sol.cycle_pool), ceiling=sol.objective)
         except (InfeasibleError, AboveCeilingError):
             continue
-        alt = _assemble(g, trial, pool)
         if not alt.active_edges:
             raise AssertionError("pinned alternate lost its active edge")
         return alt, pins
-    return None, pins
+    return None, g.m

@@ -145,9 +145,6 @@ class Graph:
     def m(self) -> int:
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self._adj
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 

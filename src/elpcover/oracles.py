@@ -5,7 +5,6 @@ exponential routines take explicit caps and refuse bigger inputs."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -24,22 +23,21 @@ class OracleResult:
     opt_size: int
     cover: frozenset[int]
     all_covers: Optional[tuple[frozenset[int], ...]]
-    elapsed: float
 
 
-def _greedy_matching_size(adj: dict[int, set[int]]) -> int:
-    matched = set()
-    size = 0
+def _greedy_matched(adj) -> set[int]:
+    """Endpoints of the greedy maximal matching that scans the vertices of
+    the adjacency map adj, and each one's neighbors, in ascending order."""
+    matched: set[int] = set()
     for u in sorted(adj):
         if u in matched:
             continue
         for v in sorted(adj[u]):
-            if v not in matched and v != u:
+            if v not in matched:
                 matched.add(u)
                 matched.add(v)
-                size += 1
                 break
-    return size
+    return matched
 
 
 def exact_vc(g: Graph, enumerate_all: bool = False, cap: Optional[int] = None) -> OracleResult:
@@ -53,7 +51,6 @@ def exact_vc(g: Graph, enumerate_all: bool = False, cap: Optional[int] = None) -
     limit = cap if cap is not None else (20 if enumerate_all else 30)
     if g.n > limit:
         raise CapExceededError(f"n={g.n} exceeds cap {limit}")
-    start = time.perf_counter()
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
     best_cover = set(adj)  # all vertices always cover
     best = [len(best_cover), frozenset(best_cover)]
@@ -70,7 +67,7 @@ def exact_vc(g: Graph, enumerate_all: bool = False, cap: Optional[int] = None) -
             raise AssertionError(
                 f"branch-and-bound cover {sorted(cover)} missing from the enumeration"
             )
-    return OracleResult(opt, cover, all_covers, time.perf_counter() - start)
+    return OracleResult(opt, cover, all_covers)
 
 
 def _bb_opt(adj: dict[int, set[int]], chosen: set[int], best) -> None:
@@ -99,7 +96,7 @@ def _bb_opt(adj: dict[int, set[int]], chosen: set[int], best) -> None:
             best[0] = len(chosen)
             best[1] = frozenset(chosen)
         return
-    if len(chosen) + _greedy_matching_size(adj) >= best[0]:
+    if len(chosen) + len(_greedy_matched(adj)) // 2 >= best[0]:
         return
     v = max(sorted(adj), key=lambda u: (len(adj[u]), -u))
     # Branch 1: v in the cover.
@@ -125,7 +122,7 @@ def _enumerate_covers(adj, chosen: set[int], budget: int, found: set) -> None:
         if len(chosen) == budget:
             found.add(frozenset(chosen))
         return
-    if len(chosen) + max(1, _greedy_matching_size(adj)) > budget:
+    if len(chosen) + max(1, len(_greedy_matched(adj)) // 2) > budget:
         return
     u, v = uncovered
     for pick in (u, v):
@@ -135,12 +132,7 @@ def _enumerate_covers(adj, chosen: set[int], budget: int, found: set) -> None:
 
 def matching_2approx(g: Graph) -> frozenset[int]:
     """Both endpoints of a greedy maximal matching; classic 2-approximation."""
-    matched: set[int] = set()
-    for u, v in g.edges():
-        if u not in matched and v not in matched:
-            matched.add(u)
-            matched.add(v)
-    return frozenset(matched)
+    return frozenset(_greedy_matched({v: g.neighbors(v) for v in g.vertices}))
 
 
 def nt_half_integral_round(g: Graph) -> frozenset[int]:

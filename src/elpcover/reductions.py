@@ -74,7 +74,6 @@ class PipelineConfig:
     mode: str = "enhanced"  # "base" or "enhanced"
     edge_rule: str = "maxsum"  # random-edge selection: "maxsum" or "random"
     seed: int = 0
-    pin_cap: Optional[int] = None  # alternate-optimum sweep budget (None = all edges)
 
     def __post_init__(self):
         if self.mode not in STEP_ORDER:
@@ -192,15 +191,18 @@ def _candidates(kind: str, g: Graph, sol: ElpSolution, swept: bool, cfg, rng) ->
 
 
 def run_pipeline(
-    g: Graph, mode: str = "enhanced", config: Optional[PipelineConfig] = None
+    g: Graph, config: Optional[PipelineConfig] = None
 ) -> tuple[ReductionTrace, list[Graph]]:
     """Run the reduction loop on g; returns the trace and [G_1 .. G_L].
+
+    config defaults to PipelineConfig(): enhanced mode, maxsum edge rule,
+    seed 0.
 
     The trace carries L-1 records plus the terminal iteration's data. In base
     mode the run may instead end with hypothesis_failed set (no cover can be
     reconstructed from such a trace).
     """
-    cfg = config if config is not None else PipelineConfig(mode=mode)
+    cfg = config if config is not None else PipelineConfig()
     rng = random.Random(cfg.seed)
     trace = ReductionTrace(mode=cfg.mode)
     trace.diagnostics.update(
@@ -219,7 +221,7 @@ def run_pipeline(
             raise PipelineError("iteration count exceeded |V|+1; no progress")
         current = graphs[-1]
         sol = solve_elp(current)
-        trace.diagnostics["cut_rounds"] += len(sol.rounds)
+        trace.diagnostics["cut_rounds"] += len(sol.cycle_pool)
         if _iteration(current, sol, k, cfg, rng, trace, graphs):
             return trace, graphs
         k += 1
@@ -239,7 +241,7 @@ def _iteration(current, sol, k, cfg, rng, trace, graphs) -> bool:
     i0, i1 = zero_one_sets(sol.x)
     alternate_used = swept = False
     if cfg.mode == "enhanced" and not i1 and not sol.active_edges:
-        alt, pins = explore_alternate_bfs(current, sol, pin_cap=cfg.pin_cap)
+        alt, pins = explore_alternate_bfs(current, sol)
         diag["pin_solves"] += pins
         if alt is not None:
             diag["alternate_hits"] += 1

@@ -93,15 +93,14 @@ def solve_instance(
     mode: str = "enhanced",
     seed: int = 0,
     edge_rule: str = "maxsum",
-    pin_cap: Optional[int] = None,
     with_oracle: bool = True,
     oracle_cap: int = 26,
     timings: bool = False,
 ) -> dict:
     """Run the full algorithm on one instance and build its report."""
     started = time.perf_counter()
-    config = PipelineConfig(mode=mode, edge_rule=edge_rule, seed=seed, pin_cap=pin_cap)
-    trace, _graphs = run_pipeline(g, mode, config=config)
+    config = PipelineConfig(mode=mode, edge_rule=edge_rule, seed=seed)
+    trace, _graphs = run_pipeline(g, config)
     report = {
         "schema": SCHEMA_VERSION,
         "instance": {"name": name, "n": g.n, "m": g.m, "source": source},

@@ -33,9 +33,9 @@ right-hand side carries the objective. The tableau is fraction-free: a
 pivot combines rows over a common denominator in one pass per row and
 divides each changed row by the gcd of its entries, right-hand side and
 denominator (Bareiss, Math. Comp. 22, 1968), so ratio tests and sign tests
-are integer comparisons. Rationals (Rat) appear only at the boundary:
-add_ge_row takes a sparse {column: coefficient} row and scales it by the lcm
-of its denominators, and values()/objective() return Rat. scaled_values()
+are integer comparisons. add_ge_row takes a sparse {column: int} row with
+an int right-hand side, and rationals (Rat) appear only where results
+leave the engine: values()/objective() return Rat. scaled_values()
 hands the point out as ints over one common denominator, which is what the
 odd-cycle separation consumes, so the cut loop builds no Rat per round. The
 engine keeps the integer rows it was given, untouched by pivots, and
@@ -104,7 +104,7 @@ class CoveringSimplex:
         "_basis", "_nonbasic", "_given", "pivots",
     )
 
-    def __init__(self, num_vars: int, rows: Iterable[tuple[Mapping, object]] = ()):
+    def __init__(self, num_vars: int, rows: Iterable[tuple[Mapping, int]] = ()):
         self.num_vars = num_vars
         self._rows: list[list[int]] = []
         self._rhs: list[int] = []
@@ -134,21 +134,19 @@ class CoveringSimplex:
         dup.pivots = self.pivots
         return dup
 
-    def add_ge_row(self, coeffs: Mapping, rhs) -> None:
-        """Append constraint sum_j coeffs[j] x_j >= rhs (reduced against the basis).
+    def add_ge_row(self, coeffs: Mapping[int, int], rhs: int) -> None:
+        """Append constraint a.x >= b, a = coeffs and b = rhs (reduced against the basis).
 
-        coeffs maps columns to ints or rationals. The row is scaled to
-        integers once, by the lcm of its denominators, into a.x >= b, which
-        is kept in _given. As a tableau row it reads s - a.x = -b for its
-        new surplus s, which becomes the row's basic column."""
-        scale = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
-        row = {j: c.numerator * (scale // c.denominator) for j, c in coeffs.items() if c}
-        bound = rhs.numerator * (scale // rhs.denominator)
-        self._given.append((row, bound))
+        coeffs maps columns to ints and rhs is an int; a row with rational
+        entries is scaled to integers by the caller. The row is kept in
+        _given. As a tableau row it reads s - a.x = -b for its new surplus
+        s, which becomes the row's basic column."""
+        row = {j: c for j, c in coeffs.items() if c}
+        self._given.append((row, rhs))
         a = [0] * self.num_vars
         for j, c in row.items():
             a[j] = -c
-        new_rhs = -bound
+        new_rhs = -rhs
         # An entry a[b] on a basic x_b is removed by subtracting a[b] / den
         # times b's row. Basic rows are zero on each other's basic columns,
         # so each such entry is read off the incoming row as it is; the rows

@@ -11,16 +11,27 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import networkx as nx
 
+from elpcover import elp
 from elpcover._rat import ONE, ZERO, Rat
-from elpcover.elp import ElpSolution, _assemble, _index, _round_cap, chase_cuts
+from elpcover.elp import ElpSolution, classify_edges, separate_odd_cycle
 from elpcover.graph import Graph, OddCycle, normalize_edge, random_gnp_graph
-from elpcover.simplex import InfeasibleError, PivotLimitError
+from elpcover.simplex import CoveringSimplex, InfeasibleError, PivotLimitError
+
+
+def scale_point(g: Graph, x: Mapping[int, object]) -> tuple[list[int], int]:
+    """x as the pair (ints, L) that separate_odd_cycle and classify_edges
+    take: L is the lcm of the denominators of x's values and
+    ints[i] = L * x[g.vertices[i]]."""
+    values = [Rat(x[v]) for v in g.vertices]
+    scale = lcm(*(r.denominator for r in values))
+    return [r.numerator * (scale // r.denominator) for r in values], scale
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -268,10 +279,75 @@ def _extract_simple_odd_cycle(walk: list[int]) -> tuple[int, ...]:
 
 # The pin sweep as it was before its optimize calls took a ceiling, kept
 # verbatim as the differential reference for elp.explore_alternate_bfs:
-# every pin is solved to its optimum before it is judged.
-def reference_explore_alternate(
-    g: Graph, sol: ElpSolution, pin_cap: Optional[int] = None
-) -> tuple[Optional[ElpSolution], int]:
+# every pin is solved to its optimum before it is judged. It runs on its
+# own copy of the generator cut chase that elp used before its one _chase,
+# so only separation, edge classification and the engine are shared.
+@dataclass(frozen=True)
+class CutRound:
+    cycle: OddCycle
+    violation: object
+    objective_after: object
+
+
+def _index(g: Graph) -> dict[int, int]:
+    return {v: j for j, v in enumerate(g.vertices)}
+
+
+def _add_cycle_row(engine: CoveringSimplex, cycle: OddCycle, index) -> None:
+    engine.add_ge_row(dict.fromkeys((index[v] for v in cycle.vertices), 1), cycle.rhs)
+
+
+def _assemble(g: Graph, engine: CoveringSimplex, pool) -> ElpSolution:
+    values = engine.certified_values()
+    active, over, small = classify_edges(g, engine.scaled_values())
+    return ElpSolution(
+        x=dict(zip(g.vertices, values)),
+        objective=sum(values, ZERO),
+        cycle_pool=tuple(pool),
+        active_edges=active,
+        over_active_edges=over,
+        small_edges=small,
+        engine=engine,
+    )
+
+
+def chase_cuts(
+    g: Graph, engine: CoveringSimplex, pool: list, seen: set, cap: int, ceiling=None
+) -> Iterator[CutRound]:
+    """Add most-violated odd-cycle cuts to an optimal engine until x
+    satisfies every odd-cycle inequality of g, yielding one CutRound per cut.
+
+    Each cut is appended to pool and its vertex set to seen, and the engine
+    is re-optimized with the given ceiling (InfeasibleError and
+    AboveCeilingError propagate). More than cap cuts raise
+    CutLoopLimitError. A caller that stops iterating leaves the engine
+    optimal for the cuts added so far.
+    """
+    index = _index(g)
+    added = 0
+    while True:
+        found = separate_odd_cycle(g, engine.scaled_values())
+        if found is None:
+            return
+        if added >= cap:
+            raise elp.CutLoopLimitError(f"exceeded {cap} cutting-plane rounds on n={g.n}")
+        cycle, violation = found
+        if cycle.vertex_set in seen:
+            raise AssertionError(f"separation returned pooled cycle {cycle.vertices}")
+        seen.add(cycle.vertex_set)
+        pool.append(cycle)
+        _add_cycle_row(engine, cycle, index)
+        engine.optimize(ceiling=ceiling)
+        added += 1
+        objective = engine.objective()
+        yield CutRound(cycle, violation, objective)
+
+
+def _round_cap(g: Graph) -> int:
+    return elp.ROUNDS_PER_VERTEX * max(1, g.n)
+
+
+def reference_explore_alternate(g: Graph, sol: ElpSolution) -> tuple[Optional[ElpSolution], int]:
     """Search for an alternate optimum with an active edge by pinning edges.
 
     For each edge in deterministic order, a copy of sol.engine gets the row
@@ -291,8 +367,6 @@ def reference_explore_alternate(
     cap = _round_cap(g)
     pins = 0
     for u, v in g.edges():
-        if pin_cap is not None and pins >= pin_cap:
-            break
         pins += 1
         trial = sol.engine.copy()
         trial.add_ge_row({index[u]: -1, index[v]: -1}, -1)

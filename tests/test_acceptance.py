@@ -17,7 +17,7 @@ import pytest
 from elpcover._rat import Rat
 from elpcover.cli import main as cli_main
 from elpcover.cover import backtrack, certify, validate_cover
-from elpcover.elp import relaxation_engine, scale_point, separate_odd_cycle, solve_elp
+from elpcover.elp import relaxation_engine, separate_odd_cycle, solve_elp
 from elpcover.graph import (
     Graph,
     complete_graph,
@@ -36,7 +36,7 @@ from elpcover.oracles import (
     small_edge_conjecture_probe,
 )
 from elpcover.reductions import KIND_ACTIVE, run_pipeline
-from exact_oracles import nx_min_odd_cycle_weight, random_connected_gnp
+from exact_oracles import nx_min_odd_cycle_weight, random_connected_gnp, scale_point
 
 SWEEP_SEED = 20260810
 SWEEP_SIZE = 5000
@@ -57,7 +57,7 @@ class Run:
 
 
 def _run_instance(g: Graph) -> Run:
-    trace, graphs = run_pipeline(g, "enhanced")
+    trace, graphs = run_pipeline(g)
     cover = backtrack(trace)
     ok, uncovered = validate_cover(g, cover)
     assert ok, f"invalid cover, uncovered: {uncovered[:5]}"

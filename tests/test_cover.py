@@ -63,13 +63,13 @@ def test_backtrack_pendant_active_edge_adds_j():
 
 
 def test_backtrack_k3_terminal_only():
-    trace, _ = run_pipeline(complete_graph(3), "enhanced")
+    trace, _ = run_pipeline(complete_graph(3))
     assert backtrack(trace) == trace.final_i1
     assert len(backtrack(trace)) == 2
 
 
 def test_backtrack_empty_graph():
-    trace, _ = run_pipeline(Graph.from_edges(), "enhanced")
+    trace, _ = run_pipeline(Graph.from_edges())
     assert backtrack(trace) == frozenset()
 
 
@@ -100,7 +100,7 @@ def test_validate_cover():
 
 
 def test_certify_gamma_zero():
-    trace, _ = run_pipeline(cycle_graph(5), "enhanced")
+    trace, _ = run_pipeline(cycle_graph(5))
     cover = backtrack(trace)
     cert = certify(trace, trace.f1, cover)
     assert cert.gamma == 0 and cert.alpha == 0 and cert.xi == 0
@@ -147,7 +147,7 @@ def test_certify_xi_zero_whenever_gamma_zero():
     rng = random.Random(50)
     for _ in range(40):
         g = random_connected_gnp(rng.randint(3, 9), rng.uniform(0.3, 0.8), rng)
-        trace, _ = run_pipeline(g, "enhanced")
+        trace, _ = run_pipeline(g)
         cover = backtrack(trace)
         cert = certify(trace, trace.f1, cover)
         if cert.gamma == 0:
@@ -169,7 +169,7 @@ def test_certify_rejects_nonzero_xi_without_random_edges(monkeypatch):
     from elpcover import cover as cover_module
 
     monkeypatch.setattr(cover_module, "min", lambda *args: Rat(1, 2), raising=False)
-    trace, _ = run_pipeline(cycle_graph(5), "enhanced")
+    trace, _ = run_pipeline(cycle_graph(5))
     with pytest.raises(GuaranteeViolation, match="gamma=0"):
         certify(trace, trace.f1, backtrack(trace))
 
@@ -178,7 +178,7 @@ def test_backtrack_growth_ledger():
     rng = random.Random(60)
     for _ in range(80):
         g = random_connected_gnp(rng.randint(3, 10), rng.uniform(0.25, 0.8), rng)
-        trace, _ = run_pipeline(g, "enhanced")
+        trace, _ = run_pipeline(g)
         sizes = []
         backtrack(trace, sizes=sizes)
         # sizes: terminal first, then one entry per record in reverse order
@@ -193,7 +193,7 @@ def test_end_to_end_guarantees_small():
     rng = random.Random(70)
     for _ in range(60):
         g = random_connected_gnp(rng.randint(3, 10), rng.uniform(0.25, 0.8), rng)
-        trace, _ = run_pipeline(g, "enhanced")
+        trace, _ = run_pipeline(g)
         cover = backtrack(trace)
         ok, _ = validate_cover(g, cover)
         assert ok

@@ -14,7 +14,6 @@ from elpcover.elp import (
     classify_edges,
     explore_alternate_bfs,
     relaxation_engine,
-    scale_point,
     separate_odd_cycle,
     solve_elp,
 )
@@ -34,6 +33,7 @@ from exact_oracles import (
     random_connected_gnp,
     reference_explore_alternate,
     reference_separate_odd_cycle,
+    scale_point,
 )
 
 
@@ -138,7 +138,7 @@ def test_separation_matches_reference_along_cut_loop(g, monkeypatch):
 
     monkeypatch.setattr(elp, "separate_odd_cycle", checked)
     sol = solve_elp(g)
-    assert calls.count(True) == len(sol.rounds) and calls[-1] is False
+    assert calls.count(True) == len(sol.cycle_pool) and calls[-1] is False
 
 
 def test_elp_values_on_odd_cycles():
@@ -179,14 +179,24 @@ def test_elp_final_x_satisfies_every_odd_cycle():
             assert sum(sol.x[v] for v in members) >= s + 1
 
 
-def test_elp_cut_objectives_monotone():
-    # Also: no vertex set is pooled twice.
+def test_elp_cut_objectives_monotone(monkeypatch):
+    # The objective after each optimize of the cut loop never falls. Also:
+    # no vertex set is pooled twice.
+    optimize = CoveringSimplex.optimize
+    objs = []
+
+    def recorded(engine, *args, **kwargs):
+        optimize(engine, *args, **kwargs)
+        objs.append(engine.objective())
+
+    monkeypatch.setattr(CoveringSimplex, "optimize", recorded)
     rng = random.Random(71)
     for _ in range(20):
         g = random_connected_gnp(rng.randint(4, 10), rng.uniform(0.2, 0.5), rng)
+        objs.clear()
         sol = solve_elp(g)
-        objs = [r.objective_after for r in sol.rounds]
-        assert objs == sorted(objs)
+        assert len(objs) == len(sol.cycle_pool) + 1
+        assert objs == sorted(objs) and objs[-1] == sol.objective
         keys = [c.vertex_set for c in sol.cycle_pool]
         assert len(keys) == len(set(keys))
 
@@ -206,19 +216,19 @@ def test_elp_sandwich_bounds():
 
 def test_classify_edges():
     k2 = complete_graph(2)
-    active, over, small = classify_edges(k2, {1: Rat(1), 2: Rat(0)})
+    active, over, small = classify_edges(k2, ([1, 0], 1))
     assert active == ((1, 2),) and over == () and small == ((1, 2),)
 
     tri = complete_graph(3)
     x = {1: Rat(2, 3), 2: Rat(2, 3), 3: Rat(2, 3)}
-    active, over, small = classify_edges(tri, x)
+    active, over, small = classify_edges(tri, scale_point(tri, x))
     assert active == ()
     assert over == ((1, 2), (1, 3), (2, 3))  # 4/3 boundary is over-active
     assert small == ((1, 2), (1, 3), (2, 3))
 
     t = torus_grid_graph(5, 5)
     x = {v: Rat(3, 5) for v in t.vertices}
-    active, over, small = classify_edges(t, x)
+    active, over, small = classify_edges(t, scale_point(t, x))
     assert active == () and over == ()  # 6/5 < 4/3
     assert set(small) == set(t.edges())
 
@@ -229,13 +239,13 @@ def test_classify_edges():
         5: Rat(8, 15), 6: Rat(4, 5), 7: Rat(3, 10),
     }
     # Edge sums: 1, 37/28 (4/3 - 1/84), 4/3, 136/105, 4/3, 11/10.
-    active, over, small = classify_edges(path, x)
+    active, over, small = classify_edges(path, scale_point(path, x))
     assert active == ((1, 2),)
     assert over == ((3, 4), (5, 6))
     assert small == ((1, 2),)
     x[1] = Rat(1, 4) - Rat(1, 420)  # edge sum 1 - 1/420
     x[7] = Rat(15, 28)  # edge sum 4/3 + 1/420
-    active, over, small = classify_edges(path, x)
+    active, over, small = classify_edges(path, scale_point(path, x))
     assert active == ()
     assert over == ((3, 4), (5, 6), (6, 7))
     assert small == ((1, 2),)
@@ -257,7 +267,7 @@ def test_explore_alternate_finds_active_edge_on_c5():
     base = solve_elp(c5)
     assert base.objective == 3
     uniform = {v: Rat(3, 5) for v in c5.vertices}
-    active, over, small = classify_edges(c5, uniform)
+    active, over, small = classify_edges(c5, scale_point(c5, uniform))
     assert active == ()
     fake = ElpSolution(
         x=uniform,
@@ -281,13 +291,6 @@ def test_explore_alternate_fails_on_hard_circulant():
     assert not sol.active_edges and not sol.one_vertices
     alt, pins = explore_alternate_bfs(g, sol)
     assert alt is None and pins == g.m
-
-
-def test_explore_alternate_respects_pin_cap():
-    g = circulant(11, (1, 3))
-    sol = solve_elp(g)
-    alt, pins = explore_alternate_bfs(g, sol, pin_cap=5)
-    assert alt is None and pins == 5
 
 
 def _c5_edge_lp_solution():
@@ -399,7 +402,10 @@ def test_explore_alternate_pivots_of_failing_pins(case, expected, monkeypatch):
 
 @pytest.mark.parametrize(
     "case, message",
-    [(_hard_circulant_solution, "left the objective"), (_c5_edge_lp_solution, "cut under pin")],
+    [
+        (_hard_circulant_solution, "ceiling 33/5 at cut round 0"),
+        (_c5_edge_lp_solution, "ceiling 5/2 at cut round 1"),
+    ],
     ids=["pin", "chase"],
 )
 def test_explore_alternate_rejects_an_objective_off_target(case, message, monkeypatch):
@@ -490,6 +496,5 @@ def test_elp_steepest_edge_vertex_and_tableau_invariants(name, monkeypatch):
     sol = solve_elp(g)
     assert sol.objective == objective
     assert sol.x == {v: Rat(1 if v in ones else 0) for v in g.vertices}
-    assert len(sol.rounds) == len(pool)
     assert tuple(c.vertices for c in sol.cycle_pool) == pool
     assert count[0] == pivots

@@ -27,7 +27,7 @@ from elpcover.reductions import (
     step,
     zero_one_sets,
 )
-from exact_oracles import circulant, random_connected_gnp
+from exact_oracles import circulant, random_connected_gnp, scale_point
 
 
 def union(*graphs):
@@ -117,7 +117,7 @@ def test_step_active_edge_p3_absorbed_by_zero_one():
 def test_step_active_edge_rejects_triangle_through_edge():
     k3 = complete_graph(3)
     x = {1: Rat(1, 2), 2: Rat(1, 2), 3: Rat(1)}
-    active, _, _ = classify_edges(k3, x)
+    active, _, _ = classify_edges(k3, scale_point(k3, x))
     assert active[0] == (1, 2)
     with pytest.raises(PipelineError):
         step(k3, KIND_ACTIVE, active)
@@ -137,7 +137,7 @@ def test_step_active_edge_projection_feasible():
     seen = 0
     for _ in range(200):
         g = random_connected_gnp(rng.randint(4, 9), rng.uniform(0.25, 0.6), rng)
-        trace, graphs = run_pipeline(g, "enhanced")
+        trace, graphs = run_pipeline(g)
         for idx, rec in enumerate(trace.records):
             if rec.kind != KIND_ACTIVE:
                 continue
@@ -174,18 +174,18 @@ def test_active_edge_interior_cycle_sums():
 def test_step_over_active_boundary():
     tri = complete_graph(3)
     x = {1: Rat(2, 3), 2: Rat(2, 3), 3: Rat(2, 3)}
-    _, over, _ = classify_edges(tri, x)  # 2/3 + 2/3 = 4/3: boundary included
+    _, over, _ = classify_edges(tri, scale_point(tri, x))  # 2/3 + 2/3 = 4/3: boundary included
     reduced, fields = step(tri, KIND_OVER_ACTIVE, over)
     assert fields == {"pair": (1, 2)} and reduced.vertices == (3,)
     c5 = cycle_graph(5)
-    _, over, _ = classify_edges(c5, {v: Rat(3, 5) for v in c5.vertices})
+    _, over, _ = classify_edges(c5, ([3] * 5, 5))
     assert over == ()  # 6/5 < 4/3
     with pytest.raises(PipelineError):
         step(c5, KIND_OVER_ACTIVE, over)
     x = {v: Rat(3, 5) for v in c5.vertices}
     x[1] = Rat(1)
     x[2] = Rat(1, 2)
-    _, over, _ = classify_edges(c5, x)  # 1 + 1/2 >= 4/3
+    _, over, _ = classify_edges(c5, scale_point(c5, x))  # 1 + 1/2 >= 4/3
     _, fields = step(c5, KIND_OVER_ACTIVE, over)
     assert fields == {"pair": (1, 2)}
 
@@ -213,20 +213,20 @@ def test_step_random_edge():
 
 
 def test_pipeline_k3_terminal_first_iteration():
-    trace, graphs = run_pipeline(complete_graph(3), "enhanced")
+    trace, graphs = run_pipeline(complete_graph(3))
     assert trace.L == 1 and trace.records == []
     assert len(trace.final_i1) == 2 and len(graphs) == 1
     assert trace.final_f == 2
 
 
 def test_pipeline_c5_integral_first_iteration():
-    trace, _ = run_pipeline(cycle_graph(5), "enhanced")
+    trace, _ = run_pipeline(cycle_graph(5))
     assert trace.L == 1 and len(trace.final_i1) == 3
 
 
 def test_pipeline_disjoint_union():
     g = union(complete_graph(3), relabel(cycle_graph(5), 10))
-    trace, _ = run_pipeline(g, "enhanced")
+    trace, _ = run_pipeline(g)
     from elpcover.cover import backtrack, validate_cover
 
     cover = backtrack(trace)
@@ -235,21 +235,21 @@ def test_pipeline_disjoint_union():
 
 
 def test_pipeline_k4_uses_three_cycle():
-    trace, _ = run_pipeline(complete_graph(4), "enhanced")
+    trace, _ = run_pipeline(complete_graph(4))
     assert [r.kind for r in trace.records] == [KIND_THREE_CYCLE]
     assert trace.records[0].d_k == 2
 
 
 def test_pipeline_base_hypothesis_failure():
     g = circulant(11, (1, 3))
-    trace, _ = run_pipeline(g, "base")
+    trace, _ = run_pipeline(g, PipelineConfig(mode="base"))
     assert trace.hypothesis_failed and trace.L == 1
     assert trace.final_f == Rat(33, 5)
 
 
 def test_pipeline_enhanced_random_edge_on_hard_circulant():
     g = circulant(11, (1, 3))
-    trace, _ = run_pipeline(g, "enhanced")
+    trace, _ = run_pipeline(g)
     kinds = [r.kind for r in trace.records]
     assert KIND_RANDOM in kinds
     rec = trace.records[kinds.index(KIND_RANDOM)]
@@ -259,15 +259,11 @@ def test_pipeline_enhanced_random_edge_on_hard_circulant():
 
 def test_pipeline_edge_rules_deterministic_and_seeded():
     g = circulant(11, (1, 3))
-    a, _ = run_pipeline(g, "enhanced", config=PipelineConfig(edge_rule="maxsum"))
-    b, _ = run_pipeline(g, "enhanced", config=PipelineConfig(edge_rule="maxsum"))
+    a, _ = run_pipeline(g, PipelineConfig(edge_rule="maxsum"))
+    b, _ = run_pipeline(g, PipelineConfig(edge_rule="maxsum"))
     assert [r.pair for r in a.records] == [r.pair for r in b.records]
-    c, _ = run_pipeline(
-        g, "enhanced", config=PipelineConfig(edge_rule="random", seed=123)
-    )
-    d, _ = run_pipeline(
-        g, "enhanced", config=PipelineConfig(edge_rule="random", seed=123)
-    )
+    c, _ = run_pipeline(g, PipelineConfig(edge_rule="random", seed=123))
+    d, _ = run_pipeline(g, PipelineConfig(edge_rule="random", seed=123))
     assert [r.pair for r in c.records] == [r.pair for r in d.records]
 
 
@@ -275,7 +271,7 @@ def test_pipeline_value_ledger_and_termination():
     rng = random.Random(30)
     for _ in range(120):
         g = random_connected_gnp(rng.randint(3, 10), rng.uniform(0.2, 0.85), rng)
-        trace, graphs = run_pipeline(g, "enhanced")
+        trace, graphs = run_pipeline(g)
         assert trace.L <= g.n + 1
         assert len(trace.records) == trace.L - 1
         assert len(graphs) == trace.L
@@ -306,7 +302,7 @@ def test_pipeline_zero_vertex_neighbors_are_ones():
 def test_pipeline_triangle_free_random_inputs():
     for i in range(20):
         g = random_triangle_free_graph(random.Random(i).randint(8, 16), 0.3, seed=100 + i)
-        trace, _ = run_pipeline(g, "enhanced")
+        trace, _ = run_pipeline(g)
         assert not trace.hypothesis_failed
 
 
@@ -318,11 +314,11 @@ def test_pipeline_zero_one_progress_then_hard_residual():
     g = Graph.from_edges(
         list(range(1, 12)) + [20, 21], list(hard.edges()) + [(20, 21)]
     )
-    trace, _ = run_pipeline(g, "base")
+    trace, _ = run_pipeline(g, PipelineConfig(mode="base"))
     assert [r.kind for r in trace.records] == [KIND_ZERO_ONE]
     assert trace.hypothesis_failed and trace.L == 2
 
-    trace, _ = run_pipeline(g, "enhanced")
+    trace, _ = run_pipeline(g)
     kinds = [r.kind for r in trace.records]
     assert kinds[0] == KIND_ZERO_ONE and KIND_RANDOM in kinds
     from elpcover.cover import backtrack, validate_cover
@@ -339,7 +335,7 @@ def test_pipeline_isolated_vertices_terminal():
     # skips the {0,1} step and the random-edge step has no edge to choose, so
     # the run ends with an empty cover and a diagnostic.
     iso = Graph.from_edges([1, 2, 3])
-    trace, _ = run_pipeline(iso, "enhanced")
+    trace, _ = run_pipeline(iso)
     assert trace.L == 1 and trace.diagnostics["isolated_terminal"]
     assert trace.diagnostics["skipped_zero_one"] == [(1, [1, 2, 3])]
     from elpcover.cover import backtrack

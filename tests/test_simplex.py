@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,14 @@ def _dense(engine):
         (tuple(row.get(j, 0) for j in range(engine.num_vars)), ">=", rhs)
         for row, rhs in engine._given
     ]
+
+
+def _int_row(coeffs, rhs):
+    """The rational row coeffs.x >= rhs as the int row CoveringSimplex
+    takes, ({column: int}, int), scaled by the lcm of its denominators as
+    ReferenceCoveringSimplex scales it."""
+    scale = lcm(Fraction(rhs).denominator, *(Fraction(c).denominator for c in coeffs))
+    return {j: int(c * scale) for j, c in enumerate(coeffs) if c}, int(rhs * scale)
 
 
 def _pinned(engine, i):
@@ -119,7 +128,7 @@ def test_empty_and_trivial_problems():
 def test_exactness_zero_tolerance():
     # 1000 edges chained: values must verify rows exactly, no drift.
     n = 60
-    rows = [({i: Rat(1), i + 1: Rat(1)}, 1) for i in range(n - 1)]
+    rows = [({i: 1, i + 1: 1}, 1) for i in range(n - 1)]
     values = _solved(CoveringSimplex(n, rows))
     for coeffs, rhs in rows:
         assert sum(c * values[j] for j, c in coeffs.items()) >= rhs
@@ -244,14 +253,15 @@ def _covering_lps(draw):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(_covering_lps())
 def test_solve_matches_vertex_enumeration_on_rational_rows(case):
-    # Rational coefficients exercise add_ge_row's lcm scaling; every solve
-    # goes through certified_values and so through the dual certificate.
+    # The engine gets each rational row scaled to ints, the enumeration the
+    # rational row itself; every solve goes through certified_values and so
+    # through the dual certificate.
     n, rows, pin = case
     for rel_at_pin in (">=", "="):
         expected = lp_vertex_enumeration(
             n, [(c, rel_at_pin if i == pin else ">=", r) for i, (c, r) in enumerate(rows)]
         )
-        engine = CoveringSimplex(n, [(dict(enumerate(c)), r) for c, r in rows])
+        engine = CoveringSimplex(n, [_int_row(c, r) for c, r in rows])
         if rel_at_pin == "=":
             _pinned(engine, pin)
         try:
@@ -417,16 +427,17 @@ def test_compact_engine_matches_reference_engine(n, rows, cuts, pin):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simplex, "STALL_LIMIT", stall_limit)
             same = stall_limit == 0
-            engine = CoveringSimplex(n, [(dict(enumerate(c)), r) for c, r in rows])
+            engine = CoveringSimplex(n, [_int_row(c, r) for c, r in rows])
             reference = ReferenceCoveringSimplex(n, rows)
             _optimize_both(engine, reference, same)
             for coeffs, rhs in cuts:
-                engine.add_ge_row(dict(enumerate(coeffs[:n])), rhs)
+                engine.add_ge_row(*_int_row(coeffs[:n], rhs))
                 reference.add_ge_row(coeffs[:n], rhs)
                 _optimize_both(engine, reference, same)
             coeffs, rhs = (rows + [(c[:n], r) for c, r in cuts])[pin % (len(rows) + len(cuts))]
             trial, reference_trial = engine.copy(), reference.copy()
-            trial.add_ge_row({j: -c for j, c in enumerate(coeffs)}, -rhs)
+            row, bound = _int_row(coeffs, rhs)
+            trial.add_ge_row({j: -c for j, c in row.items()}, -bound)
             reference_trial.add_ge_row([-c for c in coeffs], -rhs)
             _optimize_both(trial, reference_trial, same)
             _optimize_both(engine, reference, same)  # the copies left the originals alone
