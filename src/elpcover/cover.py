@@ -1,11 +1,11 @@
 """Cover reconstruction by backtracking over a reduction trace, cover
 validation, and the additive-error certificate.
 
-Backtracking walks the records last to first. Starting from the terminal
-value-1 set, each step adds: the step's own value-1 set, all three triangle
-vertices, both endpoints of an over-active or random pair, and for an active
-pair exactly one endpoint - j when the recorded neighbor set D_i is already
-covered by the cover built so far, i otherwise.
+Backtracking walks the records last to first, from the terminal iteration
+L down to 1, starting from the empty set. Each record adds: its own value-1
+set, all three triangle vertices, both endpoints of an over-active or random
+pair, and for an active pair exactly one endpoint - j when the recorded
+neighbor set D_i is already covered by the cover built so far, i otherwise.
 
 The certificate aggregates the step counters into
     beta  = |union of value-1 sets| + #active,
@@ -18,6 +18,7 @@ where f1 is the relaxation value on the original graph. xi = 0 certifies a
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -53,9 +54,7 @@ def backtrack(trace: ReductionTrace, sizes: Optional[list] = None) -> Cover:
         raise HypothesisFailedError(
             f"run stopped at iteration {trace.L} without a cover"
         )
-    cover: set[int] = set(trace.final_i1)
-    if sizes is not None:
-        sizes.append((trace.L, len(cover)))
+    cover: set[int] = set()
     for rec in reversed(trace.records):
         previous = frozenset(cover)  # S_{k+1}, the cover of G_{k+1}
         cover |= rec.i1
@@ -124,14 +123,12 @@ def certify(trace: ReductionTrace, f1, cover: Cover) -> BoundCertificate:
 
     Raises GuaranteeViolation when a run without random-edge reductions
     breaks |S1| <= (3/2) f1 or gets a nonzero xi, both provably impossible."""
-    counts = trace.kind_counts()
+    counts = Counter(rec.kind for rec in trace.records)
     eta = counts[KIND_ACTIVE]
     gamma = counts[KIND_RANDOM]
     delta = counts[KIND_THREE_CYCLE]
     sigma = counts[KIND_OVER_ACTIVE]
-    i1_union = set(trace.final_i1)
-    for rec in trace.records:
-        i1_union |= rec.i1
+    i1_union = set().union(*(rec.i1 for rec in trace.records))
     beta = len(i1_union) + eta
     alpha = max(0, gamma - beta)
     lam = Rat(gamma) + Rat(delta) + TWO_THIRDS * sigma

@@ -29,7 +29,7 @@ import logging
 from dataclasses import dataclass
 from typing import Optional
 
-from ._rat import ZERO, Rat
+from ._rat import Rat
 from .graph import Graph, OddCycle
 from .simplex import AboveCeilingError, CoveringSimplex, InfeasibleError
 
@@ -229,11 +229,12 @@ def classify_edges(g: Graph, point: tuple[list[int], int]):
 
 
 def _assemble(g: Graph, engine: CoveringSimplex, pool) -> ElpSolution:
-    values = engine.certified_values()
-    active, over, small = classify_edges(g, engine.scaled_values())
+    point = engine.certified_values()
+    ints, scale = point
+    active, over, small = classify_edges(g, point)
     return ElpSolution(
-        x=dict(zip(g.vertices, values)),
-        objective=sum(values, ZERO),
+        x={v: Rat(i, scale) for v, i in zip(g.vertices, ints)},
+        objective=Rat(sum(ints), scale),
         cycle_pool=tuple(pool),
         active_edges=active,
         over_active_edges=over,

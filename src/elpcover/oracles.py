@@ -141,10 +141,8 @@ def nt_half_integral_round(g: Graph) -> frozenset[int]:
         return frozenset()
     engine = relaxation_engine(g)
     engine.optimize()
-    half = Rat(1, 2)
-    return frozenset(
-        v for v, val in zip(g.vertices, engine.certified_values()) if val >= half
-    )
+    ints, scale = engine.certified_values()
+    return frozenset(v for v, i in zip(g.vertices, ints) if 2 * i >= scale)
 
 
 def enumerate_odd_cycles(

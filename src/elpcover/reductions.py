@@ -15,9 +15,11 @@ re-solves on the smaller graph. Otherwise base mode stops with the
 hypothesis-failed flag, enhanced mode raises PipelineError, and a run past
 a failed sweep ends on its isolated vertices.
 
-Every record stores what the backtracking step needs (value-1 set,
-triangle, removed or rewired pair, and the active pair's neighbor set) plus
-the guaranteed objective decrease d_k for the value ledger.
+The trace keeps one record per iteration k = 1..L. Each stores what the
+backtracking step needs (value-1 set, triangle, removed or rewired pair, and
+the active pair's neighbor set) plus the guaranteed objective decrease d_k
+for the value ledger; the last record, of kind KIND_TERMINAL, is the
+iteration that ends the run.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ KIND_THREE_CYCLE = "threeCycle"
 KIND_ACTIVE = "activeEdge"
 KIND_OVER_ACTIVE = "overActiveEdge"
 KIND_RANDOM = "randomEdge"
+KIND_TERMINAL = "terminal"  # the last iteration: no step follows it
 
 # Guaranteed objective drop on top of |I_{k,1}|, per reduction kind. The
 # random-edge drop of 1 holds strictly (the chosen edge sum exceeds 1).
@@ -87,7 +90,6 @@ class ReductionRecord:
     index: int  # iteration k, 1-based
     kind: str
     f: object  # relaxation value f^k on G_k
-    x: dict  # solution on G_k (after an alternate-optimum swap, if any)
     i0: frozenset[int]
     i1: frozenset[int]
     zero_one_applied: bool = True
@@ -112,25 +114,23 @@ class ReductionRecord:
 
 @dataclass
 class ReductionTrace:
+    """A pipeline run: one record per iteration k = 1..L, in order. The
+    last record, of kind KIND_TERMINAL, is the iteration that ended the
+    run; with hypothesis_failed set, it is where base mode stopped."""
+
     mode: str
     records: list[ReductionRecord] = field(default_factory=list)
-    L: int = 0
-    final_i1: frozenset[int] = frozenset()
-    final_i0: frozenset[int] = frozenset()
-    final_f: object = ZERO
     hypothesis_failed: bool = False
     diagnostics: dict = field(default_factory=dict)
 
     @property
+    def L(self) -> int:
+        return len(self.records)
+
+    @property
     def f1(self):
         """Relaxation value on the original graph."""
-        return self.records[0].f if self.records else self.final_f
-
-    def kind_counts(self) -> dict[str, int]:
-        counts = {k: 0 for k in DROP_TABLE}
-        for rec in self.records:
-            counts[rec.kind] += 1
-        return counts
+        return self.records[0].f
 
 
 def zero_one_sets(x: dict) -> tuple[frozenset[int], frozenset[int]]:
@@ -190,17 +190,15 @@ def _candidates(kind: str, g: Graph, sol: ElpSolution, swept: bool, cfg, rng) ->
     return tuple(e for e in edges if g.has_edge(*e))
 
 
-def run_pipeline(
-    g: Graph, config: Optional[PipelineConfig] = None
-) -> tuple[ReductionTrace, list[Graph]]:
-    """Run the reduction loop on g; returns the trace and [G_1 .. G_L].
+def run_pipeline(g: Graph, config: Optional[PipelineConfig] = None) -> ReductionTrace:
+    """Run the reduction loop on g and return its trace.
 
     config defaults to PipelineConfig(): enhanced mode, maxsum edge rule,
     seed 0.
 
-    The trace carries L-1 records plus the terminal iteration's data. In base
-    mode the run may instead end with hypothesis_failed set (no cover can be
-    reconstructed from such a trace).
+    The trace holds one record per iteration, the last of kind
+    KIND_TERMINAL. In base mode the run may instead end with
+    hypothesis_failed set (no cover can be reconstructed from such a trace).
     """
     cfg = config if config is not None else PipelineConfig()
     rng = random.Random(cfg.seed)
@@ -214,29 +212,21 @@ def run_pipeline(
             "isolated_terminal": False,
         }
     )
-    graphs = [g]
-    k = 1
-    while True:
+    current = g
+    while current is not None:
+        k = trace.L + 1
         if k > g.n + 1:
             raise PipelineError("iteration count exceeded |V|+1; no progress")
-        current = graphs[-1]
         sol = solve_elp(current)
         trace.diagnostics["cut_rounds"] += len(sol.cycle_pool)
-        if _iteration(current, sol, k, cfg, rng, trace, graphs):
-            return trace, graphs
-        k += 1
+        record, current = _iteration(current, sol, k, cfg, rng, trace)
+        trace.records.append(record)
+    return trace
 
 
-def _finish(trace: ReductionTrace, k: int, sol: ElpSolution, i0, i1) -> bool:
-    trace.L = k
-    trace.final_i0 = i0
-    trace.final_i1 = i1
-    trace.final_f = sol.objective
-    return True
-
-
-def _iteration(current, sol, k, cfg, rng, trace, graphs) -> bool:
-    """One iteration on G_k = current; True when the run ends here."""
+def _iteration(current, sol, k, cfg, rng, trace) -> tuple[ReductionRecord, Optional[Graph]]:
+    """One iteration on G_k = current: its record and G_{k+1}, or None in
+    place of G_{k+1} when the run ends here."""
     diag = trace.diagnostics
     i0, i1 = zero_one_sets(sol.x)
     alternate_used = swept = False
@@ -257,35 +247,31 @@ def _iteration(current, sol, k, cfg, rng, trace, graphs) -> bool:
                     "iteration %d: alternate sweep failed; skipping {0,1} with "
                     "nonempty I(k,0) per the literal step order", k,
                 )
+    record = dict(index=k, f=sol.objective, i0=i0, i1=i1)
+    # The terminal record keeps the default flags, as reports always have.
+    end = ReductionRecord(kind=KIND_TERMINAL, **record), None
     if swept:
         reduced = current
     else:
         reduced = current.delete_vertices(i0 | i1)
         if reduced.n == 0:
-            return _finish(trace, k, sol, i0, i1)
-    record = dict(
-        index=k, f=sol.objective, x=dict(sol.x), i0=i0, i1=i1,
-        zero_one_applied=not swept, alternate_used=alternate_used,
-    )
+            return end
+    record.update(zero_one_applied=not swept, alternate_used=alternate_used)
     for kind in STEP_ORDER[cfg.mode]:
         candidates = _candidates(kind, reduced, sol, swept, cfg, rng)
         if candidates:
             nxt, fields = step(reduced, kind, candidates)
-            trace.records.append(ReductionRecord(kind=kind, **record, **fields))
-            graphs.append(nxt)
-            return False
+            return ReductionRecord(kind=kind, **record, **fields), nxt
     if swept:
         # "Choose any edge" is undefined; isolated vertices need no cover.
         diag["isolated_terminal"] = True
-        return _finish(trace, k, sol, i0, i1)
+        return end
     if i0 or i1:
         # The restricted values are not an optimal solution of the reduced
         # graph, so hypothesis failure cannot be affirmed; re-solve on it.
-        trace.records.append(ReductionRecord(kind=KIND_ZERO_ONE, **record))
-        graphs.append(reduced)
-        return False
+        return ReductionRecord(kind=KIND_ZERO_ONE, **record), reduced
     if cfg.mode == "enhanced":
         raise PipelineError("enhanced iteration made no progress")
     trace.hypothesis_failed = True
     log.info("active edge hypothesis failed at iteration %d (n=%d)", k, current.n)
-    return _finish(trace, k, sol, i0, i1)
+    return end

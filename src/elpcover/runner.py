@@ -23,7 +23,7 @@ from ._rat import Rat, rat_str
 from .cover import HypothesisFailedError, backtrack, certify, validate_cover
 from .graph import Graph, random_triangle_free_graph, torus_grid_graph
 from .oracles import CapExceededError, exact_vc, matching_2approx, nt_half_integral_round
-from .reductions import KIND_ACTIVE, PipelineConfig, run_pipeline
+from .reductions import KIND_ACTIVE, KIND_TERMINAL, PipelineConfig, run_pipeline
 
 log = logging.getLogger("elpcover.runner")
 
@@ -31,35 +31,20 @@ SCHEMA_VERSION = 1
 
 
 def _trace_summary(trace) -> list[dict]:
-    rows = []
-    for rec in trace.records:
-        rows.append(
-            {
-                "k": rec.index,
-                "kind": rec.kind,
-                "f": rat_str(rec.f),
-                "dk": rat_str(rec.d_k),
-                "i0Size": len(rec.i0),
-                "i1Size": len(rec.i1),
-                "zeroOneApplied": rec.zero_one_applied,
-                "alternateUsed": rec.alternate_used,
-                "detail": _record_detail(rec),
-            }
-        )
-    rows.append(
+    return [
         {
-            "k": trace.L,
-            "kind": "terminal",
-            "f": rat_str(trace.final_f),
-            "dk": None,
-            "i0Size": len(trace.final_i0),
-            "i1Size": len(trace.final_i1),
-            "zeroOneApplied": True,
-            "alternateUsed": False,
-            "detail": None,
+            "k": rec.index,
+            "kind": rec.kind,
+            "f": rat_str(rec.f),
+            "dk": None if rec.kind == KIND_TERMINAL else rat_str(rec.d_k),
+            "i0Size": len(rec.i0),
+            "i1Size": len(rec.i1),
+            "zeroOneApplied": rec.zero_one_applied,
+            "alternateUsed": rec.alternate_used,
+            "detail": _record_detail(rec),
         }
-    )
-    return rows
+        for rec in trace.records
+    ]
 
 
 def _record_detail(rec) -> Optional[dict]:
@@ -100,7 +85,7 @@ def solve_instance(
     """Run the full algorithm on one instance and build its report."""
     started = time.perf_counter()
     config = PipelineConfig(mode=mode, edge_rule=edge_rule, seed=seed)
-    trace, _graphs = run_pipeline(g, config)
+    trace = run_pipeline(g, config)
     report = {
         "schema": SCHEMA_VERSION,
         "instance": {"name": name, "n": g.n, "m": g.m, "source": source},

@@ -35,12 +35,12 @@ divides each changed row by the gcd of its entries, right-hand side and
 denominator (Bareiss, Math. Comp. 22, 1968), so ratio tests and sign tests
 are integer comparisons. add_ge_row takes a sparse {column: int} row with
 an int right-hand side, and rationals (Rat) appear only where results
-leave the engine: values()/objective() return Rat. scaled_values()
-hands the point out as ints over one common denominator, which is what the
-odd-cycle separation consumes, so the cut loop builds no Rat per round. The
-engine keeps the integer rows it was given, untouched by pivots, and
-certified_values() checks the result against them exactly: feasibility and,
-through the duals read off the cost row, optimality.
+leave the engine: objective() returns a Rat. scaled_values() hands the
+point out as ints over one common denominator, which is what the odd-cycle
+separation consumes, so the cut loop builds no Rat per round. The engine
+keeps the integer rows it was given, untouched by pivots, and
+certified_values() checks that point against them exactly: feasibility
+and, through the duals read off the cost row, optimality.
 
 optimize(ceiling=c) serves callers that only care whether the optimum stays
 at the current objective c, such as the alternate-optimum pin sweep. The
@@ -63,7 +63,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping
 
-from ._rat import ZERO, Rat
+from ._rat import Rat
 
 # optimize() leaves by Bland's rule after this many consecutive pivots that
 # enter at zero reduced cost, until a pivot raises the objective.
@@ -255,18 +255,12 @@ class CoveringSimplex:
         self._basis[r], self._nonbasic[q] = self._nonbasic[q], self._basis[r]
         self.pivots += 1
 
-    def values(self) -> list:
-        vals = [ZERO] * self.num_vars
-        for i, basic in enumerate(self._basis):
-            if basic < self.num_vars:
-                vals[basic] = Rat(self._rhs[i], self._den[i])
-        return vals
-
     def objective(self):
         return Rat(-self._cost_rhs, self._cost_den)
 
     def scaled_values(self) -> tuple[list[int], int]:
-        """(ints, L) with values()[j] == ints[j] / L for every column j.
+        """The basic solution x scaled to integers: (ints, L) with
+        x_j == ints[j] / L for every column j.
 
         L is the lcm of the denominators of the rows whose basic column is
         structural (1 when there are none), not necessarily the least
@@ -279,8 +273,8 @@ class CoveringSimplex:
             x[b] = self._rhs[i] * (scale // self._den[i])
         return x, scale
 
-    def certified_values(self) -> list:
-        """values(), after an exact proof that they are optimal.
+    def certified_values(self) -> tuple[list[int], int]:
+        """scaled_values(), after an exact proof that they are optimal.
 
         Feasibility is checked against the rows as given, a.x >= b, and
         x >= 0. For optimality, the reduced cost of row i's surplus column
@@ -322,7 +316,7 @@ class CoveringSimplex:
             raise AssertionError(
                 f"duality gap: b.y = {Rat(bound, den)} != 1.x = {Rat(total, scale)}"
             )
-        return self.values()
+        return x, scale
 
 
 def _steepest_row(rows, rhs, den, basis) -> int:

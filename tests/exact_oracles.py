@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import networkx as nx
 
-from elpcover import elp
+from elpcover import elp, reductions
 from elpcover._rat import ONE, ZERO, Rat
 from elpcover.elp import ElpSolution, classify_edges, separate_odd_cycle
 from elpcover.graph import Graph, OddCycle, normalize_edge, random_gnp_graph
@@ -32,6 +32,47 @@ def scale_point(g: Graph, x: Mapping[int, object]) -> tuple[list[int], int]:
     values = [Rat(x[v]) for v in g.vertices]
     scale = lcm(*(r.denominator for r in values))
     return [r.numerator * (scale // r.denominator) for r in values], scale
+
+
+def point_values(point: tuple[Sequence[int], int]) -> list[Rat]:
+    """The values of a point (ints, L) as CoveringSimplex.certified_values
+    and scaled_values hand it out: ints[j] / L for every column j."""
+    ints, scale = point
+    return [Rat(v, scale) for v in ints]
+
+
+def run_pipeline_iterates(g: Graph, config=None):
+    """run_pipeline(g, config) plus what its trace does not keep: the graphs
+    [G_1 .. G_L] and the solutions [x_1 .. x_L], x_k taken after an
+    alternate-optimum swap, if any.
+
+    While the pipeline runs, the solve_elp and explore_alternate_bfs names
+    it calls in the reductions module are wrapped to note each G_k and
+    x_k, so no LP is solved twice. Returns (trace, graphs, xs).
+    """
+    graphs: list[Graph] = []
+    xs: list[dict] = []
+    solve, explore = reductions.solve_elp, reductions.explore_alternate_bfs
+
+    def solving(h):
+        sol = solve(h)
+        graphs.append(h)
+        xs.append(sol.x)
+        return sol
+
+    def exploring(h, sol):
+        alt, pins = explore(h, sol)
+        if alt is not None:
+            xs[-1] = alt.x
+        return alt, pins
+
+    reductions.solve_elp, reductions.explore_alternate_bfs = solving, exploring
+    try:
+        trace = reductions.run_pipeline(g, config)
+    finally:
+        reductions.solve_elp, reductions.explore_alternate_bfs = solve, explore
+    assert len(graphs) == len(xs) == trace.L
+    return trace, graphs, xs
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -298,7 +339,7 @@ def _add_cycle_row(engine: CoveringSimplex, cycle: OddCycle, index) -> None:
 
 
 def _assemble(g: Graph, engine: CoveringSimplex, pool) -> ElpSolution:
-    values = engine.certified_values()
+    values = point_values(engine.certified_values())
     active, over, small = classify_edges(g, engine.scaled_values())
     return ElpSolution(
         x=dict(zip(g.vertices, values)),

@@ -35,8 +35,14 @@ from elpcover.oracles import (
     nt_half_integral_round,
     small_edge_conjecture_probe,
 )
-from elpcover.reductions import KIND_ACTIVE, run_pipeline
-from exact_oracles import nx_min_odd_cycle_weight, random_connected_gnp, scale_point
+from elpcover.reductions import KIND_ACTIVE
+from exact_oracles import (
+    nx_min_odd_cycle_weight,
+    point_values,
+    random_connected_gnp,
+    run_pipeline_iterates,
+    scale_point,
+)
 
 SWEEP_SEED = 20260810
 SWEEP_SIZE = 5000
@@ -51,19 +57,20 @@ class Run:
     graph: Graph
     trace: object
     graphs: list
+    xs: list
     cover: frozenset
     certificate: object
     opt: int
 
 
 def _run_instance(g: Graph) -> Run:
-    trace, graphs = run_pipeline(g)
+    trace, graphs, xs = run_pipeline_iterates(g)
     cover = backtrack(trace)
     ok, uncovered = validate_cover(g, cover)
     assert ok, f"invalid cover, uncovered: {uncovered[:5]}"
     cert = certify(trace, trace.f1, cover)
     opt = exact_vc(g).opt_size
-    return Run(g, trace, graphs, cover, cert, opt)
+    return Run(g, trace, graphs, xs, cover, cert, opt)
 
 
 @pytest.fixture(scope="session")
@@ -130,8 +137,8 @@ def test_criterion_3_ledger_fidelity(sweep, triangle_free_batch):
     steps = 0
     for run in sweep + triangle_free_batch:
         trace = run.trace
-        values = [rec.f for rec in trace.records] + [trace.final_f]
-        for rec, (before, after) in zip(trace.records, zip(values, values[1:])):
+        values = [rec.f for rec in trace.records]
+        for rec, (before, after) in zip(trace.records[:-1], zip(values, values[1:])):
             if rec.strict_drop:
                 assert after < before - rec.d_k, rec
             else:
@@ -139,7 +146,7 @@ def test_criterion_3_ledger_fidelity(sweep, triangle_free_batch):
             steps += 1
         sizes = []
         backtrack(trace, sizes=sizes)
-        for rec, (prev, cur) in zip(reversed(trace.records), zip(sizes, sizes[1:])):
+        for rec, (prev, cur) in zip(reversed(trace.records[:-1]), zip(sizes, sizes[1:])):
             assert cur[1] - prev[1] <= rec.growth_cap, rec
     print(
         f"\n[PASS] criterion 3: value ledger f(k+1) <= f(k) - d_k and backtrack "
@@ -149,7 +156,7 @@ def test_criterion_3_ledger_fidelity(sweep, triangle_free_batch):
 
 def _lp_value(engine):
     engine.optimize()
-    return sum(engine.certified_values())
+    return sum(point_values(engine.certified_values()))
 
 
 def test_criterion_4_elp_values():
@@ -205,7 +212,7 @@ def test_criterion_6_half_integrality():
         g = random_connected_gnp(rng.randint(2, 10), rng.uniform(0.2, 0.85), rng)
         engine = relaxation_engine(g)
         engine.optimize()
-        assert all(v in allowed for v in engine.certified_values())
+        assert all(v in allowed for v in point_values(engine.certified_values()))
     print(
         "\n[PASS] criterion 6: all plain-relaxation basic solutions half-integral "
         "on 200 random graphs"
@@ -221,7 +228,7 @@ def test_criterion_7_projection_feasibility(sweep, triangle_free_batch):
             reduced = run.graphs[idx + 1]
             if reduced.n > 12:
                 continue
-            xhat = {v: rec.x[v] for v in reduced.vertices}
+            xhat = {v: run.xs[idx][v] for v in reduced.vertices}
             for u, v in reduced.edges():
                 assert xhat[u] + xhat[v] >= 1, rec
             for cycle in enumerate_odd_cycles(reduced):

@@ -15,6 +15,7 @@ from elpcover.oracles import exact_vc
 from elpcover.reductions import (
     KIND_ACTIVE,
     KIND_RANDOM,
+    KIND_TERMINAL,
     ReductionRecord,
     ReductionTrace,
     run_pipeline,
@@ -27,7 +28,6 @@ def active_record(k, pair, d_i, i1=frozenset(), f=Rat(0)):
         index=k,
         kind=KIND_ACTIVE,
         f=f,
-        x={},
         i0=frozenset(),
         i1=i1,
         pair=pair,
@@ -35,17 +35,21 @@ def active_record(k, pair, d_i, i1=frozenset(), f=Rat(0)):
     )
 
 
+def terminal_record(k, i1):
+    """The last iteration of a synthetic trace; its value-1 set is S_L."""
+    i1 = frozenset(i1)
+    return ReductionRecord(index=k, kind=KIND_TERMINAL, f=Rat(len(i1)), i0=frozenset(), i1=i1)
+
+
 def test_backtrack_p5_active_edge_both_branches():
     # P5 reduced along (2,3): D_2 = {1}; residual graph has edges (1,4),(4,5).
     # Residual cover {1,4}: D_2 is covered, add j=3 -> {1,3,4}.
     trace = ReductionTrace(mode="enhanced")
-    trace.records = [active_record(1, (2, 3), {1})]
-    trace.L = 2
-    trace.final_i1 = frozenset({1, 4})
+    trace.records = [active_record(1, (2, 3), {1}), terminal_record(2, {1, 4})]
     assert backtrack(trace) == frozenset({1, 3, 4})
 
     # Residual cover {4}: D_2 not covered, add i=2 -> {2,4}, the optimum.
-    trace.final_i1 = frozenset({4})
+    trace.records[-1] = terminal_record(2, {4})
     cover = backtrack(trace)
     assert cover == frozenset({2, 4})
     ok, _ = validate_cover(path_graph(5), cover)
@@ -56,20 +60,19 @@ def test_backtrack_p5_active_edge_both_branches():
 def test_backtrack_pendant_active_edge_adds_j():
     # D_i empty (pendant i): vacuously covered, so j joins the cover.
     trace = ReductionTrace(mode="enhanced")
-    trace.records = [active_record(1, (1, 2), set())]
-    trace.L = 2
-    trace.final_i1 = frozenset()
+    trace.records = [active_record(1, (1, 2), set()), terminal_record(2, ())]
     assert backtrack(trace) == frozenset({2})
 
 
 def test_backtrack_k3_terminal_only():
-    trace, _ = run_pipeline(complete_graph(3))
-    assert backtrack(trace) == trace.final_i1
+    trace = run_pipeline(complete_graph(3))
+    assert [rec.kind for rec in trace.records] == [KIND_TERMINAL]
+    assert backtrack(trace) == trace.records[-1].i1
     assert len(backtrack(trace)) == 2
 
 
 def test_backtrack_empty_graph():
-    trace, _ = run_pipeline(Graph.from_edges())
+    trace = run_pipeline(Graph.from_edges())
     assert backtrack(trace) == frozenset()
 
 
@@ -83,9 +86,7 @@ def test_backtrack_membership_test_uses_prior_cover():
     # The D-subset test runs against S_{k+1} (cover of the reduced graph),
     # before this record's own value-1 vertices join.
     trace = ReductionTrace(mode="enhanced")
-    trace.records = [active_record(1, (2, 3), {9}, i1=frozenset({9}))]
-    trace.L = 2
-    trace.final_i1 = frozenset({4})
+    trace.records = [active_record(1, (2, 3), {9}, i1=frozenset({9})), terminal_record(2, {4})]
     # 9 is in I_{1,1} but not in S_2 = {4}; D_2 = {9} is NOT covered yet.
     assert backtrack(trace) == frozenset({2, 4, 9})
 
@@ -100,7 +101,7 @@ def test_validate_cover():
 
 
 def test_certify_gamma_zero():
-    trace, _ = run_pipeline(cycle_graph(5))
+    trace = run_pipeline(cycle_graph(5))
     cover = backtrack(trace)
     cert = certify(trace, trace.f1, cover)
     assert cert.gamma == 0 and cert.alpha == 0 and cert.xi == 0
@@ -112,7 +113,6 @@ def random_record(k):
         index=k,
         kind=KIND_RANDOM,
         f=Rat(0),
-        x={},
         i0=frozenset(),
         i1=frozenset(),
         pair=(2 * k, 2 * k + 1),
@@ -122,9 +122,8 @@ def random_record(k):
 def test_certify_formula_two_random_reductions():
     # gamma=2, delta=sigma=0, f1=15, beta >= 2 -> alpha=0, lambda=2, xi=0.
     trace = ReductionTrace(mode="enhanced")
-    trace.records = [random_record(1), random_record(2)]
-    trace.L = 3
-    trace.final_i1 = frozenset(range(100, 115))  # beta = 15 >= 2
+    # beta = 15 >= 2
+    trace.records = [random_record(1), random_record(2), terminal_record(3, range(100, 115))]
     cert = certify(trace, Rat(15), frozenset(range(40)))
     assert cert.gamma == 2 and cert.alpha == 0
     assert cert.lam == 2 and cert.xi == 0
@@ -133,9 +132,8 @@ def test_certify_formula_two_random_reductions():
 def test_certify_formula_synthetic_counters():
     # gamma=5, beta=1, delta=sigma=0, f1=4 -> alpha=4, lambda=5, xi=min(2,3)=2.
     trace = ReductionTrace(mode="enhanced")
-    trace.records = [random_record(k) for k in range(1, 6)]
-    trace.L = 6
-    trace.final_i1 = frozenset({77})  # i1_total = 1, eta = 0 -> beta = 1
+    # i1_total = 1, eta = 0 -> beta = 1
+    trace.records = [random_record(k) for k in range(1, 6)] + [terminal_record(6, {77})]
     cert = certify(trace, Rat(4), frozenset(range(9)))
     assert cert.alpha == 4
     assert cert.lam == 5
@@ -147,7 +145,7 @@ def test_certify_xi_zero_whenever_gamma_zero():
     rng = random.Random(50)
     for _ in range(40):
         g = random_connected_gnp(rng.randint(3, 9), rng.uniform(0.3, 0.8), rng)
-        trace, _ = run_pipeline(g)
+        trace = run_pipeline(g)
         cover = backtrack(trace)
         cert = certify(trace, trace.f1, cover)
         if cert.gamma == 0:
@@ -156,9 +154,7 @@ def test_certify_xi_zero_whenever_gamma_zero():
 
 
 def test_certify_guarantee_violation_detected():
-    trace = ReductionTrace(mode="enhanced")
-    trace.L = 1
-    trace.final_i1 = frozenset()
+    trace = ReductionTrace(mode="enhanced", records=[terminal_record(1, ())])
     with pytest.raises(GuaranteeViolation):
         certify(trace, Rat(2), frozenset(range(10)))  # |S1|=10 > 3 with gamma=0
 
@@ -169,7 +165,7 @@ def test_certify_rejects_nonzero_xi_without_random_edges(monkeypatch):
     from elpcover import cover as cover_module
 
     monkeypatch.setattr(cover_module, "min", lambda *args: Rat(1, 2), raising=False)
-    trace, _ = run_pipeline(cycle_graph(5))
+    trace = run_pipeline(cycle_graph(5))
     with pytest.raises(GuaranteeViolation, match="gamma=0"):
         certify(trace, trace.f1, backtrack(trace))
 
@@ -178,12 +174,15 @@ def test_backtrack_growth_ledger():
     rng = random.Random(60)
     for _ in range(80):
         g = random_connected_gnp(rng.randint(3, 10), rng.uniform(0.25, 0.8), rng)
-        trace, _ = run_pipeline(g)
+        trace = run_pipeline(g)
         sizes = []
         backtrack(trace, sizes=sizes)
-        # sizes: terminal first, then one entry per record in reverse order
+        # sizes: one entry per record in reverse order, terminal first;
+        # record k's growth is from S_{k+1} to S_k
+        assert [k for k, _ in sizes] == list(range(trace.L, 0, -1))
+        assert sizes[0][1] == len(trace.records[-1].i1)
         for rec, (before, after) in zip(
-            reversed(trace.records), zip(sizes, sizes[1:])
+            reversed(trace.records[:-1]), zip(sizes, sizes[1:])
         ):
             growth = after[1] - before[1]
             assert growth <= rec.growth_cap
@@ -193,7 +192,7 @@ def test_end_to_end_guarantees_small():
     rng = random.Random(70)
     for _ in range(60):
         g = random_connected_gnp(rng.randint(3, 10), rng.uniform(0.25, 0.8), rng)
-        trace, _ = run_pipeline(g)
+        trace = run_pipeline(g)
         cover = backtrack(trace)
         ok, _ = validate_cover(g, cover)
         assert ok

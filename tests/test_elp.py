@@ -30,6 +30,7 @@ from exact_oracles import (
     circulant,
     nx_min_odd_cycle_weight,
     nx_odd_cycles,
+    point_values,
     random_connected_gnp,
     reference_explore_alternate,
     reference_separate_odd_cycle,
@@ -207,7 +208,7 @@ def test_elp_sandwich_bounds():
         g = random_connected_gnp(rng.randint(3, 9), rng.uniform(0.3, 0.8), rng)
         engine = relaxation_engine(g)
         engine.optimize()
-        lp = sum(engine.certified_values())
+        lp = sum(point_values(engine.certified_values()))
         elp = solve_elp(g).objective
         opt = exact_vc(g).opt_size
         assert lp <= elp <= opt
@@ -300,7 +301,7 @@ def _c5_edge_lp_solution():
     c5 = cycle_graph(5)
     engine = relaxation_engine(c5)
     engine.optimize()
-    x = dict(zip(c5.vertices, engine.certified_values()))
+    x = dict(zip(c5.vertices, point_values(engine.certified_values())))
     assert set(x.values()) == {Rat(1, 2)}
     return c5, ElpSolution(
         x=x, objective=Rat(5, 2), cycle_pool=(), active_edges=(),

@@ -16,6 +16,7 @@ from elpcover.reductions import (
     KIND_ACTIVE,
     KIND_OVER_ACTIVE,
     KIND_RANDOM,
+    KIND_TERMINAL,
     KIND_THREE_CYCLE,
     KIND_ZERO_ONE,
     STEP_ORDER,
@@ -27,7 +28,8 @@ from elpcover.reductions import (
     step,
     zero_one_sets,
 )
-from exact_oracles import circulant, random_connected_gnp, scale_point
+from elpcover.runner import solve_instance
+from exact_oracles import circulant, random_connected_gnp, run_pipeline_iterates, scale_point
 
 
 def union(*graphs):
@@ -137,13 +139,13 @@ def test_step_active_edge_projection_feasible():
     seen = 0
     for _ in range(200):
         g = random_connected_gnp(rng.randint(4, 9), rng.uniform(0.25, 0.6), rng)
-        trace, graphs = run_pipeline(g)
+        trace, graphs, xs = run_pipeline_iterates(g)
         for idx, rec in enumerate(trace.records):
             if rec.kind != KIND_ACTIVE:
                 continue
             seen += 1
             nxt = graphs[idx + 1]
-            xhat = {v: rec.x[v] for v in nxt.vertices}
+            xhat = {v: xs[idx][v] for v in nxt.vertices}
             for u, v in nxt.edges():
                 assert xhat[u] + xhat[v] >= 1
             for cycle in enumerate_odd_cycles(nxt):
@@ -212,21 +214,33 @@ def test_step_random_edge():
 # --------------------------------------------------------------- pipeline
 
 
+def assert_trace_shape(trace, report=None):
+    """Records k = 1..L, exactly the last of kind KIND_TERMINAL; a report
+    of the same run has one trace row per record, ending at k = L."""
+    assert [rec.index for rec in trace.records] == list(range(1, trace.L + 1))
+    assert [rec.kind == KIND_TERMINAL for rec in trace.records] == [False] * (trace.L - 1) + [True]
+    if report is not None:
+        assert [row["k"] for row in report["trace"]] == [rec.index for rec in trace.records]
+        assert [row["kind"] for row in report["trace"]] == [rec.kind for rec in trace.records]
+        assert report["trace"][-1]["k"] == trace.L
+
+
 def test_pipeline_k3_terminal_first_iteration():
-    trace, graphs = run_pipeline(complete_graph(3))
-    assert trace.L == 1 and trace.records == []
-    assert len(trace.final_i1) == 2 and len(graphs) == 1
-    assert trace.final_f == 2
+    trace, graphs, _ = run_pipeline_iterates(complete_graph(3))
+    assert trace.L == 1 and [r.kind for r in trace.records] == [KIND_TERMINAL]
+    terminal = trace.records[-1]
+    assert len(terminal.i1) == 2 and len(graphs) == 1
+    assert terminal.f == 2 == trace.f1
 
 
 def test_pipeline_c5_integral_first_iteration():
-    trace, _ = run_pipeline(cycle_graph(5))
-    assert trace.L == 1 and len(trace.final_i1) == 3
+    trace = run_pipeline(cycle_graph(5))
+    assert trace.L == 1 and len(trace.records[-1].i1) == 3
 
 
 def test_pipeline_disjoint_union():
     g = union(complete_graph(3), relabel(cycle_graph(5), 10))
-    trace, _ = run_pipeline(g)
+    trace = run_pipeline(g)
     from elpcover.cover import backtrack, validate_cover
 
     cover = backtrack(trace)
@@ -235,21 +249,22 @@ def test_pipeline_disjoint_union():
 
 
 def test_pipeline_k4_uses_three_cycle():
-    trace, _ = run_pipeline(complete_graph(4))
-    assert [r.kind for r in trace.records] == [KIND_THREE_CYCLE]
+    trace = run_pipeline(complete_graph(4))
+    assert [r.kind for r in trace.records] == [KIND_THREE_CYCLE, KIND_TERMINAL]
     assert trace.records[0].d_k == 2
 
 
 def test_pipeline_base_hypothesis_failure():
     g = circulant(11, (1, 3))
-    trace, _ = run_pipeline(g, PipelineConfig(mode="base"))
+    trace = run_pipeline(g, PipelineConfig(mode="base"))
     assert trace.hypothesis_failed and trace.L == 1
-    assert trace.final_f == Rat(33, 5)
+    assert trace.records[-1].f == Rat(33, 5)
+    assert_trace_shape(trace, solve_instance(g, "c11", "test", mode="base"))
 
 
 def test_pipeline_enhanced_random_edge_on_hard_circulant():
     g = circulant(11, (1, 3))
-    trace, _ = run_pipeline(g)
+    trace = run_pipeline(g)
     kinds = [r.kind for r in trace.records]
     assert KIND_RANDOM in kinds
     rec = trace.records[kinds.index(KIND_RANDOM)]
@@ -259,11 +274,11 @@ def test_pipeline_enhanced_random_edge_on_hard_circulant():
 
 def test_pipeline_edge_rules_deterministic_and_seeded():
     g = circulant(11, (1, 3))
-    a, _ = run_pipeline(g, PipelineConfig(edge_rule="maxsum"))
-    b, _ = run_pipeline(g, PipelineConfig(edge_rule="maxsum"))
+    a = run_pipeline(g, PipelineConfig(edge_rule="maxsum"))
+    b = run_pipeline(g, PipelineConfig(edge_rule="maxsum"))
     assert [r.pair for r in a.records] == [r.pair for r in b.records]
-    c, _ = run_pipeline(g, PipelineConfig(edge_rule="random", seed=123))
-    d, _ = run_pipeline(g, PipelineConfig(edge_rule="random", seed=123))
+    c = run_pipeline(g, PipelineConfig(edge_rule="random", seed=123))
+    d = run_pipeline(g, PipelineConfig(edge_rule="random", seed=123))
     assert [r.pair for r in c.records] == [r.pair for r in d.records]
 
 
@@ -271,18 +286,19 @@ def test_pipeline_value_ledger_and_termination():
     rng = random.Random(30)
     for _ in range(120):
         g = random_connected_gnp(rng.randint(3, 10), rng.uniform(0.2, 0.85), rng)
-        trace, graphs = run_pipeline(g)
+        trace, graphs, _ = run_pipeline_iterates(g)
         assert trace.L <= g.n + 1
-        assert len(trace.records) == trace.L - 1
+        assert_trace_shape(trace, solve_instance(g, "g", "test", with_oracle=False))
         assert len(graphs) == trace.L
-        values = [rec.f for rec in trace.records] + [trace.final_f]
-        for rec, (before, after) in zip(trace.records, zip(values, values[1:])):
+        values = [rec.f for rec in trace.records]
+        for rec, (before, after) in zip(trace.records[:-1], zip(values, values[1:])):
             if rec.strict_drop:
                 assert after < before - rec.d_k
             else:
                 assert after <= before - rec.d_k
         # terminal iteration: objective is integral and counts the ones
-        assert trace.final_f == len(trace.final_i1)
+        terminal = trace.records[-1]
+        assert terminal.f == len(terminal.i1)
         # strict shrinkage of the vertex set across iterations
         for a, b in zip(graphs, graphs[1:]):
             assert b.n < a.n
@@ -302,7 +318,7 @@ def test_pipeline_zero_vertex_neighbors_are_ones():
 def test_pipeline_triangle_free_random_inputs():
     for i in range(20):
         g = random_triangle_free_graph(random.Random(i).randint(8, 16), 0.3, seed=100 + i)
-        trace, _ = run_pipeline(g)
+        trace = run_pipeline(g)
         assert not trace.hypothesis_failed
 
 
@@ -314,11 +330,11 @@ def test_pipeline_zero_one_progress_then_hard_residual():
     g = Graph.from_edges(
         list(range(1, 12)) + [20, 21], list(hard.edges()) + [(20, 21)]
     )
-    trace, _ = run_pipeline(g, PipelineConfig(mode="base"))
-    assert [r.kind for r in trace.records] == [KIND_ZERO_ONE]
+    trace = run_pipeline(g, PipelineConfig(mode="base"))
+    assert [r.kind for r in trace.records] == [KIND_ZERO_ONE, KIND_TERMINAL]
     assert trace.hypothesis_failed and trace.L == 2
 
-    trace, _ = run_pipeline(g)
+    trace = run_pipeline(g)
     kinds = [r.kind for r in trace.records]
     assert kinds[0] == KIND_ZERO_ONE and KIND_RANDOM in kinds
     from elpcover.cover import backtrack, validate_cover
@@ -335,8 +351,9 @@ def test_pipeline_isolated_vertices_terminal():
     # skips the {0,1} step and the random-edge step has no edge to choose, so
     # the run ends with an empty cover and a diagnostic.
     iso = Graph.from_edges([1, 2, 3])
-    trace, _ = run_pipeline(iso)
+    trace = run_pipeline(iso)
     assert trace.L == 1 and trace.diagnostics["isolated_terminal"]
+    assert_trace_shape(trace, solve_instance(iso, "iso", "test"))
     assert trace.diagnostics["skipped_zero_one"] == [(1, [1, 2, 3])]
     from elpcover.cover import backtrack
 

@@ -22,6 +22,7 @@ from exact_oracles import (
     circulant,
     lp_value_half_integral,
     lp_vertex_enumeration,
+    point_values,
     random_connected_gnp,
 )
 
@@ -31,7 +32,7 @@ HALF_SET = {Rat(0), Rat(1, 2), Rat(1)}
 def _solved(engine):
     """Optimize, then return the certified optimal x."""
     engine.optimize()
-    return engine.certified_values()
+    return point_values(engine.certified_values())
 
 
 def _dense(engine):
@@ -221,7 +222,7 @@ def test_dual_certificate_rejects_tampered_engine():
     # A feasible but non-optimal basis: x1 enters on row 0, giving (2, 0).
     off = CoveringSimplex(2, rows)
     off._pivot(0, 0)
-    assert off.values() == [2, 0]
+    assert point_values(off.scaled_values()) == [2, 0]
     with pytest.raises(AssertionError, match="dual infeasible"):
         off.certified_values()
 
@@ -300,7 +301,7 @@ def _path_engine():
     # min x0 + x1 + x2 over x0 + x1 >= 1, solved at x = (1, 0, 0) with value 1.
     engine = CoveringSimplex(3, [({0: 1, 1: 1}, 1)])
     engine.optimize()
-    assert engine.values() == [1, 0, 0] and engine.pivots == 1
+    assert engine.scaled_values() == ([1, 0, 0], 1) and engine.pivots == 1
     return engine
 
 
@@ -311,7 +312,7 @@ def test_optimize_ceiling_follows_a_zero_cost_path():
     engine.add_ge_row({1: 1, 2: 1}, 1)
     engine.optimize(ceiling=Rat(1))
     assert engine.pivots == 2
-    assert engine.certified_values() == [0, 1, 0] and engine.objective() == 1
+    assert engine.certified_values() == ([0, 1, 0], 1) and engine.objective() == 1
 
 
 def test_optimize_ceiling_raises_before_a_rising_pivot():
@@ -353,7 +354,7 @@ def test_stall_fallback_ends_certified_optimal(monkeypatch):
         trial = sol.engine.copy()
         trial.add_ge_row({index[u]: -1, index[v]: -1}, -1)
         trial.optimize()
-        return sum(trial.certified_values(), Rat(0))
+        return sum(point_values(trial.certified_values()))
 
     pins = list(g.edges())
     expected = [pinned_objective(u, v, 0) for u, v in pins]
@@ -373,8 +374,8 @@ def test_scaled_values_are_the_values_over_one_denominator():
     engine = relaxation_engine(complete_graph(3))
     assert engine.scaled_values() == ([0, 0, 0], 1)  # nothing basic yet
     engine.optimize()
-    ints, scale = engine.scaled_values()
-    assert [Rat(v, scale) for v in ints] == engine.values() == [Rat(1, 2)] * 3
+    assert point_values(engine.scaled_values()) == [Rat(1, 2)] * 3
+    assert engine.certified_values() == engine.scaled_values()
 
 
 def _optimize_both(engine, reference, same_pivots):
@@ -394,12 +395,12 @@ def _optimize_both(engine, reference, same_pivots):
         assert engine.pivots == reference.pivots
         assert engine._basis == reference._basis
     if outcomes[0]:
-        values = engine.certified_values()
+        point = engine.certified_values()
+        assert point == engine.scaled_values()
+        values = point_values(point)
         assert engine.objective() == sum(values, Rat(0)) == reference.objective()
         if same_pivots:
             assert values == reference.values()
-        ints, scale = engine.scaled_values()
-        assert [Rat(v, scale) for v in ints] == values
 
 
 _ROW = st.tuples(
