@@ -6,10 +6,9 @@ exponential routines take explicit caps and refuse bigger inputs."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
-from ._rat import ONE, ZERO, Rat
+from ._rat import ONE, Rat
 from .elp import relaxation_engine, solve_elp
 from .graph import Graph, OddCycle
 

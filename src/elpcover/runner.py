@@ -20,9 +20,9 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from ._rat import Rat, rat_str
-from .cover import HypothesisFailedError, backtrack, certify, validate_cover
+from .cover import backtrack, certify, validate_cover
 from .graph import Graph, random_triangle_free_graph, torus_grid_graph
-from .oracles import CapExceededError, exact_vc, matching_2approx, nt_half_integral_round
+from .oracles import exact_vc, matching_2approx, nt_half_integral_round
 from .reductions import KIND_ACTIVE, KIND_TERMINAL, PipelineConfig, run_pipeline
 
 log = logging.getLogger("elpcover.runner")

@@ -33,14 +33,38 @@ right-hand side carries the objective. The tableau is fraction-free: a
 pivot combines rows over a common denominator in one pass per row and
 divides each changed row by the gcd of its entries, right-hand side and
 denominator (Bareiss, Math. Comp. 22, 1968), so ratio tests and sign tests
-are integer comparisons. add_ge_row takes a sparse {column: int} row with
-an int right-hand side, and rationals (Rat) appear only where results
-leave the engine: objective() returns a Rat. scaled_values() hands the
-point out as ints over one common denominator, which is what the odd-cycle
-separation consumes, so the cut loop builds no Rat per round. The engine
-keeps the integer rows it was given, untouched by pivots, and
-certified_values() checks that point against them exactly: feasibility
-and, through the duals read off the cost row, optimality.
+are integer comparisons, and every row has one canonical form.
+
+Only the working part of the dictionary is stored, after the revised
+simplex (Dantzig & Orchard-Hays, 1954): the rows of the basic structural
+columns (at most num_vars), the cost row, and the rows of the basic
+surplus columns that are in use, i.e. violated. Every other basic surplus
+s = a.x - b is implicit. Its row is a.x - b with each basic x_j replaced
+by x_j's row, so it is derived from the row as given and the structural
+rows whenever it is needed (_derive), and canonical form makes the
+derived row the very row that pivots would have kept: the leaving rule,
+the entering rule and every report are those of the full dictionary.
+Steepest edge and the ratio test read only violated rows. An implicit row
+can turn violated only when x changes on its support, and a pivot changes
+x only on the structural columns whose rows it updates, plus the entering
+and leaving columns; so after each pivot just the implicit rows on a
+moved column, with the right sign, are checked against the new point, in
+integers over its common denominator, and the violated ones are derived.
+A surplus row that a pivot turns from violated to satisfied stays stored
+until the next pivot that changes it leaves it satisfied, since such rows
+often turn violated again at once; optimize drops every surplus row when
+it returns at the optimum. add_ge_row appends the row as given and
+derives its row only if the current point violates it, and copy() copies
+the stored rows alone, sharing them, since no row is changed in place.
+
+add_ge_row takes a sparse {column: int} row with an int right-hand side,
+and rationals (Rat) appear only where results leave the engine:
+objective() returns a Rat. scaled_values() hands the point out as ints
+over one common denominator, which is what the odd-cycle separation
+consumes, so the cut loop builds no Rat per round. The engine keeps the
+integer rows it was given, untouched by pivots, and certified_values()
+checks that point against them exactly: feasibility and, through the
+duals read off the cost row, optimality.
 
 optimize(ceiling=c) serves callers that only care whether the optimum stays
 at the current objective c, such as the alternate-optimum pin sweep. The
@@ -85,36 +109,48 @@ class PivotLimitError(RuntimeError):
 class CoveringSimplex:
     """Incremental dual-simplex engine over ">=" rows only, in dictionary form.
 
-    Columns: x variables 0..num_vars-1, then one surplus column per row in
-    insertion order. There are always num_vars nonbasic columns, listed in
-    _nonbasic; position q of every row stands for column _nonbasic[q]. Row
-    i is a dense list of num_vars ints, read as the rationals
-    _rows[i][q] / _den[i], with right-hand side _rhs[i] / _den[i]; its basic
-    column _basis[i] is an implicit unit column (entry _den[i] there, zero in
-    every other row). The cost row _cost is a list of the same kind over
-    _cost_den, holding the reduced costs of the nonbasic columns, and
-    -_cost_rhs / _cost_den is the objective of the current basis. Every
-    denominator is positive, and each row is divided by
-    gcd(den, rhs, *entries) after every change. _given[i] is row i as it
-    was added, ({column: int}, int) for a.x >= b; pivots never touch it.
+    Columns: x variables 0..num_vars-1, then surplus column num_vars + k for
+    the k-th row added. _given[k] is that row as it was added,
+    ({column: int}, int) for a.x >= b; pivots never touch it. There are
+    always num_vars nonbasic columns, listed in _nonbasic, and _position
+    maps each of them to its index there: position q of every row stands
+    for column _nonbasic[q]. Every other column is basic.
+
+    _rows maps a basic column to its dictionary row (row, rhs, den): a
+    dense list of num_vars ints read as the rationals row[q] / den, with
+    right-hand side rhs / den, the column's value; the basic column itself
+    is an implicit unit column. _rows holds the row of every basic
+    structural column and of every basic surplus column whose value is
+    negative. A surplus row that a pivot turns from violated to satisfied
+    stays until the next pivot that changes it leaves it satisfied. Any
+    other basic surplus row is derived from _given on demand (_derive). The cost row _cost is
+    a list of the same kind over _cost_den, holding the reduced costs of
+    the nonbasic columns, and -_cost_rhs / _cost_den is the objective of
+    the current basis. Every denominator is positive, and each row is
+    divided by gcd(den, rhs, *entries) after every change. Stored rows are
+    replaced, never changed in place, so copies share them.
+
+    _plus[j] and _minus[j] list the k whose given row has a positive and a
+    negative coefficient on x_j: the rows that a fall, and a rise, of x_j
+    can violate.
     """
 
     __slots__ = (
-        "num_vars", "_rows", "_rhs", "_den", "_cost", "_cost_rhs", "_cost_den",
-        "_basis", "_nonbasic", "_given", "pivots",
+        "num_vars", "_rows", "_cost", "_cost_rhs", "_cost_den", "_nonbasic",
+        "_position", "_given", "_plus", "_minus", "pivots",
     )
 
     def __init__(self, num_vars: int, rows: Iterable[tuple[Mapping, int]] = ()):
         self.num_vars = num_vars
-        self._rows: list[list[int]] = []
-        self._rhs: list[int] = []
-        self._den: list[int] = []
+        self._rows: dict[int, tuple[list[int], int, int]] = {}
         self._cost = [1] * num_vars
         self._cost_rhs = 0
         self._cost_den = 1
-        self._basis: list[int] = []
         self._nonbasic = list(range(num_vars))
+        self._position = {j: j for j in range(num_vars)}
         self._given: list[tuple[dict[int, int], int]] = []
+        self._plus: list[list[int]] = [[] for _ in range(num_vars)]
+        self._minus: list[list[int]] = [[] for _ in range(num_vars)]
         self.pivots = 0
         for coeffs, rhs in rows:
             self.add_ge_row(coeffs, rhs)
@@ -122,51 +158,59 @@ class CoveringSimplex:
     def copy(self) -> "CoveringSimplex":
         dup = CoveringSimplex.__new__(CoveringSimplex)
         dup.num_vars = self.num_vars
-        dup._rows = [row.copy() for row in self._rows]
-        dup._rhs = list(self._rhs)
-        dup._den = list(self._den)
-        dup._cost = self._cost.copy()
+        dup._rows = self._rows.copy()
+        dup._cost = self._cost
         dup._cost_rhs = self._cost_rhs
         dup._cost_den = self._cost_den
-        dup._basis = list(self._basis)
         dup._nonbasic = list(self._nonbasic)
+        dup._position = self._position.copy()
         dup._given = list(self._given)
+        dup._plus = [ks.copy() for ks in self._plus]
+        dup._minus = [ks.copy() for ks in self._minus]
         dup.pivots = self.pivots
         return dup
 
     def add_ge_row(self, coeffs: Mapping[int, int], rhs: int) -> None:
-        """Append constraint a.x >= b, a = coeffs and b = rhs (reduced against the basis).
+        """Append constraint a.x >= b, a = coeffs and b = rhs.
 
         coeffs maps columns to ints and rhs is an int; a row with rational
         entries is scaled to integers by the caller. The row is kept in
-        _given. As a tableau row it reads s - a.x = -b for its new surplus
-        s, which becomes the row's basic column."""
+        _given, and its new surplus s = a.x - b becomes basic. Its
+        dictionary row is derived only if the current point violates it."""
         row = {j: c for j, c in coeffs.items() if c}
+        k = len(self._given)
         self._given.append((row, rhs))
-        a = [0] * self.num_vars
         for j, c in row.items():
-            a[j] = -c
-        new_rhs = -rhs
-        # An entry a[b] on a basic x_b is removed by subtracting a[b] / den
-        # times b's row. Basic rows are zero on each other's basic columns,
-        # so each such entry is read off the incoming row as it is; the rows
-        # are subtracted over the lcm of their denominators, and one gcd
-        # division at the end makes the result canonical.
-        used = [
-            (i, a[b]) for i, b in enumerate(self._basis) if b < self.num_vars and a[b]
-        ]
-        mult = lcm(*(self._den[i] for i, _ in used))
-        new = [a[v] * mult if v < self.num_vars else 0 for v in self._nonbasic]
-        new_rhs *= mult
-        for i, factor in used:
-            f = factor * (mult // self._den[i])
-            new = [c - f * p for c, p in zip(new, self._rows[i])]
-            new_rhs -= f * self._rhs[i]
-        new, new_rhs, den = _normalize(new, new_rhs, mult)
-        self._rows.append(new)
-        self._rhs.append(new_rhs)
-        self._den.append(den)
-        self._basis.append(self.num_vars + len(self._basis))
+            (self._plus if c > 0 else self._minus)[j].append(k)
+        new = self._derive(k)
+        if new[1] < 0:
+            self._rows[self.num_vars + k] = new
+
+    def _derive(self, k: int) -> tuple[list[int], int, int]:
+        """The dictionary row of basic surplus column num_vars + k.
+
+        As a tableau row, given row k reads s - a.x = -b. An entry a_j on a
+        basic x_j is removed by subtracting a_j / den times x_j's row. Basic
+        rows are zero on each other's basic columns, so each such entry is
+        read off the given row as it is; the rows are subtracted over the
+        lcm of their denominators, and one gcd division at the end makes
+        the result canonical: the row that pivots would have kept."""
+        row, rhs = self._given[k]
+        rows = self._rows
+        used = [(c, rows[j]) for j, c in row.items() if j in rows]
+        mult = lcm(*[den for _, (_, _, den) in used])
+        new = [0] * self.num_vars
+        new_rhs = -rhs * mult
+        for c, (prow, prhs, pden) in used:
+            f = c * (mult // pden)
+            new = [v + f * p for v, p in zip(new, prow)]
+            new_rhs += f * prhs
+        position = self._position
+        for j, c in row.items():
+            q = position.get(j)
+            if q is not None:
+                new[q] -= c * mult
+        return _normalize(new, new_rhs, mult)
 
     def optimize(self, pivot_cap: int = 200_000, ceiling=None) -> None:
         """Dual simplex to optimality; raises InfeasibleError when primal empty.
@@ -193,15 +237,18 @@ class CoveringSimplex:
             -self._cost_rhs * ceiling.denominator != ceiling.numerator * self._cost_den
         ):
             raise ValueError(f"ceiling {ceiling} is not the objective {self.objective()}")
-        rows, rhs, basis, nonbasic = self._rows, self._rhs, self._basis, self._nonbasic
+        n, rows, nonbasic = self.num_vars, self._rows, self._nonbasic
         limit = self.pivots + pivot_cap
         stalled = 0
         while True:
             if stalled < STALL_LIMIT:
-                leave = _steepest_row(rows, rhs, self._den, basis)
+                leave = _steepest_row(rows)
             else:
-                leave = _bland_row(rhs, basis)
+                leave = _bland_row(rows)
             if leave < 0:
+                # Optimal: every surplus row is satisfied, so none is kept.
+                for col in [col for col in rows if col >= n]:
+                    del rows[col]
                 return
             # Bland entering rule: least ratio cost_q / -a_q over a_q < 0,
             # ties to the lowest column index. Row and cost denominators are
@@ -210,7 +257,7 @@ class CoveringSimplex:
             cost = self._cost
             enter = -1
             best_cost = best_neg = 0
-            for q, a in enumerate(rows[leave]):
+            for q, a in enumerate(rows[leave][0]):
                 if a < 0:
                     c = cost[q]
                     if enter < 0:
@@ -231,29 +278,72 @@ class CoveringSimplex:
             if self.pivots > limit:
                 raise PivotLimitError(f"exceeded {pivot_cap} pivots")
 
-    def _pivot(self, r: int, q: int) -> None:
-        """Exchange basic column _basis[r] with nonbasic column _nonbasic[q]."""
-        rows, rhs, den = self._rows, self._rhs, self._den
-        # Solving row r for the entering column divides it by its entry
-        # a = row[q] / den[r] < 0; the leaving column takes position q with
-        # entry den[r]. Negate everything to keep the denominator positive.
-        prow = [-c for c in rows[r]]
-        prow[q] = -den[r]
-        prow, prhs, pden = _normalize(prow, -rhs[r], -rows[r][q])
-        rows[r], rhs[r], den[r] = prow, prhs, pden
-        for i, row in enumerate(rows):
+    def _pivot(self, leave: int, q: int) -> None:
+        """Exchange basic column leave with nonbasic column _nonbasic[q]."""
+        n, rows = self.num_vars, self._rows
+        row, rhs, den = rows.pop(leave)
+        # Solving the row for the entering column divides it by its entry
+        # a = row[q] / den < 0; the leaving column takes position q with
+        # entry den. Negate everything to keep the denominator positive.
+        prow = [-c for c in row]
+        prow[q] = -den
+        prow, prhs, pden = _normalize(prow, -rhs, -row[q])
+        # The entering column rises from 0 to prhs / pden > 0, which moves
+        # every basic column whose row has a nonzero entry at q, against the
+        # sign of that entry; a structural leaving column rises to 0. A
+        # surplus row satisfied both before and after its update is dropped.
+        fallen, risen, satisfied = [], [], []
+        for col, (row, rhs, den) in rows.items():
             factor = row[q]
-            if factor and i != r:
-                rows[i], rhs[i], den[i] = _eliminate(
-                    row, rhs[i], den[i], factor, q, prow, prhs, pden
-                )
+            if factor:
+                new = rows[col] = _eliminate(row, rhs, den, factor, q, prow, prhs, pden)
+                if col < n:
+                    if factor > 0:
+                        fallen.append(col)
+                    else:
+                        risen.append(col)
+                elif rhs >= 0 and new[1] >= 0:
+                    satisfied.append(col)
+        for col in satisfied:
+            del rows[col]
         factor = self._cost[q]
         if factor:
             self._cost, self._cost_rhs, self._cost_den = _eliminate(
                 self._cost, self._cost_rhs, self._cost_den, factor, q, prow, prhs, pden
             )
-        self._basis[r], self._nonbasic[q] = self._nonbasic[q], self._basis[r]
+        enter = self._nonbasic[q]
+        self._nonbasic[q] = leave
+        del self._position[enter]
+        self._position[leave] = q
+        if enter < n:
+            rows[enter] = (prow, prhs, pden)
+            risen.append(enter)
+        if leave < n:
+            risen.append(leave)
         self.pivots += 1
+        # An implicit basic surplus row had a value >= 0. It can only have
+        # turned negative through a fallen column where its coefficient is
+        # positive or a risen one where it is negative; those rows are
+        # checked against the new point, and the violated ones derived.
+        # Every stored row is basic, and every basic structural row is
+        # stored, so the implicit rows number len(_given) - len(rows).
+        if len(rows) == len(self._given):
+            return
+        suspects = set()
+        for j in fallen:
+            suspects.update(self._plus[j])
+        for j in risen:
+            suspects.update(self._minus[j])
+        position = self._position
+        implicit = [k for k in suspects if n + k not in rows and n + k not in position]
+        if not implicit:
+            return
+        given = self._given
+        x, scale = self.scaled_values()
+        for k in implicit:
+            row, rhs = given[k]
+            if sum(map(mul, row.values(), map(x.__getitem__, row))) < rhs * scale:
+                rows[n + k] = self._derive(k)
 
     def objective(self):
         return Rat(-self._cost_rhs, self._cost_den)
@@ -266,11 +356,11 @@ class CoveringSimplex:
         structural (1 when there are none), not necessarily the least
         common denominator of the values."""
         n = self.num_vars
-        structural = [(b, i) for i, b in enumerate(self._basis) if b < n]
-        scale = lcm(*(self._den[i] for _, i in structural))
+        structural = [(b, rhs, den) for b, (_, rhs, den) in self._rows.items() if b < n]
+        scale = lcm(*[den for _, _, den in structural])
         x = [0] * n
-        for b, i in structural:
-            x[b] = self._rhs[i] * (scale // self._den[i])
+        for b, rhs, den in structural:
+            x[b] = rhs * (scale // den)
         return x, scale
 
     def certified_values(self) -> tuple[list[int], int]:
@@ -319,38 +409,33 @@ class CoveringSimplex:
         return x, scale
 
 
-def _steepest_row(rows, rhs, den, basis) -> int:
-    """Dual steepest-edge leaving row, or -1 when every rhs is >= 0.
+def _steepest_row(rows) -> int:
+    """Dual steepest-edge leaving column, or -1 when every rhs is >= 0.
 
-    Among rows with rhs_i < 0 it maximises rhs_i^2 / ||row_i||^2, the
-    squared distance from the current basic solution to the row's
-    hyperplane, where the norm is taken over the dictionary row and its
-    implicit basic unit entry: den_i^2 + sum_q rows[i][q]^2. A common
-    scale of the row cancels, so the ratio is compared by integer
-    cross-multiplication; ties go to the lowest basic column.
+    Among rows with rhs < 0 it maximises rhs^2 / ||row||^2, the squared
+    distance from the current basic solution to the row's hyperplane, where
+    the norm is taken over the dictionary row and its implicit basic unit
+    entry: den^2 + sum_q row[q]^2. A common scale of the row cancels, so the
+    ratio is compared by integer cross-multiplication; ties go to the
+    lowest basic column.
     """
     leave = -1
     best_sq = best_norm = 0
-    for i, b in enumerate(rhs):
-        if b < 0:
-            row = rows[i]
-            norm = den[i] * den[i] + sum(map(mul, row, row))
-            sq = b * b
+    for col, (row, rhs, den) in rows.items():
+        if rhs < 0:
+            norm = den * den + sum(map(mul, row, row))
+            sq = rhs * rhs
             if leave >= 0:
                 lhs, rhs_ = sq * best_norm, best_sq * norm
-                if lhs < rhs_ or (lhs == rhs_ and basis[i] > basis[leave]):
+                if lhs < rhs_ or (lhs == rhs_ and col > leave):
                     continue
-            leave, best_sq, best_norm = i, sq, norm
+            leave, best_sq, best_norm = col, sq, norm
     return leave
 
 
-def _bland_row(rhs, basis) -> int:
-    """Row with rhs_i < 0 of the lowest basic column, or -1 when none."""
-    leave = -1
-    for i, b in enumerate(rhs):
-        if b < 0 and (leave < 0 or basis[i] < basis[leave]):
-            leave = i
-    return leave
+def _bland_row(rows) -> int:
+    """The lowest basic column whose row has rhs < 0, or -1 when none."""
+    return min((col for col, (_, rhs, _) in rows.items() if rhs < 0), default=-1)
 
 
 def _normalize(row: list, rhs: int, den: int):
@@ -375,5 +460,12 @@ def _eliminate(row: list, rhs: int, den: int, factor: int, q: int, prow, prhs: i
     scale, factor = pden // g, factor // g
     new = [c * scale - factor * p for c, p in zip(row, prow)]
     new[q] = -factor * prow[q]
-    return _normalize(new, rhs * scale - factor * prhs, den * scale)
+    rhs = rhs * scale - factor * prhs
+    den *= scale
+    g = gcd(den, rhs)
+    if g != 1:
+        g = gcd(g, *new)
+        if g != 1:
+            return [c // g for c in new], rhs // g, den // g
+    return new, rhs, den
 

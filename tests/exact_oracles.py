@@ -8,21 +8,29 @@ cycles via networkx. Slow and dumb on purpose.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import heapq
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import networkx as nx
 
-from elpcover import elp, reductions
+from elpcover import elp, reductions, simplex
 from elpcover._rat import ONE, ZERO, Rat
 from elpcover.elp import ElpSolution, classify_edges, separate_odd_cycle
 from elpcover.graph import Graph, OddCycle, normalize_edge, random_gnp_graph
-from elpcover.simplex import CoveringSimplex, InfeasibleError, PivotLimitError
+from elpcover.simplex import (
+    AboveCeilingError,
+    CoveringSimplex,
+    InfeasibleError,
+    PivotLimitError,
+)
 
 
 def scale_point(g: Graph, x: Mapping[int, object]) -> tuple[list[int], int]:
@@ -628,3 +636,471 @@ def _eliminate(row: dict, rhs: int, den: int, factor: int, pitems, prhs: int, pd
         else:
             del row[k]
     return _normalize(row, rhs - factor * prhs, den)
+
+# The steepest-edge engine that stored every row of the dictionary, before
+# CoveringSimplex kept only the working rows explicit. It is kept verbatim
+# (only renamed) as the differential reference for CoveringSimplex: both
+# must make the same pivots and hold the same dictionary. It reads
+# STALL_LIMIT from this module, so a test that patches the limit patches
+# both.
+STALL_LIMIT = simplex.STALL_LIMIT
+
+
+class FullDictionarySimplex:
+    """Incremental dual-simplex engine over ">=" rows only, in dictionary form.
+
+    Columns: x variables 0..num_vars-1, then one surplus column per row in
+    insertion order. There are always num_vars nonbasic columns, listed in
+    _nonbasic; position q of every row stands for column _nonbasic[q]. Row
+    i is a dense list of num_vars ints, read as the rationals
+    _rows[i][q] / _den[i], with right-hand side _rhs[i] / _den[i]; its basic
+    column _basis[i] is an implicit unit column (entry _den[i] there, zero in
+    every other row). The cost row _cost is a list of the same kind over
+    _cost_den, holding the reduced costs of the nonbasic columns, and
+    -_cost_rhs / _cost_den is the objective of the current basis. Every
+    denominator is positive, and each row is divided by
+    gcd(den, rhs, *entries) after every change. _given[i] is row i as it
+    was added, ({column: int}, int) for a.x >= b; pivots never touch it.
+    """
+
+    __slots__ = (
+        "num_vars", "_rows", "_rhs", "_den", "_cost", "_cost_rhs", "_cost_den",
+        "_basis", "_nonbasic", "_given", "pivots",
+    )
+
+    def __init__(self, num_vars: int, rows: Iterable[tuple[Mapping, int]] = ()):
+        self.num_vars = num_vars
+        self._rows: list[list[int]] = []
+        self._rhs: list[int] = []
+        self._den: list[int] = []
+        self._cost = [1] * num_vars
+        self._cost_rhs = 0
+        self._cost_den = 1
+        self._basis: list[int] = []
+        self._nonbasic = list(range(num_vars))
+        self._given: list[tuple[dict[int, int], int]] = []
+        self.pivots = 0
+        for coeffs, rhs in rows:
+            self.add_ge_row(coeffs, rhs)
+
+    def copy(self) -> "FullDictionarySimplex":
+        dup = FullDictionarySimplex.__new__(FullDictionarySimplex)
+        dup.num_vars = self.num_vars
+        dup._rows = [row.copy() for row in self._rows]
+        dup._rhs = list(self._rhs)
+        dup._den = list(self._den)
+        dup._cost = self._cost.copy()
+        dup._cost_rhs = self._cost_rhs
+        dup._cost_den = self._cost_den
+        dup._basis = list(self._basis)
+        dup._nonbasic = list(self._nonbasic)
+        dup._given = list(self._given)
+        dup.pivots = self.pivots
+        return dup
+
+    def add_ge_row(self, coeffs: Mapping[int, int], rhs: int) -> None:
+        """Append constraint a.x >= b, a = coeffs and b = rhs (reduced against the basis).
+
+        coeffs maps columns to ints and rhs is an int; a row with rational
+        entries is scaled to integers by the caller. The row is kept in
+        _given. As a tableau row it reads s - a.x = -b for its new surplus
+        s, which becomes the row's basic column."""
+        row = {j: c for j, c in coeffs.items() if c}
+        self._given.append((row, rhs))
+        a = [0] * self.num_vars
+        for j, c in row.items():
+            a[j] = -c
+        new_rhs = -rhs
+        # An entry a[b] on a basic x_b is removed by subtracting a[b] / den
+        # times b's row. Basic rows are zero on each other's basic columns,
+        # so each such entry is read off the incoming row as it is; the rows
+        # are subtracted over the lcm of their denominators, and one gcd
+        # division at the end makes the result canonical.
+        used = [
+            (i, a[b]) for i, b in enumerate(self._basis) if b < self.num_vars and a[b]
+        ]
+        mult = lcm(*(self._den[i] for i, _ in used))
+        new = [a[v] * mult if v < self.num_vars else 0 for v in self._nonbasic]
+        new_rhs *= mult
+        for i, factor in used:
+            f = factor * (mult // self._den[i])
+            new = [c - f * p for c, p in zip(new, self._rows[i])]
+            new_rhs -= f * self._rhs[i]
+        new, new_rhs, den = _full_normalize(new, new_rhs, mult)
+        self._rows.append(new)
+        self._rhs.append(new_rhs)
+        self._den.append(den)
+        self._basis.append(self.num_vars + len(self._basis))
+
+    def optimize(self, pivot_cap: int = 200_000, ceiling=None) -> None:
+        """Dual simplex to optimality; raises InfeasibleError when primal empty.
+
+        The leaving row is the dual steepest-edge choice (_full_steepest_row)
+        until STALL_LIMIT consecutive pivots have entered at zero reduced
+        cost; from then on it is Bland's lowest basic column (_full_bland_row)
+        until a pivot raises the objective. The entering column is always
+        Bland's least ratio.
+
+        pivot_cap bounds the pivots of this call alone; PivotLimitError is
+        raised once it is exceeded.
+
+        With a ceiling, objective() must equal it on entry (ValueError
+        otherwise), and AboveCeilingError is raised in place of the first
+        pivot whose entering column has a positive reduced cost. That
+        column has the least ratio in a row with rhs < 0, so every feasible
+        point lies strictly above the ceiling, whichever row was picked (see
+        the module docstring). The engine is then left as it was after the
+        last zero-cost pivot. A normal return therefore means the optimum
+        equals the ceiling, reached by the same pivots as without it.
+        """
+        if ceiling is not None and (
+            -self._cost_rhs * ceiling.denominator != ceiling.numerator * self._cost_den
+        ):
+            raise ValueError(f"ceiling {ceiling} is not the objective {self.objective()}")
+        rows, rhs, basis, nonbasic = self._rows, self._rhs, self._basis, self._nonbasic
+        limit = self.pivots + pivot_cap
+        stalled = 0
+        while True:
+            if stalled < STALL_LIMIT:
+                leave = _full_steepest_row(rows, rhs, self._den, basis)
+            else:
+                leave = _full_bland_row(rhs, basis)
+            if leave < 0:
+                return
+            # Bland entering rule: least ratio cost_q / -a_q over a_q < 0,
+            # ties to the lowest column index. Row and cost denominators are
+            # positive and common to every candidate, so comparing
+            # cost_q * -a_best with cost_best * -a_q decides it in integers.
+            cost = self._cost
+            enter = -1
+            best_cost = best_neg = 0
+            for q, a in enumerate(rows[leave]):
+                if a < 0:
+                    c = cost[q]
+                    if enter < 0:
+                        enter, best_cost, best_neg = q, c, -a
+                        continue
+                    lhs, rhs_ = c * best_neg, best_cost * -a
+                    if lhs < rhs_ or (lhs == rhs_ and nonbasic[q] < nonbasic[enter]):
+                        enter, best_cost, best_neg = q, c, -a
+            if enter < 0:
+                raise InfeasibleError("no feasible point exists")
+            if best_cost > 0:
+                if ceiling is not None:
+                    raise AboveCeilingError(f"the optimum rises above {ceiling}")
+                stalled = 0
+            else:
+                stalled += 1
+            self._pivot(leave, enter)
+            if self.pivots > limit:
+                raise PivotLimitError(f"exceeded {pivot_cap} pivots")
+
+    def _pivot(self, r: int, q: int) -> None:
+        """Exchange basic column _basis[r] with nonbasic column _nonbasic[q]."""
+        rows, rhs, den = self._rows, self._rhs, self._den
+        # Solving row r for the entering column divides it by its entry
+        # a = row[q] / den[r] < 0; the leaving column takes position q with
+        # entry den[r]. Negate everything to keep the denominator positive.
+        prow = [-c for c in rows[r]]
+        prow[q] = -den[r]
+        prow, prhs, pden = _full_normalize(prow, -rhs[r], -rows[r][q])
+        rows[r], rhs[r], den[r] = prow, prhs, pden
+        for i, row in enumerate(rows):
+            factor = row[q]
+            if factor and i != r:
+                rows[i], rhs[i], den[i] = _full_eliminate(
+                    row, rhs[i], den[i], factor, q, prow, prhs, pden
+                )
+        factor = self._cost[q]
+        if factor:
+            self._cost, self._cost_rhs, self._cost_den = _full_eliminate(
+                self._cost, self._cost_rhs, self._cost_den, factor, q, prow, prhs, pden
+            )
+        self._basis[r], self._nonbasic[q] = self._nonbasic[q], self._basis[r]
+        self.pivots += 1
+
+    def objective(self):
+        return Rat(-self._cost_rhs, self._cost_den)
+
+    def scaled_values(self) -> tuple[list[int], int]:
+        """The basic solution x scaled to integers: (ints, L) with
+        x_j == ints[j] / L for every column j.
+
+        L is the lcm of the denominators of the rows whose basic column is
+        structural (1 when there are none), not necessarily the least
+        common denominator of the values."""
+        n = self.num_vars
+        structural = [(b, i) for i, b in enumerate(self._basis) if b < n]
+        scale = lcm(*(self._den[i] for _, i in structural))
+        x = [0] * n
+        for b, i in structural:
+            x[b] = self._rhs[i] * (scale // self._den[i])
+        return x, scale
+
+    def certified_values(self) -> tuple[list[int], int]:
+        """scaled_values(), after an exact proof that they are optimal.
+
+        Feasibility is checked against the rows as given, a.x >= b, and
+        x >= 0. For optimality, the reduced cost of row i's surplus column
+        is that row's dual y_i, read over _cost_den at the column's
+        nonbasic position; a basic surplus has y_i = 0. If y >= 0 and
+        A^T y <= 1, weak duality makes b.y a lower bound on 1.x over the
+        whole feasible set, so b.y == 1.x proves the point optimal (the
+        verify-the-basis check of Applegate, Cook, Dash & Espinoza, OR
+        Letters 35, 2007). x is taken from scaled_values() and y is kept
+        multiplied by _cost_den, so every check is an integer comparison.
+        A failure raises AssertionError.
+        """
+        n = self.num_vars
+        x, scale = self.scaled_values()
+        if any(v < 0 for v in x):
+            raise AssertionError("negative variable in solution")
+        for i, (row, b) in enumerate(self._given):
+            lhs = sum(c * x[j] for j, c in row.items())
+            if lhs < b * scale:
+                raise AssertionError(f"row {i} violated: {Rat(lhs, scale)} < {b}")
+        column_sums = [0] * n
+        bound = 0
+        for col, y in zip(self._nonbasic, self._cost):
+            if col < n:
+                continue
+            if y < 0:
+                raise AssertionError(f"dual of row {col - n} is negative: basis not optimal")
+            if y:
+                row, b = self._given[col - n]
+                for j, c in row.items():
+                    column_sums[j] += y * c
+                bound += y * b
+        den = self._cost_den
+        for j, total in enumerate(column_sums):
+            if total > den:
+                raise AssertionError(f"dual infeasible at x{j}: (A^T y)_j = {Rat(total, den)} > 1")
+        total = sum(x)
+        if bound * scale != den * total:
+            raise AssertionError(
+                f"duality gap: b.y = {Rat(bound, den)} != 1.x = {Rat(total, scale)}"
+            )
+        return x, scale
+
+
+def _full_steepest_row(rows, rhs, den, basis) -> int:
+    """Dual steepest-edge leaving row, or -1 when every rhs is >= 0.
+
+    Among rows with rhs_i < 0 it maximises rhs_i^2 / ||row_i||^2, the
+    squared distance from the current basic solution to the row's
+    hyperplane, where the norm is taken over the dictionary row and its
+    implicit basic unit entry: den_i^2 + sum_q rows[i][q]^2. A common
+    scale of the row cancels, so the ratio is compared by integer
+    cross-multiplication; ties go to the lowest basic column.
+    """
+    leave = -1
+    best_sq = best_norm = 0
+    for i, b in enumerate(rhs):
+        if b < 0:
+            row = rows[i]
+            norm = den[i] * den[i] + sum(map(mul, row, row))
+            sq = b * b
+            if leave >= 0:
+                lhs, rhs_ = sq * best_norm, best_sq * norm
+                if lhs < rhs_ or (lhs == rhs_ and basis[i] > basis[leave]):
+                    continue
+            leave, best_sq, best_norm = i, sq, norm
+    return leave
+
+
+def _full_bland_row(rhs, basis) -> int:
+    """Row with rhs_i < 0 of the lowest basic column, or -1 when none."""
+    leave = -1
+    for i, b in enumerate(rhs):
+        if b < 0 and (leave < 0 or basis[i] < basis[leave]):
+            leave = i
+    return leave
+
+
+def _full_normalize(row: list, rhs: int, den: int):
+    """Divide row, rhs and den by their gcd."""
+    g = gcd(den, rhs)
+    if g != 1:
+        g = gcd(g, *row)
+        if g != 1:
+            return [c // g for c in row], rhs // g, den // g
+    return row, rhs, den
+
+
+def _full_eliminate(row: list, rhs: int, den: int, factor: int, q: int, prow, prhs: int, pden: int):
+    """row - (factor / pden) * prow over a common denominator, normalized.
+
+    factor is row's entry at position q, which holds the entering column;
+    prow is the pivot row, solved for that column, whose leaving column now
+    sits at position q. The leaving column was basic, so row's own entry for
+    it was zero and position q becomes -(factor / pden) * prow[q].
+    """
+    g = gcd(factor, pden)
+    scale, factor = pden // g, factor // g
+    new = [c * scale - factor * p for c, p in zip(row, prow)]
+    new[q] = -factor * prow[q]
+    return _full_normalize(new, rhs * scale - factor * prhs, den * scale)
+
+
+def dictionary(engine: CoveringSimplex) -> dict:
+    """Every row of engine's dictionary, {basic column: (row, rhs, den)}:
+    the stored rows, and each other basic surplus row derived from the row
+    as given. A basic structural column must have a stored row."""
+    n = engine.num_vars
+    rows = {}
+    for col in range(n + len(engine._given)):
+        if col in engine._position:
+            continue
+        stored = engine._rows.get(col)
+        if stored is None and col < n:
+            raise AssertionError(f"basic structural column {col} has no stored row")
+        rows[col] = stored if stored is not None else engine._derive(col - n)
+    return rows
+
+
+def full_dictionary(reference: FullDictionarySimplex) -> dict:
+    """The rows of the reference engine, {basic column: (row, rhs, den)}."""
+    return {
+        b: (row, rhs, den)
+        for b, row, rhs, den in zip(reference._basis, reference._rows, reference._rhs, reference._den)
+    }
+
+
+def _state(nonbasic, cost, rows: dict) -> str:
+    return hashlib.sha256(repr((nonbasic, cost, sorted(rows.items()))).encode()).hexdigest()
+
+
+def engine_state(engine: CoveringSimplex) -> str:
+    """A digest of engine's nonbasic order, cost row and full dictionary,
+    after checking that the row of every violated basic column is stored."""
+    rows = dictionary(engine)
+    for col, (_, rhs, _) in rows.items():
+        if rhs < 0 and col not in engine._rows:
+            raise AssertionError(f"violated row of basic column {col} is not stored")
+    cost = (engine._cost, engine._cost_rhs, engine._cost_den)
+    return _state(engine._nonbasic, cost, rows)
+
+
+def reference_state(reference: FullDictionarySimplex) -> str:
+    cost = (reference._cost, reference._cost_rhs, reference._cost_den)
+    return _state(reference._nonbasic, cost, full_dictionary(reference))
+
+
+def check_same_dictionary(engine: CoveringSimplex, reference: FullDictionarySimplex) -> None:
+    """engine holds the reference's dictionary row for row, stores the row
+    of every violated basic column, and each stored surplus row equals its
+    derivation from the row as given."""
+    n = engine.num_vars
+    if engine._nonbasic != reference._nonbasic:
+        raise AssertionError(f"nonbasic {engine._nonbasic} != {reference._nonbasic}")
+    if engine._position != {col: q for q, col in enumerate(engine._nonbasic)}:
+        raise AssertionError("positions do not index the nonbasic columns")
+    cost = (engine._cost, engine._cost_rhs, engine._cost_den)
+    if cost != (reference._cost, reference._cost_rhs, reference._cost_den):
+        raise AssertionError("cost rows differ")
+    full = full_dictionary(reference)
+    if dictionary(engine) != full:
+        raise AssertionError("dictionaries differ")
+    for col, (_, rhs, _) in full.items():
+        if rhs < 0 and col not in engine._rows:
+            raise AssertionError(f"violated row of basic column {col} is not stored")
+    for col, stored in engine._rows.items():
+        if col >= n and stored != engine._derive(col - n):
+            raise AssertionError(f"stored row of column {col} differs from its derivation")
+
+
+@contextlib.contextmanager
+def recorded_pivots(log: list):
+    """Within the block, every pivot of either engine appends (engine type,
+    leaving column, entering column, state digest after the pivot) to log."""
+    def recorder(cls, leaving, state):
+        pivot = cls._pivot
+
+        def recording(engine, r, q):
+            pair = (leaving(engine, r), engine._nonbasic[q])
+            pivot(engine, r, q)
+            log.append((cls.__name__, *pair, state(engine)))
+
+        return pivot, recording
+
+    patches = [
+        (CoveringSimplex, *recorder(CoveringSimplex, lambda e, leave: leave, engine_state)),
+        (FullDictionarySimplex, *recorder(FullDictionarySimplex, lambda e, r: e._basis[r], reference_state)),
+    ]
+    for cls, _, recording in patches:
+        cls._pivot = recording
+    try:
+        yield log
+    finally:
+        for cls, pivot, _ in patches:
+            cls._pivot = pivot
+
+
+class Lockstep:
+    """A CoveringSimplex and a FullDictionarySimplex driven through the same
+    calls. Each optimize must make the same pivots on both, leaving column
+    and entering column, with the same full dictionary after every pivot,
+    and end the same way; every other call must give the same result. The
+    CoveringSimplex answers. Stands in for CoveringSimplex in elp, so whole
+    cut chases and pin sweeps run in lockstep."""
+
+    def __init__(self, num_vars: int, rows: Iterable[tuple[Mapping, int]] = (), pair=None):
+        self.num_vars = num_vars
+        if pair is None:
+            pair = CoveringSimplex(num_vars), FullDictionarySimplex(num_vars)
+        self.engine, self.reference = pair
+        for coeffs, rhs in rows:
+            self.add_ge_row(coeffs, rhs)
+
+    @property
+    def pivots(self) -> int:
+        return self.engine.pivots
+
+    def copy(self) -> "Lockstep":
+        dup = Lockstep(self.num_vars, pair=(self.engine.copy(), self.reference.copy()))
+        check_same_dictionary(dup.engine, dup.reference)
+        return dup
+
+    def add_ge_row(self, coeffs: Mapping[int, int], rhs: int) -> None:
+        self.engine.add_ge_row(coeffs, rhs)
+        self.reference.add_ge_row(coeffs, rhs)
+        check_same_dictionary(self.engine, self.reference)
+
+    def optimize(self, pivot_cap: int = 200_000, ceiling=None) -> None:
+        errors = []
+        with recorded_pivots([]) as log:
+            for e in (self.reference, self.engine):
+                try:
+                    e.optimize(pivot_cap, ceiling)
+                    errors.append(None)
+                except (InfeasibleError, AboveCeilingError, PivotLimitError, ValueError) as exc:
+                    errors.append(exc)
+        made = [[entry[1:] for entry in log if entry[0] == type(e).__name__]
+                for e in (self.reference, self.engine)]
+        if made[0] != made[1]:
+            raise AssertionError(f"pivots differ: {made[1]} != {made[0]}")
+        if type(errors[0]) is not type(errors[1]):
+            raise AssertionError(f"outcomes differ: {errors[1]!r} != {errors[0]!r}")
+        check_same_dictionary(self.engine, self.reference)
+        if self.engine.pivots != self.reference.pivots:
+            raise AssertionError("pivot counts differ")
+        if errors[1] is not None:
+            raise errors[1]
+
+    def objective(self):
+        value = self.engine.objective()
+        if value != self.reference.objective():
+            raise AssertionError("objectives differ")
+        return value
+
+    def scaled_values(self) -> tuple[list[int], int]:
+        point = self.engine.scaled_values()
+        if point != self.reference.scaled_values():
+            raise AssertionError("points differ")
+        return point
+
+    def certified_values(self) -> tuple[list[int], int]:
+        point = self.engine.certified_values()
+        if point != self.reference.certified_values():
+            raise AssertionError("certified points differ")
+        return point

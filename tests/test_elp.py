@@ -22,12 +22,14 @@ from elpcover.graph import (
     complete_graph,
     cycle_graph,
     petersen_graph,
+    random_gnp_graph,
     torus_grid_graph,
 )
 from elpcover.oracles import enumerate_odd_cycles, exact_vc
 from elpcover.simplex import CoveringSimplex
 from exact_oracles import (
     circulant,
+    dictionary,
     nx_min_odd_cycle_weight,
     nx_odd_cycles,
     point_values,
@@ -321,14 +323,16 @@ def test_pinned_chase_raises_past_the_round_cap(monkeypatch):
 def test_explore_alternate_reuses_the_solved_engine(monkeypatch):
     g = circulant(11, (1, 3))
     sol = solve_elp(g)
-    objective, basis = sol.engine.objective(), list(sol.engine._basis)
+    objective, nonbasic = sol.engine.objective(), list(sol.engine._nonbasic)
+    rows = dictionary(sol.engine)
 
     def no_rebuild(*args):
         raise AssertionError("the pin sweep rebuilt the engine")
 
     monkeypatch.setattr(elp, "relaxation_engine", no_rebuild)
     assert explore_alternate_bfs(g, sol) == (None, g.m)
-    assert sol.engine.objective() == objective and sol.engine._basis == basis
+    assert sol.engine.objective() == objective and sol.engine._nonbasic == nonbasic
+    assert dictionary(sol.engine) == rows
 
 
 def _sweep_matches_reference(g, sol):
@@ -431,20 +435,41 @@ def test_explore_alternate_precondition():
 
 
 def _check_tableau_invariants(engine):
-    # Basic columns are implicit unit columns in the compact layout, so the
-    # unit-column checks of a full tableau hold by construction; what is
-    # left to check is that basis and nonbasic split the columns exactly.
+    # Basic columns are implicit unit columns in dictionary form, so the
+    # unit-column checks of a full tableau hold by construction. What is
+    # left: basis and nonbasic split the columns exactly, every basic
+    # structural column and every violated basic surplus column has a stored
+    # row, each stored surplus row equals its derivation from the row as
+    # given, every row of the full dictionary is canonical, and the row
+    # indexes of the pivot's candidate checks match the rows as given.
     n = engine.num_vars
-    columns = engine._basis + engine._nonbasic
-    assert len(engine._nonbasic) == n
-    assert sorted(columns) == list(range(n + len(engine._rows)))
-    for row, rhs, den in zip(engine._rows, engine._rhs, engine._den):
+    total = n + len(engine._given)
+    nonbasic = engine._nonbasic
+    assert len(nonbasic) == n
+    assert engine._position == {col: q for q, col in enumerate(nonbasic)}
+    rows = dictionary(engine)
+    assert sorted(list(rows) + nonbasic) == list(range(total))
+    assert all(col in rows for col in engine._rows)
+    x, scale = engine.scaled_values()
+    for col in range(n, total):
+        if col in rows:
+            given, b = engine._given[col - n]
+            value = sum(c * x[j] for j, c in given.items()) - b * scale
+            assert value * rows[col][2] == rows[col][1] * scale  # the row's rhs is its value
+            if value < 0:
+                assert col in engine._rows
+            if col in engine._rows:
+                assert engine._rows[col] == engine._derive(col - n)
+    for row, rhs, den in rows.values():
         assert len(row) == n
         assert den > 0
         assert gcd(den, rhs, *row) == 1
     assert len(engine._cost) == n
     assert engine._cost_den > 0
     assert gcd(engine._cost_den, engine._cost_rhs, *engine._cost) == 1
+    for j in range(n):
+        assert engine._plus[j] == [k for k, (row, _) in enumerate(engine._given) if row.get(j, 0) > 0]
+        assert engine._minus[j] == [k for k, (row, _) in enumerate(engine._given) if row.get(j, 0) < 0]
 
 
 # The pivot rules pick one vertex among the optima; these were recorded
@@ -479,6 +504,52 @@ STEEPEST_EDGE_VERTICES = {
             (16, 17, 18, 19, 20), (11, 12, 13, 14, 15),
         ),
     ),
+    "torus_grid(5,7)": (
+        torus_grid_graph(5, 7),
+        21,
+        {2, 4, 6, 7, 8, 10, 12, 13, 16, 18, 19, 21, 22, 24, 25, 27, 29, 30, 31, 33, 35},
+        296,
+        (
+            (1, 2, 3, 4, 5, 6, 7), (2, 3, 4, 5, 6, 7, 14, 8, 9), (1, 7, 6, 5, 4, 3, 10, 9, 8),
+            (1, 2, 9, 10, 11, 4, 5, 6, 7), (1, 2, 3, 10, 11, 12, 5, 6, 7),
+            (1, 2, 3, 4, 11, 12, 13, 6, 7), (1, 2, 3, 4, 5, 12, 13, 14, 7),
+            (1, 2, 3, 4, 5, 6, 13, 14, 8), (8, 9, 10, 11, 12, 13, 14),
+            (2, 3, 4, 5, 6, 13, 14, 21, 15, 16, 9), (4, 5, 6, 13, 14, 21, 15, 16, 17, 10, 11),
+            (11, 12, 13, 14, 21, 15, 16, 17, 18), (1, 2, 9, 10, 17, 18, 19, 12, 5, 6, 7),
+            (1, 2, 9, 10, 17, 18, 19, 20, 13, 14, 7), (1, 2, 9, 10, 17, 18, 19, 20, 21, 15, 8),
+            (2, 3, 4, 5, 6, 13, 20, 21, 15, 8, 9),
+            (4, 5, 12, 19, 20, 21, 28, 22, 23, 16, 17, 10, 11),
+            (9, 10, 17, 18, 19, 20, 27, 28, 22, 15, 16), (16, 17, 18, 19, 20, 21, 28, 22, 23),
+            (4, 11, 10, 17, 24, 25, 32), (5, 12, 19, 26, 33), (6, 13, 20, 27, 34),
+            (1, 2, 3, 10, 17, 18, 25, 26, 27, 28, 21, 14, 7),
+            (1, 2, 3, 4, 11, 18, 19, 20, 13, 14, 7), (1, 2, 3, 4, 11, 12, 19, 20, 21, 14, 7),
+            (1, 8, 15, 22, 29), (2, 9, 16, 23, 30), (7, 14, 21, 28, 35),
+            (3, 10, 9, 16, 23, 24, 31), (1, 2, 3, 31, 24, 17, 16, 9, 8),
+            (3, 4, 11, 18, 17, 24, 31), (3, 10, 17, 24, 31),
+            (1, 2, 3, 4, 11, 18, 19, 26, 27, 28, 21, 15, 8),
+            (1, 2, 3, 4, 11, 18, 25, 26, 27, 20, 21, 14, 8), (4, 11, 18, 25, 32),
+        ),
+    ),
+    "gnp(30,0.3,1)": (
+        random_gnp_graph(30, 0.3, 1),
+        20,
+        {1, 2, 3, 5, 6, 7, 9, 11, 12, 14, 15, 19, 20, 21, 22, 23, 24, 25, 29, 30},
+        298,
+        (
+            (1, 2, 5), (2, 4, 3, 7, 6), (1, 5, 10), (2, 5, 8), (2, 4, 9), (1, 2, 6, 7, 11),
+            (1, 5, 9, 4, 3, 7, 11), (6, 12, 15), (3, 7, 18), (1, 11, 15), (3, 7, 11, 14, 19),
+            (4, 9, 5, 8, 12), (6, 12, 16), (5, 9, 10), (8, 12, 19), (6, 7, 17, 21, 15),
+            (3, 18, 19), (11, 16, 22, 20, 21), (4, 21, 26, 6, 24), (10, 22, 28, 25, 23),
+            (5, 9, 15, 22, 16), (13, 23, 25, 28, 29, 16, 24), (25, 29, 30), (2, 13, 30),
+            (1, 21, 26), (5, 8, 23), (14, 17, 19), (3, 4, 24), (10, 15, 24),
+            (11, 26, 22, 20, 27), (4, 9, 27, 11, 21), (20, 22, 28), (11, 26, 29), (2, 6, 16),
+            (2, 8, 25, 12, 17, 19, 13), (2, 8, 25, 23, 13), (1, 18, 25, 8, 22), (1, 28, 29),
+            (9, 15, 27), (4, 9, 24), (7, 17, 23, 25, 18), (14, 18, 19), (7, 11, 27),
+            (1, 18, 21), (21, 26, 29), (8, 23, 25), (15, 21, 26), (16, 22, 29), (6, 15, 26),
+            (4, 12, 25, 18, 21), (5, 10, 20), (25, 28, 29), (10, 15, 23), (8, 12, 30),
+            (13, 15, 23), (4, 12, 24),
+        ),
+    ),
 }
 
 
@@ -488,8 +559,8 @@ def test_elp_steepest_edge_vertex_and_tableau_invariants(name, monkeypatch):
     pivot = CoveringSimplex._pivot
     count = [0]
 
-    def checked_pivot(engine, r, col):
-        pivot(engine, r, col)
+    def checked_pivot(engine, leave, q):
+        pivot(engine, leave, q)
         count[0] += 1
         _check_tableau_invariants(engine)
 

@@ -6,10 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elpcover import simplex
+from elpcover import elp, simplex
 from elpcover._rat import Rat
-from elpcover.elp import relaxation_engine, solve_elp
-from elpcover.graph import complete_graph, cycle_graph
+from elpcover.elp import explore_alternate_bfs, relaxation_engine, solve_elp
+from elpcover.graph import (
+    complete_graph,
+    cycle_graph,
+    petersen_graph,
+    random_gnp_graph,
+    torus_grid_graph,
+)
 from elpcover.oracles import rational_rank
 from elpcover.simplex import (
     AboveCeilingError,
@@ -17,9 +23,12 @@ from elpcover.simplex import (
     InfeasibleError,
     PivotLimitError,
 )
+import exact_oracles
 from exact_oracles import (
+    Lockstep,
     ReferenceCoveringSimplex,
     circulant,
+    dictionary,
     lp_value_half_integral,
     lp_vertex_enumeration,
     point_values,
@@ -142,7 +151,7 @@ def test_determinism_identical_solutions():
         g = random_connected_gnp(rng.randint(3, 8), 0.5, rng)
         a, b = relaxation_engine(g), relaxation_engine(g)
         assert _solved(a) == _solved(b)
-        assert a._basis == b._basis and a._nonbasic == b._nonbasic
+        assert a._nonbasic == b._nonbasic and dictionary(a) == dictionary(b)
 
 
 def test_half_integrality_of_basic_solutions():
@@ -219,9 +228,10 @@ def test_dual_certificate_rejects_tampered_engine():
     engine = CoveringSimplex(2, rows)
     assert sum(_solved(engine)) == Rat(4, 3)
 
-    # A feasible but non-optimal basis: x1 enters on row 0, giving (2, 0).
+    # A feasible but non-optimal basis: x1 enters on row 0 (leaving column
+    # 2, its surplus; x1 sits at position 0), giving (2, 0).
     off = CoveringSimplex(2, rows)
-    off._pivot(0, 0)
+    off._pivot(2, 0)
     assert point_values(off.scaled_values()) == [2, 0]
     with pytest.raises(AssertionError, match="dual infeasible"):
         off.certified_values()
@@ -320,8 +330,8 @@ def test_optimize_ceiling_raises_before_a_rising_pivot():
     # made and the engine is left as it was.
     def snapshot(e):
         return (
-            [row.copy() for row in e._rows], list(e._rhs), list(e._den), list(e._basis),
-            list(e._nonbasic), list(e._cost), e._cost_rhs, e._cost_den,
+            dict(e._rows), dictionary(e), list(e._nonbasic), list(e._cost), e._cost_rhs,
+            e._cost_den,
         )
 
     engine = _path_engine()
@@ -393,7 +403,7 @@ def _optimize_both(engine, reference, same_pivots):
     assert outcomes[0] == outcomes[1]
     if same_pivots:
         assert engine.pivots == reference.pivots
-        assert engine._basis == reference._basis
+        assert sorted(dictionary(engine)) == sorted(reference._basis)
     if outcomes[0]:
         point = engine.certified_values()
         assert point == engine.scaled_values()
@@ -442,3 +452,91 @@ def test_compact_engine_matches_reference_engine(n, rows, cuts, pin):
             reference_trial.add_ge_row([-c for c in coeffs], -rhs)
             _optimize_both(trial, reference_trial, same)
             _optimize_both(engine, reference, same)  # the copies left the originals alone
+
+
+# Rows of any sign: the engine takes every a.x >= b, and rows with negative
+# coefficients are the ones whose violation a rising column can cause.
+_SIGNED_ROW = st.tuples(
+    st.lists(
+        st.one_of(st.just(Fraction(0)), st.fractions(min_value=-2, max_value=3, max_denominator=4)),
+        min_size=5,
+        max_size=5,
+    ),
+    st.fractions(min_value=-2, max_value=3, max_denominator=4),
+)
+
+
+def _optimize(engine, ceiling=None):
+    try:
+        engine.optimize(ceiling=ceiling)
+    except (InfeasibleError, AboveCeilingError):
+        pass
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.lists(_ROW, min_size=1, max_size=5),
+    st.lists(_SIGNED_ROW, max_size=4),
+    st.integers(min_value=0, max_value=8),
+    st.sampled_from((simplex.STALL_LIMIT, 1, 0)),
+)
+def test_engine_matches_full_dictionary_engine(n, rows, cuts, pin, stall_limit):
+    # Lockstep drives the engine and the full-dictionary engine it
+    # replaced through the same calls: each pivot must leave and enter the
+    # same columns and leave the same full dictionary, with the row of
+    # every violated column stored, and every stored surplus row must
+    # equal its derivation. Both run all rows from cold, then the covering
+    # rows with each row of any sign appended and solved in turn, a pinned
+    # copy solved freely and under the unpinned objective as ceiling, and
+    # the original again, under steepest edge, an early Bland fallback,
+    # and Bland's rule alone.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "STALL_LIMIT", stall_limit)
+        mp.setattr(exact_oracles, "STALL_LIMIT", stall_limit)
+        cold = Lockstep(n, [_int_row(c[:n], r) for c, r in rows + cuts])
+        _optimize(cold)
+        both = Lockstep(n, [_int_row(c[:n], r) for c, r in rows])
+        _optimize(both)
+        for coeffs, rhs in cuts:
+            both.add_ge_row(*_int_row(coeffs[:n], rhs))
+            _optimize(both)
+        coeffs, rhs = (rows + cuts)[pin % (len(rows) + len(cuts))]
+        row, bound = _int_row(coeffs[:n], rhs)
+        ceiling = both.objective()
+        for limit in (None, ceiling):
+            trial = both.copy()
+            trial.add_ge_row({j: -c for j, c in row.items()}, -bound)
+            _optimize(trial, limit)
+        _optimize(both)  # the copies left the original alone
+
+
+def _lp_large(name):
+    return {
+        "petersen": petersen_graph,
+        "torus_grid(5,5)": lambda: torus_grid_graph(5, 5),
+        "torus_grid(5,7)": lambda: torus_grid_graph(5, 7),
+        "gnp(30,0.3,1)": lambda: random_gnp_graph(30, 0.3, 1),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", ["petersen", "torus_grid(5,5)", "torus_grid(5,7)", "gnp(30,0.3,1)"])
+def test_cut_chase_matches_full_dictionary_engine(name, monkeypatch):
+    # The benchmark's lp-large graphs: their whole cut chase runs in
+    # lockstep with the full-dictionary engine, one long cold solve and
+    # dozens of warm restarts after a cut.
+    g = _lp_large(name)
+    expected = solve_elp(g)
+    monkeypatch.setattr(elp, "CoveringSimplex", Lockstep)
+    sol = solve_elp(g)
+    assert sol.x == expected.x and sol.cycle_pool == expected.cycle_pool
+    assert sol.engine.pivots == expected.engine.pivots
+
+
+def test_pin_sweep_matches_full_dictionary_engine(monkeypatch):
+    # Every pin of C11(1,3) fails: copies, pin rows, and optimize stopped
+    # by its ceiling, all in lockstep.
+    g = circulant(11, (1, 3))
+    monkeypatch.setattr(elp, "CoveringSimplex", Lockstep)
+    sol = solve_elp(g)
+    assert explore_alternate_bfs(g, sol) == (None, g.m)
