@@ -460,12 +460,5 @@ def _eliminate(row: list, rhs: int, den: int, factor: int, q: int, prow, prhs: i
     scale, factor = pden // g, factor // g
     new = [c * scale - factor * p for c, p in zip(row, prow)]
     new[q] = -factor * prow[q]
-    rhs = rhs * scale - factor * prhs
-    den *= scale
-    g = gcd(den, rhs)
-    if g != 1:
-        g = gcd(g, *new)
-        if g != 1:
-            return [c // g for c in new], rhs // g, den // g
-    return new, rhs, den
+    return _normalize(new, rhs * scale - factor * prhs, den * scale)
 
