@@ -50,12 +50,16 @@ x only on the structural columns whose rows it updates, plus the entering
 and leaving columns; so after each pivot just the implicit rows on a
 moved column, with the right sign, are checked against the new point, in
 integers over its common denominator, and the violated ones are derived.
-A surplus row that a pivot turns from violated to satisfied stays stored
-until the next pivot that changes it leaves it satisfied, since such rows
-often turn violated again at once; optimize drops every surplus row when
-it returns at the optimum. add_ge_row appends the row as given and
-derives its row only if the current point violates it, and copy() copies
-the stored rows alone, sharing them, since no row is changed in place.
+A solve keeps every row it starts with until it returns, and drops a
+row it derived as soon as a pivot leaves that row satisfied; at the
+optimum every surplus row is satisfied, and optimize drops them all. The
+rows a solve starts with are those given since the last one: on a fresh
+engine all of them, violated at x = 0 and mostly used again, so a cold
+solve works much as on the full dictionary, while a warm restart after a
+cut or a pin starts with just the structural rows and the new row.
+add_ge_row appends the row as given and derives its row only if the
+current point violates it, and copy() copies the stored rows alone,
+sharing them, since no row is changed in place.
 
 add_ge_row takes a sparse {column: int} row with an int right-hand side,
 and rationals (Rat) appear only where results leave the engine:
@@ -121,14 +125,13 @@ class CoveringSimplex:
     right-hand side rhs / den, the column's value; the basic column itself
     is an implicit unit column. _rows holds the row of every basic
     structural column and of every basic surplus column whose value is
-    negative. A surplus row that a pivot turns from violated to satisfied
-    stays until the next pivot that changes it leaves it satisfied. Any
-    other basic surplus row is derived from _given on demand (_derive). The cost row _cost is
-    a list of the same kind over _cost_den, holding the reduced costs of
-    the nonbasic columns, and -_cost_rhs / _cost_den is the objective of
-    the current basis. Every denominator is positive, and each row is
-    divided by gcd(den, rhs, *entries) after every change. Stored rows are
-    replaced, never changed in place, so copies share them.
+    negative, and while optimize runs, the rows it started with. Any other
+    basic surplus row is derived from _given on demand (_derive). The
+    cost row _cost is a list of the same kind over _cost_den, holding the
+    reduced costs of the nonbasic columns, and -_cost_rhs / _cost_den is
+    the objective of the current basis. Every denominator is positive, and
+    each row is divided by gcd(den, rhs, *entries) after every change.
+    Stored rows are replaced, never changed in place, so copies share them.
 
     _plus[j] and _minus[j] list the k whose given row has a positive and a
     negative coefficient on x_j: the rows that a fall, and a rise, of x_j
@@ -239,6 +242,7 @@ class CoveringSimplex:
             raise ValueError(f"ceiling {ceiling} is not the objective {self.objective()}")
         n, rows, nonbasic = self.num_vars, self._rows, self._nonbasic
         limit = self.pivots + pivot_cap
+        kept = set(rows)  # the rows this solve starts with
         stalled = 0
         while True:
             if stalled < STALL_LIMIT:
@@ -274,13 +278,21 @@ class CoveringSimplex:
                 stalled = 0
             else:
                 stalled += 1
-            self._pivot(leave, enter)
+            self._pivot(leave, enter, kept)
             if self.pivots > limit:
                 raise PivotLimitError(f"exceeded {pivot_cap} pivots")
 
-    def _pivot(self, leave: int, q: int) -> None:
-        """Exchange basic column leave with nonbasic column _nonbasic[q]."""
-        n, rows = self.num_vars, self._rows
+    def _pivot(self, leave: int, q: int, kept=()) -> None:
+        """Exchange basic column leave with nonbasic column _nonbasic[q].
+
+        A stored surplus row that the pivot leaves satisfied is dropped,
+        unless its column is in kept."""
+        n, rows, given = self.num_vars, self._rows, self._given
+        # Of the rows implicit after the pivot, only those implicit before
+        # it can be violated: the pivot finds the others satisfied (a
+        # dropped row, or a surplus column entering at a positive value).
+        # Every stored row is basic, so m - len(rows) rows are implicit.
+        implicit = len(rows) < len(given)
         row, rhs, den = rows.pop(leave)
         # Solving the row for the entering column divides it by its entry
         # a = row[q] / den < 0; the leaving column takes position q with
@@ -290,19 +302,16 @@ class CoveringSimplex:
         prow, prhs, pden = _normalize(prow, -rhs, -row[q])
         # The entering column rises from 0 to prhs / pden > 0, which moves
         # every basic column whose row has a nonzero entry at q, against the
-        # sign of that entry; a structural leaving column rises to 0. A
-        # surplus row satisfied both before and after its update is dropped.
-        fallen, risen, satisfied = [], [], []
+        # sign of that entry; a structural leaving column rises to 0.
+        moved, satisfied = [], []
         for col, (row, rhs, den) in rows.items():
             factor = row[q]
             if factor:
                 new = rows[col] = _eliminate(row, rhs, den, factor, q, prow, prhs, pden)
                 if col < n:
-                    if factor > 0:
-                        fallen.append(col)
-                    else:
-                        risen.append(col)
-                elif rhs >= 0 and new[1] >= 0:
+                    if implicit:
+                        moved.append((col, factor))
+                elif new[1] >= 0 and col not in kept:
                     satisfied.append(col)
         for col in satisfied:
             del rows[col]
@@ -317,30 +326,27 @@ class CoveringSimplex:
         self._position[leave] = q
         if enter < n:
             rows[enter] = (prow, prhs, pden)
-            risen.append(enter)
-        if leave < n:
-            risen.append(leave)
         self.pivots += 1
+        if not implicit:
+            return
         # An implicit basic surplus row had a value >= 0. It can only have
         # turned negative through a fallen column where its coefficient is
         # positive or a risen one where it is negative; those rows are
         # checked against the new point, and the violated ones derived.
-        # Every stored row is basic, and every basic structural row is
-        # stored, so the implicit rows number len(_given) - len(rows).
-        if len(rows) == len(self._given):
-            return
+        plus, minus = self._plus, self._minus
         suspects = set()
-        for j in fallen:
-            suspects.update(self._plus[j])
-        for j in risen:
-            suspects.update(self._minus[j])
+        for j, factor in moved:
+            suspects.update(plus[j] if factor > 0 else minus[j])
+        if enter < n:
+            suspects.update(minus[enter])
+        if leave < n:
+            suspects.update(minus[leave])
         position = self._position
-        implicit = [k for k in suspects if n + k not in rows and n + k not in position]
-        if not implicit:
+        suspects = [k for k in suspects if n + k not in rows and n + k not in position]
+        if not suspects:
             return
-        given = self._given
         x, scale = self.scaled_values()
-        for k in implicit:
+        for k in suspects:
             row, rhs = given[k]
             if sum(map(mul, row.values(), map(x.__getitem__, row))) < rhs * scale:
                 rows[n + k] = self._derive(k)

@@ -960,10 +960,8 @@ def dictionary(engine: CoveringSimplex) -> dict:
 
 def full_dictionary(reference: FullDictionarySimplex) -> dict:
     """The rows of the reference engine, {basic column: (row, rhs, den)}."""
-    return {
-        b: (row, rhs, den)
-        for b, row, rhs, den in zip(reference._basis, reference._rows, reference._rhs, reference._den)
-    }
+    r = reference
+    return {b: (row, rhs, den) for b, row, rhs, den in zip(r._basis, r._rows, r._rhs, r._den)}
 
 
 def _state(nonbasic, cost, rows: dict) -> str:
@@ -1016,16 +1014,19 @@ def recorded_pivots(log: list):
     def recorder(cls, leaving, state):
         pivot = cls._pivot
 
-        def recording(engine, r, q):
+        def recording(engine, r, q, *rest):
             pair = (leaving(engine, r), engine._nonbasic[q])
-            pivot(engine, r, q)
+            pivot(engine, r, q, *rest)
             log.append((cls.__name__, *pair, state(engine)))
 
         return pivot, recording
 
     patches = [
         (CoveringSimplex, *recorder(CoveringSimplex, lambda e, leave: leave, engine_state)),
-        (FullDictionarySimplex, *recorder(FullDictionarySimplex, lambda e, r: e._basis[r], reference_state)),
+        (
+            FullDictionarySimplex,
+            *recorder(FullDictionarySimplex, lambda e, r: e._basis[r], reference_state),
+        ),
     ]
     for cls, _, recording in patches:
         cls._pivot = recording

@@ -468,8 +468,9 @@ def _check_tableau_invariants(engine):
     assert engine._cost_den > 0
     assert gcd(engine._cost_den, engine._cost_rhs, *engine._cost) == 1
     for j in range(n):
-        assert engine._plus[j] == [k for k, (row, _) in enumerate(engine._given) if row.get(j, 0) > 0]
-        assert engine._minus[j] == [k for k, (row, _) in enumerate(engine._given) if row.get(j, 0) < 0]
+        signs = [row.get(j, 0) for row, _ in engine._given]
+        assert engine._plus[j] == [k for k, c in enumerate(signs) if c > 0]
+        assert engine._minus[j] == [k for k, c in enumerate(signs) if c < 0]
 
 
 # The pivot rules pick one vertex among the optima; these were recorded
@@ -559,8 +560,8 @@ def test_elp_steepest_edge_vertex_and_tableau_invariants(name, monkeypatch):
     pivot = CoveringSimplex._pivot
     count = [0]
 
-    def checked_pivot(engine, leave, q):
-        pivot(engine, leave, q)
+    def checked_pivot(engine, *args):
+        pivot(engine, *args)
         count[0] += 1
         _check_tableau_invariants(engine)
 

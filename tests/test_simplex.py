@@ -511,21 +511,21 @@ def test_engine_matches_full_dictionary_engine(n, rows, cuts, pin, stall_limit):
         _optimize(both)  # the copies left the original alone
 
 
-def _lp_large(name):
-    return {
-        "petersen": petersen_graph,
-        "torus_grid(5,5)": lambda: torus_grid_graph(5, 5),
-        "torus_grid(5,7)": lambda: torus_grid_graph(5, 7),
-        "gnp(30,0.3,1)": lambda: random_gnp_graph(30, 0.3, 1),
-    }[name]()
+# The graphs of the benchmark's lp-large workload.
+LP_LARGE = {
+    "petersen": petersen_graph(),
+    "torus_grid(5,5)": torus_grid_graph(5, 5),
+    "torus_grid(5,7)": torus_grid_graph(5, 7),
+    "gnp(30,0.3,1)": random_gnp_graph(30, 0.3, 1),
+}
 
 
-@pytest.mark.parametrize("name", ["petersen", "torus_grid(5,5)", "torus_grid(5,7)", "gnp(30,0.3,1)"])
+@pytest.mark.parametrize("name", list(LP_LARGE))
 def test_cut_chase_matches_full_dictionary_engine(name, monkeypatch):
-    # The benchmark's lp-large graphs: their whole cut chase runs in
-    # lockstep with the full-dictionary engine, one long cold solve and
-    # dozens of warm restarts after a cut.
-    g = _lp_large(name)
+    # The whole cut chase of each lp-large graph runs in lockstep with the
+    # full-dictionary engine: one long cold solve and dozens of warm
+    # restarts after a cut.
+    g = LP_LARGE[name]
     expected = solve_elp(g)
     monkeypatch.setattr(elp, "CoveringSimplex", Lockstep)
     sol = solve_elp(g)
