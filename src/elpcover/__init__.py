@@ -25,13 +25,9 @@ from .graph import Graph, GraphFormatError, OddCycle, generate, parse_graph, to_
 from .oracles import (
     CapExceededError,
     OracleResult,
-    enumerate_odd_cycles,
     exact_vc,
-    hypothesis_verdict,
-    independent_odd_cycle_rank,
     matching_2approx,
     nt_half_integral_round,
-    small_edge_conjecture_probe,
 )
 from .reductions import PipelineConfig, ReductionRecord, ReductionTrace, run_pipeline
 from .simplex import CoveringSimplex, InfeasibleError

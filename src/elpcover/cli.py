@@ -23,6 +23,9 @@ from .graph import GraphFormatError, detect_format, generate, parse_graph, to_di
 from .oracles import CapExceededError, exact_vc
 from .reductions import PipelineError
 from .runner import (
+    SCHEMA_VERSION,
+    _build_hunt_instance,
+    _hunt_instance_descriptor,
     compare_instance,
     dump_json,
     format_comparison,
@@ -116,7 +119,7 @@ def _cmd_exact(args) -> int:
     g, name, source = _load_instance(args.instance, args.format)
     result = exact_vc(g, enumerate_all=args.all, cap=args.cap)
     payload = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "instance": {"name": name, "n": g.n, "m": g.m, "source": source},
         "optSize": result.opt_size,
         "cover": sorted(result.cover),
@@ -133,7 +136,7 @@ def _cmd_exact(args) -> int:
 
 def _cmd_compare(args) -> int:
     g, name, source = _load_instance(args.instance, args.format)
-    comparison = compare_instance(g, name=name, source=source, seed=args.seed)
+    comparison = compare_instance(g, name=name, source=source)
     _emit(comparison, args.json, format_comparison(comparison))
     return EXIT_OK
 
@@ -168,8 +171,6 @@ def _cmd_hunt(args) -> int:
     archived = 0
     for item in summary["nonzeroXiInstances"]:
         # Rebuild deterministically: the row index pins the descriptor.
-        from .runner import _build_hunt_instance, _hunt_instance_descriptor
-
         desc = _hunt_instance_descriptor(args.gen, item["index"], args.seed, lo, hi)
         g, _ = _build_hunt_instance(desc)
         path = outdir / f"nonzero_xi_{item['index']:05d}.col"
@@ -215,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="algorithm vs 2-approximation baselines")
     add_instance(compare)
-    compare.add_argument("--seed", type=int, default=0)
     compare.set_defaults(func=_cmd_compare)
 
     gen = sub.add_parser("gen", help="write a generated instance as DIMACS")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ._rat import THREE_HALVES, TWO_THIRDS, ZERO, Rat
 from .graph import Graph
@@ -45,11 +45,8 @@ class GuaranteeViolation(AssertionError):
     """A provable bound was violated; indicates an implementation bug."""
 
 
-def backtrack(trace: ReductionTrace, sizes: Optional[list] = None) -> Cover:
-    """Reconstruct the cover of the original graph from the trace.
-
-    When sizes is given it receives (k, |S_k|) pairs, terminal first, for
-    per-step growth auditing."""
+def backtrack(trace: ReductionTrace) -> Cover:
+    """Reconstruct the cover of the original graph from the trace."""
     if trace.hypothesis_failed:
         raise HypothesisFailedError(
             f"run stopped at iteration {trace.L} without a cover"
@@ -67,8 +64,6 @@ def backtrack(trace: ReductionTrace, sizes: Optional[list] = None) -> Cover:
             cover.add(j if rec.d_i <= previous else i)
         elif rec.kind in (KIND_OVER_ACTIVE, KIND_RANDOM):
             cover.update(rec.pair)
-        if sizes is not None:
-            sizes.append((rec.index, len(cover)))
     return frozenset(cover)
 
 

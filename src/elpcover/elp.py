@@ -51,7 +51,6 @@ class ElpSolution:
     cycle_pool: tuple[OddCycle, ...]
     active_edges: tuple[tuple[int, int], ...]
     over_active_edges: tuple[tuple[int, int], ...]
-    small_edges: tuple[tuple[int, int], ...]
     engine: CoveringSimplex  # optimal for the edge rows and cycle_pool (plus a pin)
 
     @property
@@ -201,44 +200,37 @@ def _extract_simple_odd_cycle(walk: list[int]) -> tuple[int, ...]:
 
 
 def classify_edges(g: Graph, point: tuple[list[int], int]):
-    """(active, over-active, small) edge sets at a point x, all by exact comparison.
+    """(active, over-active) edge sets at a point x, both by exact comparison.
 
-    active: x_u + x_v = 1; over-active: x_u + x_v >= 4/3 (boundary included);
-    small: argmin over edges of x_u + x_v (empty only for edgeless graphs).
-    point is x scaled to integers, (ints, L) as separate_odd_cycle takes it,
-    so the tests are the int comparisons L x_u + L x_v == L and
-    3 (L x_u + L x_v) >= 4 L.
+    active: x_u + x_v = 1, the edges the active-edge step rewires;
+    over-active: x_u + x_v >= 4/3 (boundary included), the edges the
+    over-active step deletes. point is x scaled to integers, (ints, L) as
+    separate_odd_cycle takes it, so the tests are the int comparisons
+    L x_u + L x_v == L and 3 (L x_u + L x_v) >= 4 L.
     """
     ints, scale = point
     scaled = dict(zip(g.vertices, ints))
     active = []
     over = []
-    small: list[tuple[int, int]] = []
-    best = None
     for u, v in g.edges():
         s = scaled[u] + scaled[v]
         if s == scale:
             active.append((u, v))
         if 3 * s >= 4 * scale:
             over.append((u, v))
-        if best is None or s < best:
-            best, small = s, [(u, v)]
-        elif s == best:
-            small.append((u, v))
-    return tuple(active), tuple(over), tuple(small)
+    return tuple(active), tuple(over)
 
 
 def _assemble(g: Graph, engine: CoveringSimplex, pool) -> ElpSolution:
     point = engine.certified_values()
     ints, scale = point
-    active, over, small = classify_edges(g, point)
+    active, over = classify_edges(g, point)
     return ElpSolution(
         x={v: Rat(i, scale) for v, i in zip(g.vertices, ints)},
         objective=Rat(sum(ints), scale),
         cycle_pool=tuple(pool),
         active_edges=active,
         over_active_edges=over,
-        small_edges=small,
         engine=engine,
     )
 

@@ -59,10 +59,6 @@ class OddCycle:
         return cycle
 
     @property
-    def length(self) -> int:
-        return len(self.vertices)
-
-    @property
     def s(self) -> int:
         return (len(self.vertices) - 1) // 2
 
@@ -80,21 +76,6 @@ class OddCycle:
         return tuple(
             normalize_edge(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq))
         )
-
-    def incidence_vector(self, vertex_order: Iterable[int]) -> tuple[int, ...]:
-        members = self.vertex_set
-        return tuple(1 if v in members else 0 for v in vertex_order)
-
-    def has_chord_in(self, g: "Graph") -> bool:
-        seq = self.vertices
-        n = len(seq)
-        for i in range(n):
-            for j in range(i + 2, n):
-                if i == 0 and j == n - 1:
-                    continue  # cyclically consecutive
-                if g.has_edge(seq[i], seq[j]):
-                    return True
-        return False
 
 
 def _canonical_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
@@ -148,9 +129,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         nbrs = self._adj.get(u)
         return nbrs is not None and v in nbrs
@@ -164,20 +142,6 @@ class Graph:
 
     def edge_list(self) -> tuple[tuple[int, int], ...]:
         return tuple(self.edges())
-
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        verts = self.vertices
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            u = stack.pop()
-            for v in self._adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n
 
     def find_triangle(self) -> Optional[OddCycle]:
         """Lexicographically smallest triangle, or None."""

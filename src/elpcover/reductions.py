@@ -52,15 +52,6 @@ DROP_TABLE = {
     KIND_RANDOM: ONE,
 }
 
-# Backtracking adds at most this many vertices on top of |I_{k,1}|.
-GROWTH_TABLE = {
-    KIND_ZERO_ONE: 0,
-    KIND_THREE_CYCLE: 3,
-    KIND_ACTIVE: 1,
-    KIND_OVER_ACTIVE: 2,
-    KIND_RANDOM: 2,
-}
-
 # Structural reductions per mode, tried in this order after the {0,1} step.
 STEP_ORDER = {
     "base": (KIND_THREE_CYCLE, KIND_ACTIVE, KIND_OVER_ACTIVE),
@@ -101,15 +92,6 @@ class ReductionRecord:
     @property
     def d_k(self):
         return Rat(len(self.i1) if self.zero_one_applied else 0) + DROP_TABLE[self.kind]
-
-    @property
-    def strict_drop(self) -> bool:
-        return self.kind == KIND_RANDOM
-
-    @property
-    def growth_cap(self) -> int:
-        applied = len(self.i1) if self.zero_one_applied else 0
-        return applied + GROWTH_TABLE[self.kind]
 
 
 @dataclass

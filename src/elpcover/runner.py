@@ -15,6 +15,7 @@ import io
 import json
 import logging
 import os
+import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
@@ -134,9 +135,9 @@ def solve_instance(
     return report
 
 
-def compare_instance(g: Graph, name: str, source: str, seed: int = 0) -> dict:
+def compare_instance(g: Graph, name: str, source: str) -> dict:
     """Algorithm vs. maximal matching vs. LP rounding vs. exact (when small)."""
-    report = solve_instance(g, name, source, mode="enhanced", seed=seed)
+    report = solve_instance(g, name, source, mode="enhanced")
     matching = matching_2approx(g)
     rounded = nt_half_integral_round(g)
     for label, cover in (("matching2approx", matching), ("ntRounding", rounded)):
@@ -181,9 +182,7 @@ _TORUS_SHAPES = [
 
 
 def _hunt_instance_descriptor(gen: str, index: int, seed: int, n_lo: int, n_hi: int):
-    import random as _random
-
-    rng = _random.Random(seed * 1_000_003 + index)
+    rng = random.Random(seed * 1_000_003 + index)
     kind = gen
     if gen == "mixed":
         kind = "gnp-trianglefree" if index % 2 == 0 else "torus"

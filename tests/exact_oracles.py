@@ -23,7 +23,8 @@ import networkx as nx
 
 from elpcover import elp, reductions, simplex
 from elpcover._rat import ONE, ZERO, Rat
-from elpcover.elp import ElpSolution, classify_edges, separate_odd_cycle
+from elpcover.cover import backtrack
+from elpcover.elp import ElpSolution, classify_edges, separate_odd_cycle, solve_elp
 from elpcover.graph import Graph, OddCycle, normalize_edge, random_gnp_graph
 from elpcover.simplex import (
     AboveCeilingError,
@@ -81,6 +82,31 @@ def run_pipeline_iterates(g: Graph, config=None):
         reductions.solve_elp, reductions.explore_alternate_bfs = solve, explore
     assert len(graphs) == len(xs) == trace.L
     return trace, graphs, xs
+
+
+# Backtracking adds at most this many vertices on top of |I_{k,1}|.
+GROWTH_TABLE = {
+    reductions.KIND_ZERO_ONE: 0,
+    reductions.KIND_THREE_CYCLE: 3,
+    reductions.KIND_ACTIVE: 1,
+    reductions.KIND_OVER_ACTIVE: 2,
+    reductions.KIND_RANDOM: 2,
+}
+
+
+def growth_cap(rec) -> int:
+    """Most vertices that backtracking record rec may add to S_{k+1}."""
+    applied = len(rec.i1) if rec.zero_one_applied else 0
+    return applied + GROWTH_TABLE[rec.kind]
+
+
+def backtrack_sizes(trace) -> list[int]:
+    """[|S_1| .. |S_L|], S_k the cover backtracking builds for G_k: the
+    cover of backtrack run on the records of iterations k..L."""
+    return [
+        len(backtrack(reductions.ReductionTrace(trace.mode, trace.records[k:])))
+        for k in range(trace.L)
+    ]
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -178,14 +204,13 @@ def _solve_square(system, n):
     return [matrix[r][n] for r in range(n)]
 
 
-def nx_odd_cycles(g: Graph, max_len=None) -> set[frozenset[int]]:
-    """Vertex sets of all simple odd cycles, via networkx."""
-    limit = max_len if max_len is not None else g.n
-    out = set()
-    for cycle in nx.simple_cycles(to_networkx(g), length_bound=limit):
-        if len(cycle) % 2 == 1 and len(cycle) >= 3:
-            out.add(frozenset(cycle))
-    return out
+def nx_odd_cycles(g: Graph, max_len=None, chordless=False) -> tuple[OddCycle, ...]:
+    """All simple odd cycles of at most max_len vertices (any length when
+    None), or only the chordless ones, via networkx; sorted by length, then
+    by canonical vertex sequence."""
+    find = nx.chordless_cycles if chordless else nx.simple_cycles
+    cycles = (OddCycle(tuple(c)) for c in find(to_networkx(g), length_bound=max_len) if len(c) % 2)
+    return tuple(sorted(cycles, key=lambda c: (len(c.vertices), c.vertices)))
 
 
 def nx_min_odd_cycle_weight(g: Graph, x) -> tuple:
@@ -205,6 +230,67 @@ def nx_min_odd_cycle_weight(g: Graph, x) -> tuple:
     return best
 
 
+def rational_rank(rows) -> int:
+    """Rank over the rationals via exact Gaussian elimination."""
+    matrix = [[Rat(c) for c in row] for row in rows]
+    rank = 0
+    col = 0
+    width = len(matrix[0]) if matrix else 0
+    while rank < len(matrix) and col < width:
+        pivot = next((i for i in range(rank, len(matrix)) if matrix[i][col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        prow = matrix[rank]
+        inv = ONE / prow[col]
+        matrix[rank] = prow = [c * inv for c in prow]
+        for i in range(len(matrix)):
+            if i != rank and matrix[i][col]:
+                f = matrix[i][col]
+                matrix[i] = [a - f * b for a, b in zip(matrix[i], prow)]
+        rank += 1
+        col += 1
+    return rank
+
+
+def independent_odd_cycle_rank(g: Graph, max_len: Optional[int] = None) -> int:
+    """Rank of the chordless-odd-cycle incidence matrix over the rationals."""
+    cycles = nx_odd_cycles(g, max_len=max_len, chordless=True)
+    return rational_rank([[int(v in c.vertex_set) for v in g.vertices] for c in cycles])
+
+
+def hypothesis_verdict(g: Graph, max_len: Optional[int] = None) -> dict:
+    """Sufficient-condition diagnostic for the active edge hypothesis:
+    guaranteed when the graph has a triangle, or when it has fewer than |V|
+    linearly independent chordless odd cycles."""
+    if g.find_triangle() is not None:
+        return {"guaranteed": True, "reason": "has triangle", "rank": None, "n": g.n}
+    rank = independent_odd_cycle_rank(g, max_len=max_len)
+    guaranteed = rank < g.n
+    reason = f"rank {rank} {'<' if guaranteed else '>='} n {g.n}"
+    return {"guaranteed": guaranteed, "reason": reason, "rank": rank, "n": g.n}
+
+
+def small_edges(g: Graph, x) -> tuple[tuple[int, int], ...]:
+    """The edges of least x_u + x_v, in g.edges() order."""
+    sums = {e: x[e[0]] + x[e[1]] for e in g.edges()}
+    least = min(sums.values(), default=None)
+    return tuple(e for e, s in sums.items() if s == least)
+
+
+def small_edge_conjecture_probe(g: Graph) -> dict:
+    """For each small edge at the relaxation optimum, whether some minimum
+    cover contains exactly one of its endpoints; an edge mapped to False
+    (every minimum cover takes both endpoints) refutes the single-endpoint
+    conjecture on g."""
+    covers = brute_force_all_min_covers(g)
+    return {
+        e: any(len(cover & set(e)) == 1 for cover in covers)
+        for e in small_edges(g, solve_elp(g).x)
+    }
+
+
 def random_connected_gnp(n: int, p: float, rng: random.Random) -> Graph:
     """Rejection-sample a connected G(n, p)."""
     while True:
@@ -215,7 +301,7 @@ def random_connected_gnp(n: int, p: float, rng: random.Random) -> Graph:
             if rng.random() < p
         ]
         g = Graph.from_edges(range(1, n + 1), edges)
-        if g.is_connected():
+        if nx.is_connected(to_networkx(g)):
             return g
 
 
@@ -348,14 +434,13 @@ def _add_cycle_row(engine: CoveringSimplex, cycle: OddCycle, index) -> None:
 
 def _assemble(g: Graph, engine: CoveringSimplex, pool) -> ElpSolution:
     values = point_values(engine.certified_values())
-    active, over, small = classify_edges(g, engine.scaled_values())
+    active, over = classify_edges(g, engine.scaled_values())
     return ElpSolution(
         x=dict(zip(g.vertices, values)),
         objective=sum(values, ZERO),
         cycle_pool=tuple(pool),
         active_edges=active,
         over_active_edges=over,
-        small_edges=small,
         engine=engine,
     )
 

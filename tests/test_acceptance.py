@@ -26,22 +26,20 @@ from elpcover.graph import (
     random_triangle_free_graph,
     to_dimacs,
 )
-from elpcover.oracles import (
-    enumerate_odd_cycles,
-    exact_vc,
+from elpcover.oracles import exact_vc, matching_2approx, nt_half_integral_round
+from elpcover.reductions import KIND_ACTIVE, KIND_RANDOM
+from exact_oracles import (
+    backtrack_sizes,
+    growth_cap,
     hypothesis_verdict,
     independent_odd_cycle_rank,
-    matching_2approx,
-    nt_half_integral_round,
-    small_edge_conjecture_probe,
-)
-from elpcover.reductions import KIND_ACTIVE
-from exact_oracles import (
     nx_min_odd_cycle_weight,
+    nx_odd_cycles,
     point_values,
     random_connected_gnp,
     run_pipeline_iterates,
     scale_point,
+    small_edge_conjecture_probe,
 )
 
 SWEEP_SEED = 20260810
@@ -139,15 +137,14 @@ def test_criterion_3_ledger_fidelity(sweep, triangle_free_batch):
         trace = run.trace
         values = [rec.f for rec in trace.records]
         for rec, (before, after) in zip(trace.records[:-1], zip(values, values[1:])):
-            if rec.strict_drop:
+            if rec.kind == KIND_RANDOM:
                 assert after < before - rec.d_k, rec
             else:
                 assert after <= before - rec.d_k, rec
             steps += 1
-        sizes = []
-        backtrack(trace, sizes=sizes)
-        for rec, (prev, cur) in zip(reversed(trace.records[:-1]), zip(sizes, sizes[1:])):
-            assert cur[1] - prev[1] <= rec.growth_cap, rec
+        sizes = backtrack_sizes(trace)
+        for rec, before, after in zip(trace.records, sizes[1:], sizes):
+            assert after - before <= growth_cap(rec), rec
     print(
         f"\n[PASS] criterion 3: value ledger f(k+1) <= f(k) - d_k and backtrack "
         f"growth bounds hold exactly over {steps} reduction steps"
@@ -166,7 +163,7 @@ def test_criterion_4_elp_values():
     # enumerated odd-cycle family (independent of the separation loop).
     pet = petersen_graph()
     cutting = solve_elp(pet).objective
-    direct = _lp_value(relaxation_engine(pet, enumerate_odd_cycles(pet)))
+    direct = _lp_value(relaxation_engine(pet, nx_odd_cycles(pet)))
     assert cutting == direct == 6 == exact_vc(pet).opt_size
     # Sandwich on oracle-checked instances.
     rng = random.Random(404)
@@ -231,7 +228,7 @@ def test_criterion_7_projection_feasibility(sweep, triangle_free_batch):
             xhat = {v: run.xs[idx][v] for v in reduced.vertices}
             for u, v in reduced.edges():
                 assert xhat[u] + xhat[v] >= 1, rec
-            for cycle in enumerate_odd_cycles(reduced):
+            for cycle in nx_odd_cycles(reduced):
                 assert sum(xhat[v] for v in cycle.vertices) >= cycle.rhs, rec
             checked += 1
     assert checked > 0, "sweep produced no active-edge reductions to audit"
@@ -270,9 +267,8 @@ def test_criterion_9_diagnostics(sweep):
         if g.find_triangle() is not None:
             assert hypothesis_verdict(g)["guaranteed"] is True
         if g.n <= 8:
-            report = small_edge_conjecture_probe(g)
             probed += 1
-            if report["holds_for_some_small_edge"]:
+            if any(small_edge_conjecture_probe(g).values()):
                 holds += 1
             else:
                 counterexamples += 1

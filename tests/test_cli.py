@@ -8,6 +8,7 @@ from elpcover.cli import main
 from elpcover.graph import to_dimacs
 from elpcover.runner import (
     HUNT_CSV_COLUMNS,
+    SCHEMA_VERSION,
     compare_instance,
     hunt,
     hunt_rows_csv,
@@ -123,7 +124,8 @@ def test_exit_code_cap_exceeded():
 def test_exact_command(tmp_path):
     out = tmp_path / "e.json"
     assert run_cli(["exact", "gen:petersen", "--json", str(out)]) == 0
-    assert json.loads(out.read_text())["optSize"] == 6
+    payload = json.loads(out.read_text())
+    assert payload["optSize"] == 6 and payload["schema"] == SCHEMA_VERSION
     assert run_cli(["exact", "gen:cycle(7)", "--all", "--json", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["optSize"] == 4 and len(payload["allOptimalCovers"]) == 7

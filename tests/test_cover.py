@@ -20,7 +20,7 @@ from elpcover.reductions import (
     ReductionTrace,
     run_pipeline,
 )
-from exact_oracles import random_connected_gnp
+from exact_oracles import backtrack_sizes, growth_cap, random_connected_gnp
 
 
 def active_record(k, pair, d_i, i1=frozenset(), f=Rat(0)):
@@ -175,17 +175,12 @@ def test_backtrack_growth_ledger():
     for _ in range(80):
         g = random_connected_gnp(rng.randint(3, 10), rng.uniform(0.25, 0.8), rng)
         trace = run_pipeline(g)
-        sizes = []
-        backtrack(trace, sizes=sizes)
-        # sizes: one entry per record in reverse order, terminal first;
-        # record k's growth is from S_{k+1} to S_k
-        assert [k for k, _ in sizes] == list(range(trace.L, 0, -1))
-        assert sizes[0][1] == len(trace.records[-1].i1)
-        for rec, (before, after) in zip(
-            reversed(trace.records[:-1]), zip(sizes, sizes[1:])
-        ):
-            growth = after[1] - before[1]
-            assert growth <= rec.growth_cap
+        # sizes[k - 1] = |S_k|; record k's growth is from S_{k+1} to S_k
+        sizes = backtrack_sizes(trace)
+        assert sizes[0] == len(backtrack(trace))
+        assert sizes[-1] == len(trace.records[-1].i1)
+        for rec, before, after in zip(trace.records, sizes[1:], sizes):
+            assert after - before <= growth_cap(rec)
 
 
 def test_end_to_end_guarantees_small():

@@ -25,7 +25,7 @@ from elpcover.graph import (
     random_gnp_graph,
     torus_grid_graph,
 )
-from elpcover.oracles import enumerate_odd_cycles, exact_vc
+from elpcover.oracles import exact_vc
 from elpcover.simplex import CoveringSimplex
 from exact_oracles import (
     circulant,
@@ -37,6 +37,7 @@ from exact_oracles import (
     reference_explore_alternate,
     reference_separate_odd_cycle,
     scale_point,
+    small_edges,
 )
 
 
@@ -58,7 +59,7 @@ def test_separation_petersen_matches_bruteforce():
     pet = petersen_graph()
     x = {v: Rat(1, 2) for v in pet.vertices}
     cycle, violation = separate_odd_cycle(pet, scale_point(pet, x))
-    assert cycle.length == 5 and violation == Rat(1, 2)
+    assert len(cycle.vertices) == 5 and violation == Rat(1, 2)
     # brute-force minimum over all odd cycles (networkx route)
     assert nx_min_odd_cycle_weight(pet, x) == 0
     weight = sum(x[u] + x[v] - 1 for u, v in cycle.cycle_edges())
@@ -164,7 +165,7 @@ def test_elp_torus_value_and_feasibility_of_uniform():
     three_fifths = {v: Rat(3, 5) for v in t.vertices}
     for u, v in t.edges():
         assert three_fifths[u] + three_fifths[v] >= 1
-    for cycle in enumerate_odd_cycles(t, max_len=9, chordless_only=True):
+    for cycle in nx_odd_cycles(t, max_len=9, chordless=True):
         assert sum(three_fifths[v] for v in cycle.vertices) >= cycle.rhs
     assert sol.objective == exact_vc(t).opt_size == 15
 
@@ -176,10 +177,8 @@ def test_elp_final_x_satisfies_every_odd_cycle():
     for _ in range(25):
         g = random_connected_gnp(rng.randint(4, 9), rng.uniform(0.3, 0.8), rng)
         sol = solve_elp(g)
-        for members in nx_odd_cycles(g):
-            # Every odd cycle on this vertex set imposes the same rhs.
-            s = (len(members) - 1) // 2
-            assert sum(sol.x[v] for v in members) >= s + 1
+        for cycle in nx_odd_cycles(g):
+            assert sum(sol.x[v] for v in cycle.vertices) >= cycle.rhs
 
 
 def test_elp_cut_objectives_monotone(monkeypatch):
@@ -219,21 +218,19 @@ def test_elp_sandwich_bounds():
 
 def test_classify_edges():
     k2 = complete_graph(2)
-    active, over, small = classify_edges(k2, ([1, 0], 1))
-    assert active == ((1, 2),) and over == () and small == ((1, 2),)
+    active, over = classify_edges(k2, ([1, 0], 1))
+    assert active == ((1, 2),) and over == ()
 
     tri = complete_graph(3)
     x = {1: Rat(2, 3), 2: Rat(2, 3), 3: Rat(2, 3)}
-    active, over, small = classify_edges(tri, scale_point(tri, x))
+    active, over = classify_edges(tri, scale_point(tri, x))
     assert active == ()
     assert over == ((1, 2), (1, 3), (2, 3))  # 4/3 boundary is over-active
-    assert small == ((1, 2), (1, 3), (2, 3))
 
     t = torus_grid_graph(5, 5)
     x = {v: Rat(3, 5) for v in t.vertices}
-    active, over, small = classify_edges(t, scale_point(t, x))
+    active, over = classify_edges(t, scale_point(t, x))
     assert active == () and over == ()  # 6/5 < 4/3
-    assert set(small) == set(t.edges())
 
     # Mixed denominators on both sides of 1 and of 4/3 (lcm 420).
     path = Graph.from_edges(range(1, 8), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)])
@@ -242,16 +239,14 @@ def test_classify_edges():
         5: Rat(8, 15), 6: Rat(4, 5), 7: Rat(3, 10),
     }
     # Edge sums: 1, 37/28 (4/3 - 1/84), 4/3, 136/105, 4/3, 11/10.
-    active, over, small = classify_edges(path, scale_point(path, x))
+    active, over = classify_edges(path, scale_point(path, x))
     assert active == ((1, 2),)
     assert over == ((3, 4), (5, 6))
-    assert small == ((1, 2),)
     x[1] = Rat(1, 4) - Rat(1, 420)  # edge sum 1 - 1/420
     x[7] = Rat(15, 28)  # edge sum 4/3 + 1/420
-    active, over, small = classify_edges(path, scale_point(path, x))
+    active, over = classify_edges(path, scale_point(path, x))
     assert active == ()
     assert over == ((3, 4), (5, 6), (6, 7))
-    assert small == ((1, 2),)
 
 
 def test_classify_active_edges_are_small():
@@ -260,7 +255,7 @@ def test_classify_active_edges_are_small():
         g = random_connected_gnp(rng.randint(3, 9), rng.uniform(0.3, 0.8), rng)
         sol = solve_elp(g)
         if sol.active_edges:
-            assert set(sol.active_edges) <= set(sol.small_edges)
+            assert set(sol.active_edges) <= set(small_edges(g, sol.x))
 
 
 def test_explore_alternate_finds_active_edge_on_c5():
@@ -270,7 +265,7 @@ def test_explore_alternate_finds_active_edge_on_c5():
     base = solve_elp(c5)
     assert base.objective == 3
     uniform = {v: Rat(3, 5) for v in c5.vertices}
-    active, over, small = classify_edges(c5, scale_point(c5, uniform))
+    active, over = classify_edges(c5, scale_point(c5, uniform))
     assert active == ()
     fake = ElpSolution(
         x=uniform,
@@ -278,7 +273,6 @@ def test_explore_alternate_finds_active_edge_on_c5():
         cycle_pool=base.cycle_pool,
         active_edges=active,
         over_active_edges=over,
-        small_edges=small,
         engine=base.engine,
     )
     alt, pins = explore_alternate_bfs(c5, fake)
@@ -307,7 +301,7 @@ def _c5_edge_lp_solution():
     assert set(x.values()) == {Rat(1, 2)}
     return c5, ElpSolution(
         x=x, objective=Rat(5, 2), cycle_pool=(), active_edges=(),
-        over_active_edges=(), small_edges=(), engine=engine,
+        over_active_edges=(), engine=engine,
     )
 
 

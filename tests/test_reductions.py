@@ -11,7 +11,6 @@ from elpcover.graph import (
     path_graph,
     random_triangle_free_graph,
 )
-from elpcover.oracles import enumerate_odd_cycles
 from elpcover.reductions import (
     KIND_ACTIVE,
     KIND_OVER_ACTIVE,
@@ -29,7 +28,13 @@ from elpcover.reductions import (
     zero_one_sets,
 )
 from elpcover.runner import solve_instance
-from exact_oracles import circulant, random_connected_gnp, run_pipeline_iterates, scale_point
+from exact_oracles import (
+    circulant,
+    nx_odd_cycles,
+    random_connected_gnp,
+    run_pipeline_iterates,
+    scale_point,
+)
 
 
 def union(*graphs):
@@ -119,7 +124,7 @@ def test_step_active_edge_p3_absorbed_by_zero_one():
 def test_step_active_edge_rejects_triangle_through_edge():
     k3 = complete_graph(3)
     x = {1: Rat(1, 2), 2: Rat(1, 2), 3: Rat(1)}
-    active, _, _ = classify_edges(k3, scale_point(k3, x))
+    active, _ = classify_edges(k3, scale_point(k3, x))
     assert active[0] == (1, 2)
     with pytest.raises(PipelineError):
         step(k3, KIND_ACTIVE, active)
@@ -148,7 +153,7 @@ def test_step_active_edge_projection_feasible():
             xhat = {v: xs[idx][v] for v in nxt.vertices}
             for u, v in nxt.edges():
                 assert xhat[u] + xhat[v] >= 1
-            for cycle in enumerate_odd_cycles(nxt):
+            for cycle in nx_odd_cycles(nxt):
                 assert sum(xhat[v] for v in cycle.vertices) >= cycle.rhs
     assert seen >= 3  # the sweep must actually exercise the reduction
 
@@ -161,7 +166,7 @@ def test_active_edge_interior_cycle_sums():
         g = random_connected_gnp(rng.randint(4, 9), rng.uniform(0.25, 0.6), rng)
         sol = solve_elp(g)
         for (i, j) in sol.active_edges:
-            for cycle in enumerate_odd_cycles(g):
+            for cycle in nx_odd_cycles(g):
                 members = cycle.vertex_set
                 if i in members and j in members:
                     edges = set(cycle.cycle_edges())
@@ -176,18 +181,18 @@ def test_active_edge_interior_cycle_sums():
 def test_step_over_active_boundary():
     tri = complete_graph(3)
     x = {1: Rat(2, 3), 2: Rat(2, 3), 3: Rat(2, 3)}
-    _, over, _ = classify_edges(tri, scale_point(tri, x))  # 2/3 + 2/3 = 4/3: boundary included
+    _, over = classify_edges(tri, scale_point(tri, x))  # 2/3 + 2/3 = 4/3: boundary included
     reduced, fields = step(tri, KIND_OVER_ACTIVE, over)
     assert fields == {"pair": (1, 2)} and reduced.vertices == (3,)
     c5 = cycle_graph(5)
-    _, over, _ = classify_edges(c5, ([3] * 5, 5))
+    _, over = classify_edges(c5, ([3] * 5, 5))
     assert over == ()  # 6/5 < 4/3
     with pytest.raises(PipelineError):
         step(c5, KIND_OVER_ACTIVE, over)
     x = {v: Rat(3, 5) for v in c5.vertices}
     x[1] = Rat(1)
     x[2] = Rat(1, 2)
-    _, over, _ = classify_edges(c5, scale_point(c5, x))  # 1 + 1/2 >= 4/3
+    _, over = classify_edges(c5, scale_point(c5, x))  # 1 + 1/2 >= 4/3
     _, fields = step(c5, KIND_OVER_ACTIVE, over)
     assert fields == {"pair": (1, 2)}
 
@@ -268,7 +273,7 @@ def test_pipeline_enhanced_random_edge_on_hard_circulant():
     kinds = [r.kind for r in trace.records]
     assert KIND_RANDOM in kinds
     rec = trace.records[kinds.index(KIND_RANDOM)]
-    assert rec.d_k == 1 and rec.strict_drop
+    assert rec.d_k == 1
     assert trace.diagnostics["pin_solves"] == g.m  # full sweep failed first
 
 
@@ -292,7 +297,7 @@ def test_pipeline_value_ledger_and_termination():
         assert len(graphs) == trace.L
         values = [rec.f for rec in trace.records]
         for rec, (before, after) in zip(trace.records[:-1], zip(values, values[1:])):
-            if rec.strict_drop:
+            if rec.kind == KIND_RANDOM:
                 assert after < before - rec.d_k
             else:
                 assert after <= before - rec.d_k

@@ -16,7 +16,6 @@ from elpcover.graph import (
     random_gnp_graph,
     torus_grid_graph,
 )
-from elpcover.oracles import rational_rank
 from elpcover.simplex import (
     AboveCeilingError,
     CoveringSimplex,
@@ -33,6 +32,7 @@ from exact_oracles import (
     lp_vertex_enumeration,
     point_values,
     random_connected_gnp,
+    rational_rank,
 )
 
 HALF_SET = {Rat(0), Rat(1, 2), Rat(1)}

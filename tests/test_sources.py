@@ -39,3 +39,34 @@ def test_package_has_no_unused_imports():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
     assert found == []
+
+
+def test_package_defines_only_what_it_uses():
+    # Every function, class, method and upper-case constant defined in the
+    # package must be referenced from some package module other than
+    # __init__.py, which only re-exports: what only the tests use belongs
+    # in the tests. Dunders are called by Python itself.
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert trees
+    defined = []
+    referenced = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.lineno, node.name))
+            elif isinstance(node, ast.Assign):
+                defined += [
+                    (module, node.lineno, t.id)
+                    for t in node.targets
+                    if isinstance(t, ast.Name) and t.id.isupper()
+                ]
+            elif module != "__init__.py" and isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif module != "__init__.py" and isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    found = [
+        f"{module}:{line} {name}"
+        for module, line, name in defined
+        if name not in referenced and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert found == []
