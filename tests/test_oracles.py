@@ -108,6 +108,13 @@ def test_baseline_bounds_random():
             assert opt <= len(cover) <= 2 * opt
 
 
+def test_enumerate_odd_cycles_petersen():
+    # The classical count, verified not trusted: 12 five-cycles, and odd
+    # cycles of no length but 5 and 9.
+    lengths = [len(c.vertices) for c in nx_odd_cycles(petersen_graph())]
+    assert lengths.count(5) == 12 and set(lengths) == {5, 9}
+
+
 def test_rational_rank():
     assert rational_rank([[1, 0], [0, 1]]) == 2
     assert rational_rank([[1, 1], [2, 2]]) == 1
