@@ -302,17 +302,20 @@ class CoveringSimplex:
         prow, prhs, pden = _normalize(prow, -rhs, -row[q])
         # The entering column rises from 0 to prhs / pden > 0, which moves
         # every basic column whose row has a nonzero entry at q, against the
-        # sign of that entry; a structural leaving column rises to 0.
+        # sign of that entry; a structural leaving column rises to 0. A
+        # surplus row's new rhs has the sign of rhs * pden - factor * prhs,
+        # so a row the pivot leaves satisfied is dropped uneliminated.
         moved, satisfied = [], []
         for col, (row, rhs, den) in rows.items():
             factor = row[q]
             if factor:
-                new = rows[col] = _eliminate(row, rhs, den, factor, q, prow, prhs, pden)
                 if col < n:
                     if implicit:
                         moved.append((col, factor))
-                elif new[1] >= 0 and col not in kept:
+                elif rhs * pden >= factor * prhs and col not in kept:
                     satisfied.append(col)
+                    continue
+                rows[col] = _eliminate(row, rhs, den, factor, q, prow, prhs, pden)
         for col in satisfied:
             del rows[col]
         factor = self._cost[q]
