@@ -3,10 +3,19 @@
 The relaxation adds, on top of the edge inequalities x_i + x_j >= 1, one
 inequality sum_{v in C} x_v >= s + 1 per odd cycle C of length 2s + 1. The
 cycle family is exponential, so the optimum is computed by a cutting-plane
-loop with an exact separation oracle: a most-violated odd cycle is found as a
-minimum-weight odd closed walk in the bipartite double cover under edge
-weights w(u,v) = x_u + x_v - 1, then shrunk to a simple odd cycle (discarding
-closed sub-walks of even length never increases the weight).
+loop with an exact separation oracle (Grotschel, Lovasz & Schrijver,
+Geometric Algorithms and Combinatorial Optimization, 1988, section 9.1): a
+most-violated odd cycle is found as a minimum-weight odd closed walk in the
+bipartite double cover under edge weights w(u,v) = x_u + x_v - 1, then
+shrunk to a simple odd cycle (discarding closed sub-walks of even length
+never increases the weight). Each round of the loop adds a batch of
+pairwise vertex-disjoint violated cycles before it re-optimizes: the most
+violated cycle of the graph, then one of the graph less the vertices of
+the cycles taken so far, and so on (many cuts per round, as in Padberg &
+Rinaldi, SIAM Review 33, 1991). Every cut is an odd-cycle inequality
+violated at the round's point, and the loop ends only when a separation
+over the whole graph finds nothing, so the batches change the vertex the
+simplex returns but not the optimum.
 
 Every LP goes through one CoveringSimplex engine, built by
 relaxation_engine from sparse int rows (x_u + x_v >= 1 per edge, one row
@@ -36,12 +45,14 @@ from .simplex import AboveCeilingError, CoveringSimplex, InfeasibleError
 log = logging.getLogger("elpcover.elp")
 
 # A cut chase on a graph of n vertices may add at most ROUNDS_PER_VERTEX *
-# max(1, n) cuts before CutLoopLimitError.
+# max(1, n) cuts, counted one by one whatever the rounds that add them,
+# before CutLoopLimitError.
 ROUNDS_PER_VERTEX = 10
 
 
 class CutLoopLimitError(RuntimeError):
-    """Cutting-plane round cap exceeded; signals a separation/extraction bug."""
+    """Cut cap exceeded: a chase added more than ROUNDS_PER_VERTEX * max(1, n)
+    cuts, however many rounds it took; signals a separation/extraction bug."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,12 +247,15 @@ def _assemble(g: Graph, engine: CoveringSimplex, pool) -> ElpSolution:
 
 
 def _chase(g: Graph, engine: CoveringSimplex, pool: list, ceiling=None) -> ElpSolution:
-    """Optimize engine, then add most-violated odd-cycle cuts until x
+    """Optimize engine, then add rounds of violated odd-cycle cuts until x
     satisfies every odd-cycle inequality of g; the certified optimum.
 
-    engine holds the edge rows of g and one row per cycle of pool (plus a
-    pin, for the alternate sweep), and each cut is appended to pool. Every
-    optimize runs with the given ceiling (InfeasibleError and
+    A round takes the cycles _disjoint_cuts finds at the engine's point,
+    the most violated cycle of g first, adds them all and optimizes again,
+    so the chase ends only when a separation over the whole of g finds
+    nothing. engine holds the edge rows of g and one row per cycle of pool
+    (plus a pin, for the alternate sweep), and each cut is appended to
+    pool. Every optimize runs with the given ceiling (InfeasibleError and
     AboveCeilingError propagate), and when one returns under a ceiling the
     objective must equal it (AssertionError otherwise). More than
     ROUNDS_PER_VERTEX * max(1, n) cuts raise CutLoopLimitError.
@@ -249,26 +263,47 @@ def _chase(g: Graph, engine: CoveringSimplex, pool: list, ceiling=None) -> ElpSo
     index = _index(g)
     seen = {c.vertex_set for c in pool}
     cap = ROUNDS_PER_VERTEX * max(1, g.n)
-    added = 0
+    added = rounds = 0
     while True:
         engine.optimize(ceiling=ceiling)
         if ceiling is not None and engine.objective() != ceiling:
             raise AssertionError(
-                f"objective {engine.objective()} left its ceiling {ceiling} at cut round {added}"
+                f"objective {engine.objective()} left its ceiling {ceiling} at cut round {rounds}"
             )
-        found = separate_odd_cycle(g, engine.scaled_values())
-        if found is None:
+        cuts = _disjoint_cuts(g, engine.scaled_values())
+        if not cuts:
             return _assemble(g, engine, pool)
-        if added >= cap:
-            raise CutLoopLimitError(f"exceeded {cap} cutting-plane rounds on n={g.n}")
-        cycle, violation = found
-        if cycle.vertex_set in seen:
-            raise AssertionError(f"separation returned pooled cycle {cycle.vertices}")
-        seen.add(cycle.vertex_set)
-        pool.append(cycle)
-        _add_cycle_row(engine, cycle, index)
-        added += 1
-        log.debug("cut round %d: cycle %s violation %s", added, cycle.vertices, violation)
+        rounds += 1
+        for cycle, violation in cuts:
+            if added >= cap:
+                raise CutLoopLimitError(f"exceeded {cap} cuts on n={g.n}")
+            if cycle.vertex_set in seen:
+                raise AssertionError(f"separation returned pooled cycle {cycle.vertices}")
+            seen.add(cycle.vertex_set)
+            pool.append(cycle)
+            _add_cycle_row(engine, cycle, index)
+            added += 1
+            log.debug("cut round %d: cycle %s violation %s", rounds, cycle.vertices, violation)
+
+
+def _disjoint_cuts(g: Graph, point: tuple[list[int], int]) -> list:
+    """Pairwise vertex-disjoint violated odd cycles at point, as
+    (cycle, violation) pairs: separate_odd_cycle on g, then on g less the
+    vertices of the cycles taken so far, until a search finds nothing or no
+    edge is left. Empty exactly when x satisfies every odd-cycle inequality
+    of g. Each cycle is an odd cycle of g violated at point, and the first
+    is the most violated one."""
+    ints, scale = point
+    value = dict(zip(g.vertices, ints))
+    cuts = []
+    rest, found = g, separate_odd_cycle(g, point)
+    while found is not None:
+        cuts.append(found)
+        rest = rest.delete_vertices(found[0].vertices)
+        if not rest.m:
+            break
+        found = separate_odd_cycle(rest, ([value[v] for v in rest.vertices], scale))
+    return cuts
 
 
 def solve_elp(g: Graph) -> ElpSolution:

@@ -419,8 +419,7 @@ def _extract_simple_odd_cycle(walk: list[int]) -> tuple[int, ...]:
 # so only separation, edge classification and the engine are shared.
 @dataclass(frozen=True)
 class CutRound:
-    cycle: OddCycle
-    violation: object
+    cuts: tuple  # (cycle, violation) pairs, in the order they were found
     objective_after: object
 
 
@@ -445,36 +444,58 @@ def _assemble(g: Graph, engine: CoveringSimplex, pool) -> ElpSolution:
     )
 
 
+def round_of_cuts(g: Graph, x: Mapping[int, object], disjoint: bool = True) -> list:
+    """The (cycle, violation) pairs one cut round adds at the point x, a
+    {vertex: value} map: the most violated cycle of g, and, when disjoint,
+    then the most violated cycle of the subgraph induced by the vertices
+    no cycle of the round has taken, until none is violated or no edge is
+    left."""
+    cuts = []
+    rest = g
+    while rest.m:
+        found = separate_odd_cycle(rest, scale_point(rest, x))
+        if found is None:
+            break
+        cuts.append(found)
+        if not disjoint:
+            break
+        taken = set(found[0].vertices)
+        keep = [v for v in rest.vertices if v not in taken]
+        rest = Graph.from_edges(keep, [(u, v) for u, v in rest.edges() if u in keep and v in keep])
+    return cuts
+
+
 def chase_cuts(
-    g: Graph, engine: CoveringSimplex, pool: list, seen: set, cap: int, ceiling=None
+    g: Graph, engine: CoveringSimplex, pool: list, seen: set, cap: int, ceiling=None,
+    disjoint: bool = True,
 ) -> Iterator[CutRound]:
-    """Add most-violated odd-cycle cuts to an optimal engine until x
-    satisfies every odd-cycle inequality of g, yielding one CutRound per cut.
+    """Add rounds of violated odd-cycle cuts (round_of_cuts) to an optimal
+    engine until x satisfies every odd-cycle inequality of g, yielding one
+    CutRound per round; disjoint=False takes one cut per round.
 
     Each cut is appended to pool and its vertex set to seen, and the engine
-    is re-optimized with the given ceiling (InfeasibleError and
-    AboveCeilingError propagate). More than cap cuts raise
+    is re-optimized once per round with the given ceiling (InfeasibleError
+    and AboveCeilingError propagate). More than cap cuts raise
     CutLoopLimitError. A caller that stops iterating leaves the engine
     optimal for the cuts added so far.
     """
     index = _index(g)
     added = 0
     while True:
-        found = separate_odd_cycle(g, engine.scaled_values())
-        if found is None:
+        cuts = round_of_cuts(g, dict(zip(g.vertices, point_values(engine.scaled_values()))), disjoint)
+        if not cuts:
             return
-        if added >= cap:
-            raise elp.CutLoopLimitError(f"exceeded {cap} cutting-plane rounds on n={g.n}")
-        cycle, violation = found
-        if cycle.vertex_set in seen:
-            raise AssertionError(f"separation returned pooled cycle {cycle.vertices}")
-        seen.add(cycle.vertex_set)
-        pool.append(cycle)
-        _add_cycle_row(engine, cycle, index)
+        for cycle, _ in cuts:
+            if added >= cap:
+                raise elp.CutLoopLimitError(f"exceeded {cap} cuts on n={g.n}")
+            if cycle.vertex_set in seen:
+                raise AssertionError(f"separation returned pooled cycle {cycle.vertices}")
+            seen.add(cycle.vertex_set)
+            pool.append(cycle)
+            _add_cycle_row(engine, cycle, index)
+            added += 1
         engine.optimize(ceiling=ceiling)
-        added += 1
-        objective = engine.objective()
-        yield CutRound(cycle, violation, objective)
+        yield CutRound(tuple(cuts), engine.objective())
 
 
 def _round_cap(g: Graph) -> int:

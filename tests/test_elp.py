@@ -19,15 +19,18 @@ from elpcover.elp import (
 )
 from elpcover.graph import (
     Graph,
+    OddCycle,
     complete_graph,
     cycle_graph,
     petersen_graph,
     random_gnp_graph,
+    random_triangle_free_graph,
     torus_grid_graph,
 )
 from elpcover.oracles import exact_vc
 from elpcover.simplex import CoveringSimplex
 from exact_oracles import (
+    chase_cuts,
     circulant,
     dictionary,
     nx_min_odd_cycle_weight,
@@ -182,25 +185,82 @@ def test_elp_final_x_satisfies_every_odd_cycle():
 
 
 def test_elp_cut_objectives_monotone(monkeypatch):
-    # The objective after each optimize of the cut loop never falls. Also:
-    # no vertex set is pooled twice.
+    # The objective after each optimize of the cut loop never falls, and
+    # the loop optimizes once per round of cuts, then once more. Also: no
+    # vertex set is pooled twice.
     optimize = CoveringSimplex.optimize
-    objs = []
+    disjoint_cuts = elp._disjoint_cuts
+    objs, rounds = [], []
 
     def recorded(engine, *args, **kwargs):
         optimize(engine, *args, **kwargs)
         objs.append(engine.objective())
 
+    def recorded_round(g, point):
+        cuts = disjoint_cuts(g, point)
+        rounds.append(len(cuts))
+        return cuts
+
     monkeypatch.setattr(CoveringSimplex, "optimize", recorded)
+    monkeypatch.setattr(elp, "_disjoint_cuts", recorded_round)
     rng = random.Random(71)
     for _ in range(20):
         g = random_connected_gnp(rng.randint(4, 10), rng.uniform(0.2, 0.5), rng)
         objs.clear()
+        rounds.clear()
         sol = solve_elp(g)
-        assert len(objs) == len(sol.cycle_pool) + 1
+        assert rounds[-1] == 0 and 0 not in rounds[:-1]
+        assert len(objs) == len(rounds) and sum(rounds) == len(sol.cycle_pool)
         assert objs == sorted(objs) and objs[-1] == sol.objective
         keys = [c.vertex_set for c in sol.cycle_pool]
         assert len(keys) == len(set(keys))
+
+
+@st.composite
+def _chase_graphs(draw):
+    """A connected G(n, p), n <= 12, or a triangle-free graph, n <= 20."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        rng = random.Random(seed)
+        return random_connected_gnp(draw(st.integers(3, 12)), rng.uniform(0.2, 0.8), rng)
+    return random_triangle_free_graph(draw(st.integers(5, 20)), draw(st.floats(0.15, 0.5)), seed)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_chase_graphs())
+def test_chase_rounds_add_disjoint_violated_cuts(g):
+    # In every round of the chase the cuts are pairwise vertex-disjoint odd
+    # cycles of g, each violated at the round's point; the first is
+    # separate_odd_cycle's on the whole of g, and no odd cycle avoiding
+    # them all is violated. The optimum is that of a chase that adds one
+    # cut per round.
+    disjoint_cuts = elp._disjoint_cuts
+    rounds = []
+
+    def recorded(h, point):
+        cuts = disjoint_cuts(h, point)
+        rounds.append((point, cuts))
+        return cuts
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(elp, "_disjoint_cuts", recorded)
+        sol = solve_elp(g)
+    assert rounds[-1][1] == [] and all(cuts for _, cuts in rounds[:-1])
+    for point, cuts in rounds:
+        assert (cuts[0] if cuts else None) == separate_odd_cycle(g, point)
+        x = dict(zip(g.vertices, point_values(point)))
+        taken = set()
+        for cycle, violation in cuts:
+            assert OddCycle.in_graph(g, cycle.vertices) == cycle
+            assert taken.isdisjoint(cycle.vertices)
+            taken.update(cycle.vertices)
+            assert violation == cycle.rhs - sum(x[v] for v in cycle.vertices) > 0
+        assert reference_separate_odd_cycle(g.delete_vertices(taken), x) is None
+    engine = relaxation_engine(g)
+    engine.optimize()
+    one_per_round = list(chase_cuts(g, engine, [], set(), elp.ROUNDS_PER_VERTEX * g.n, disjoint=False))
+    assert all(len(r.cuts) == 1 for r in one_per_round)
+    assert engine.objective() == sol.objective
 
 
 def test_elp_sandwich_bounds():
@@ -376,11 +436,11 @@ def _hard_circulant_solution():
 
 @pytest.mark.parametrize(
     "case, expected",
-    [(_hard_circulant_solution, 17), (_c5_edge_lp_solution, 0)],
+    [(_hard_circulant_solution, 22), (_c5_edge_lp_solution, 0)],
     ids=["C11(1,3)", "C5 edge LP"],
 )
 def test_explore_alternate_pivots_of_failing_pins(case, expected, monkeypatch):
-    # Solved to optimality, the 22 failing pins of C11(1,3) take 75 pivots
+    # Solved to optimality, the 22 failing pins of C11(1,3) take 62 pivots
     # and the 5 chased cuts of the C5 edge LP take 6; each pin stops at its
     # first objective-raising pivot instead, at the pin or in the chase.
     g, sol = case()
@@ -467,82 +527,75 @@ def _check_tableau_invariants(engine):
         assert engine._minus[j] == [k for k, c in enumerate(signs) if c < 0]
 
 
-# The pivot rules pick one vertex among the optima; these were recorded
-# under the dual steepest-edge leaving rule and must not move with the
-# arithmetic.
+def _zero_one(g, ones):
+    return {v: Rat(1 if v in ones else 0) for v in g.vertices}
+
+
+# The pivot rules and the cut rounds pick one vertex among the optima;
+# these were recorded under the dual steepest-edge leaving rule with a
+# vertex-disjoint batch of cuts per round, and must not move with the
+# arithmetic. The objectives are those of the one-cut-per-round chase.
 STEEPEST_EDGE_VERTICES = {
     "petersen": (
         petersen_graph(),
         6,
-        {2, 4, 5, 6, 7, 8},
-        21,
-        (
-            (1, 2, 3, 4, 5), (2, 3, 4, 9, 7), (1, 5, 4, 9, 6), (1, 2, 3, 8, 6),
-            (1, 2, 7, 10, 5), (3, 4, 5, 10, 8), (6, 8, 10, 7, 9),
-        ),
+        _zero_one(petersen_graph(), {2, 3, 5, 6, 9, 10}),
+        15,
+        ((1, 2, 3, 4, 5), (6, 8, 10, 7, 9)),
     ),
     "torus_grid(5,5)": (
         torus_grid_graph(5, 5),
         15,
-        {2, 4, 5, 6, 8, 10, 11, 12, 14, 17, 18, 20, 21, 23, 24},
-        136,
+        _zero_one(
+            torus_grid_graph(5, 5), {2, 4, 5, 6, 8, 9, 12, 13, 15, 16, 17, 19, 21, 23, 25}
+        ),
+        38,
         (
-            (1, 2, 3, 4, 5), (2, 3, 4, 5, 10, 6, 7), (1, 5, 4, 3, 8, 7, 6),
-            (1, 2, 7, 8, 9, 4, 5), (1, 2, 3, 8, 9, 10, 5), (1, 2, 3, 4, 9, 10, 6),
-            (6, 7, 8, 9, 10), (2, 3, 4, 9, 10, 15, 11, 12, 7), (8, 9, 10, 15, 11, 12, 13),
-            (1, 2, 7, 12, 13, 14, 9, 10, 5), (1, 5, 4, 9, 14, 13, 12, 7, 6),
-            (6, 7, 12, 13, 14, 15, 10), (1, 2, 3, 8, 9, 14, 15, 11, 6),
-            (2, 3, 4, 9, 14, 15, 11, 6, 7), (11, 12, 13, 14, 19, 20, 16),
-            (16, 17, 18, 19, 24, 25, 21), (13, 14, 15, 20, 25, 21, 22, 17, 18),
-            (2, 7, 12, 17, 22), (21, 22, 23, 24, 25), (3, 8, 13, 18, 23),
-            (1, 5, 25, 20, 15, 11, 6), (11, 15, 14, 13, 18, 17, 16),
-            (16, 17, 18, 19, 20), (11, 12, 13, 14, 15),
+            (1, 2, 3, 4, 5), (6, 7, 8, 9, 10), (11, 12, 13, 14, 15), (16, 17, 18, 19, 20),
+            (21, 22, 23, 24, 25),
         ),
     ),
     "torus_grid(5,7)": (
         torus_grid_graph(5, 7),
         21,
-        {2, 4, 6, 7, 8, 10, 12, 13, 16, 18, 19, 21, 22, 24, 25, 27, 29, 30, 31, 33, 35},
-        296,
+        _zero_one(
+            torus_grid_graph(5, 7),
+            {2, 4, 6, 7, 8, 10, 11, 12, 13, 16, 17, 19, 21, 22, 23, 25, 27, 29, 31, 33, 35},
+        ),
+        219,
         (
-            (1, 2, 3, 4, 5, 6, 7), (2, 3, 4, 5, 6, 7, 14, 8, 9), (1, 7, 6, 5, 4, 3, 10, 9, 8),
-            (1, 2, 9, 10, 11, 4, 5, 6, 7), (1, 2, 3, 10, 11, 12, 5, 6, 7),
-            (1, 2, 3, 4, 11, 12, 13, 6, 7), (1, 2, 3, 4, 5, 12, 13, 14, 7),
-            (1, 2, 3, 4, 5, 6, 13, 14, 8), (8, 9, 10, 11, 12, 13, 14),
-            (2, 3, 4, 5, 6, 13, 14, 21, 15, 16, 9), (4, 5, 6, 13, 14, 21, 15, 16, 17, 10, 11),
-            (11, 12, 13, 14, 21, 15, 16, 17, 18), (1, 2, 9, 10, 17, 18, 19, 12, 5, 6, 7),
-            (1, 2, 9, 10, 17, 18, 19, 20, 13, 14, 7), (1, 2, 9, 10, 17, 18, 19, 20, 21, 15, 8),
-            (2, 3, 4, 5, 6, 13, 20, 21, 15, 8, 9),
-            (4, 5, 12, 19, 20, 21, 28, 22, 23, 16, 17, 10, 11),
-            (9, 10, 17, 18, 19, 20, 27, 28, 22, 15, 16), (16, 17, 18, 19, 20, 21, 28, 22, 23),
-            (4, 11, 10, 17, 24, 25, 32), (5, 12, 19, 26, 33), (6, 13, 20, 27, 34),
-            (1, 2, 3, 10, 17, 18, 25, 26, 27, 28, 21, 14, 7),
-            (1, 2, 3, 4, 11, 18, 19, 20, 13, 14, 7), (1, 2, 3, 4, 11, 12, 19, 20, 21, 14, 7),
-            (1, 8, 15, 22, 29), (2, 9, 16, 23, 30), (7, 14, 21, 28, 35),
-            (3, 10, 9, 16, 23, 24, 31), (1, 2, 3, 31, 24, 17, 16, 9, 8),
-            (3, 4, 11, 18, 17, 24, 31), (3, 10, 17, 24, 31),
-            (1, 2, 3, 4, 11, 18, 19, 26, 27, 28, 21, 15, 8),
-            (1, 2, 3, 4, 11, 18, 25, 26, 27, 20, 21, 14, 8), (4, 11, 18, 25, 32),
+            (1, 2, 3, 4, 5, 6, 7), (8, 9, 10, 11, 12, 13, 14), (15, 16, 17, 18, 19, 20, 21),
+            (22, 23, 24, 25, 26, 27, 28), (29, 30, 31, 32, 33, 34, 35),
+            (1, 2, 3, 4, 11, 18, 19, 20, 13, 14, 7), (8, 9, 10, 17, 24, 25, 26, 27, 28, 21, 15),
+            (2, 3, 4, 5, 6, 7, 14, 8, 9), (15, 16, 23, 30, 31, 32, 25, 26, 19, 20, 21),
+            (1, 7, 6, 5, 4, 3, 10, 9, 8), (13, 14, 21, 28, 22, 23, 30, 31, 32, 25, 26, 19, 20),
+            (1, 2, 3, 4, 32, 25, 26, 27, 34, 6, 7), (1, 2, 3, 4, 32, 25, 26, 19, 20, 21, 28, 35, 7),
+            (1, 2, 3, 4, 11, 18, 25, 26, 27, 20, 13, 14, 7),
+            (15, 16, 23, 30, 31, 32, 33, 34, 35, 28, 21), (1, 2, 30, 31, 32, 25, 26, 27, 28, 35, 7),
+            (8, 9, 10, 11, 18, 19, 20, 13, 14), (1, 2, 3, 4, 5, 12, 13, 14, 7),
+            (3, 4, 11, 18, 17, 24, 31), (5, 12, 19, 26, 33), (6, 13, 20, 27, 34),
+            (7, 14, 21, 28, 35), (3, 4, 32, 25, 18, 17, 10), (2, 9, 16, 23, 30),
+            (1, 8, 15, 22, 29), (1, 2, 3, 4, 11, 18, 19, 26, 27, 28, 21, 15, 8),
+            (3, 4, 11, 18, 25, 24, 31), (1, 7, 35, 34, 27, 20, 21, 15, 8),
+            (2, 3, 10, 17, 24, 23, 30), (1, 7, 35, 28, 21, 15, 8), (4, 5, 12, 19, 26, 25, 32),
+            (3, 10, 17, 24, 31), (4, 11, 18, 25, 32),
         ),
     ),
     "gnp(30,0.3,1)": (
         random_gnp_graph(30, 0.3, 1),
         20,
-        {1, 2, 3, 5, 6, 7, 9, 11, 12, 14, 15, 19, 20, 21, 22, 23, 24, 25, 29, 30},
-        298,
+        dict.fromkeys(range(1, 31), Rat(2, 3)),
+        151,
         (
-            (1, 2, 5), (2, 4, 3, 7, 6), (1, 5, 10), (2, 5, 8), (2, 4, 9), (1, 2, 6, 7, 11),
-            (1, 5, 9, 4, 3, 7, 11), (6, 12, 15), (3, 7, 18), (1, 11, 15), (3, 7, 11, 14, 19),
-            (4, 9, 5, 8, 12), (6, 12, 16), (5, 9, 10), (8, 12, 19), (6, 7, 17, 21, 15),
-            (3, 18, 19), (11, 16, 22, 20, 21), (4, 21, 26, 6, 24), (10, 22, 28, 25, 23),
-            (5, 9, 15, 22, 16), (13, 23, 25, 28, 29, 16, 24), (25, 29, 30), (2, 13, 30),
-            (1, 21, 26), (5, 8, 23), (14, 17, 19), (3, 4, 24), (10, 15, 24),
-            (11, 26, 22, 20, 27), (4, 9, 27, 11, 21), (20, 22, 28), (11, 26, 29), (2, 6, 16),
-            (2, 8, 25, 12, 17, 19, 13), (2, 8, 25, 23, 13), (1, 18, 25, 8, 22), (1, 28, 29),
-            (9, 15, 27), (4, 9, 24), (7, 17, 23, 25, 18), (14, 18, 19), (7, 11, 27),
-            (1, 18, 21), (21, 26, 29), (8, 23, 25), (15, 21, 26), (16, 22, 29), (6, 15, 26),
-            (4, 12, 25, 18, 21), (5, 10, 20), (25, 28, 29), (10, 15, 23), (8, 12, 30),
-            (13, 15, 23), (4, 12, 24),
+            (1, 2, 5), (3, 4, 12, 6, 7), (11, 14, 19, 13, 15), (10, 20, 22), (8, 23, 25),
+            (9, 24, 18, 21, 26), (2, 5, 16), (12, 17, 19), (11, 21, 26), (7, 18, 24, 15, 27),
+            (6, 22, 28, 25, 30), (1, 5, 10), (3, 7, 18), (6, 16, 19), (13, 15, 23),
+            (4, 9, 27, 20, 21), (25, 28, 29), (4, 9, 5, 8, 12), (1, 11, 15), (3, 18, 24),
+            (6, 16, 22), (25, 29, 30), (2, 4, 9), (12, 16, 24), (1, 11, 26), (3, 7, 30),
+            (14, 17, 19), (7, 11, 27), (6, 12, 24), (1, 28, 29), (2, 8, 30), (13, 19, 23),
+            (5, 9, 10), (4, 12, 24), (5, 8, 30), (6, 22, 26), (14, 18, 19), (2, 13, 30),
+            (5, 20, 27), (6, 12, 16), (1, 10, 15), (4, 9, 24), (6, 7, 30), (8, 12, 25),
+            (9, 15, 27), (1, 21, 29),
         ),
     ),
 }
@@ -550,7 +603,7 @@ STEEPEST_EDGE_VERTICES = {
 
 @pytest.mark.parametrize("name", sorted(STEEPEST_EDGE_VERTICES))
 def test_elp_steepest_edge_vertex_and_tableau_invariants(name, monkeypatch):
-    g, objective, ones, pivots, pool = STEEPEST_EDGE_VERTICES[name]
+    g, objective, x, pivots, pool = STEEPEST_EDGE_VERTICES[name]
     pivot = CoveringSimplex._pivot
     count = [0]
 
@@ -562,6 +615,6 @@ def test_elp_steepest_edge_vertex_and_tableau_invariants(name, monkeypatch):
     monkeypatch.setattr(CoveringSimplex, "_pivot", checked_pivot)
     sol = solve_elp(g)
     assert sol.objective == objective
-    assert sol.x == {v: Rat(1 if v in ones else 0) for v in g.vertices}
+    assert sol.x == x
     assert tuple(c.vertices for c in sol.cycle_pool) == pool
     assert count[0] == pivots
