@@ -5,13 +5,15 @@ seed 0 and the exact-oracle check. GOLDEN pins enhanced mode with edge rule
 maxsum; they were recorded before the compact-tableau simplex replaced the
 dict tableau, and the 12 reports that the dual steepest-edge leaving rule
 moved (other optimal vertices, so other cut rounds and covers of the same
-size) were re-recorded with it. Any engine or pipeline change that alters
-a cover, a cycle pool, a value or a diagnostic on these instances fails
-here. GOLDEN_VARIANTS
-pins base mode (a cover, 3-cycle and active-edge steps, a hypothesis
-failure, and a {0,1}-only step before one) and the seeded random edge
-rule. A change that moves a report on purpose updates the digest and says
-so in CHANGES.md.
+size) were re-recorded with it. The 13 reports (11 here, 2 in
+GOLDEN_VARIANTS) that a vertex-disjoint batch of cuts per round moved
+(other cycle pools and cutRounds, the same f1, cover size, L and xi) were
+re-recorded with that. Any engine or pipeline change that alters a cover,
+a cycle pool, a value or a diagnostic on these instances fails here.
+GOLDEN_VARIANTS pins base mode (a cover, 3-cycle and active-edge steps, a
+hypothesis failure, and a {0,1}-only step before one) and the seeded
+random edge rule. A change that moves a report on purpose updates the
+digest and says so in CHANGES.md.
 """
 
 import hashlib
@@ -58,42 +60,42 @@ def _named_graphs():
 GRAPHS = dict(_named_graphs())
 
 GOLDEN = {
-    "petersen": "576a40d6273cd049e39580e72c27006ac13c80c1dac9dec5710f39c28a259d9f",
+    "petersen": "03421616ab769426991ba4ecd8e1ea63c647bea3249281364423b44725c6b548",
     "cycle(5)": "53a7b1740e8a1c32c9427d8d8203a0a6636e589d2ddc72044134b102004d7a62",
     "complete(4)": "8046d744ac8c29d5957bc1a4db91f8bdc70cd4f6003a4849b1e915ddd1e01081",
     "circulant(11,(1,3))": "18961142d76f94d4cde5fe4f4b486c5af7e34423c0e4dc7e340328ce547e4c0d",
     "circulant+edge": "9e21b98ad9d7072a13eaadc56c096b75e855a195211e56937a58a36cb028bc9c",
-    "torus_grid(5,5)": "a3346cea1d263946caeadfdf5e3da15b49b89a16c70e7ea413c8ec67cb5287f2",
-    "trianglefree(17,0.37,11)": "889b55b50a428414ee12274e28286bb144ed4917483a28c82619fb29de3712be",
-    "sweep-0": "918ef75e7d5f292dae260f6ddc1196896ba319ceb05e85383f6b5fd9dab0df71",
+    "torus_grid(5,5)": "c813555a2188ccbfaa2edd326ae45448f3a7d519c3f4ba1aff5cf7b0424bc117",
+    "trianglefree(17,0.37,11)": "e06bc4c0333da8a346acb2342099088f4aa53776852d00a6e4af718c6459ccfa",
+    "sweep-0": "002d68f8fb679a7ebb1ec46b0b0acbbe3b3b163a079c98dabb01020b2ecad598",
     "sweep-1": "451fa71b2dadb7a4af8f3a797c193bdfd8b7540100e60eb4e573c5123a1f40df",
-    "sweep-2": "80db0bad2ad32bb7cc525bd9697a5682c8ac9d3b12407912c8fb2caf9c0e4693",
-    "sweep-3": "a71a09cf4133cbc7cde21045bb7abd9fc84872edbe6c31ec85ffd4671b1df4bc",
+    "sweep-2": "6ed26e15a6813d38b8c4c9972ab2c1b13efb0848c859c8c70a271d2c0e219c23",
+    "sweep-3": "bf304098a1b444a271c168181886e55f67c68db1b68635c01307ab8fe1165d55",
     "sweep-4": "862d907943067f853d52e775c18939c72bdee7b581251fb33a7c8b993e4a5f81",
     "sweep-5": "e1a5d7bfb5d74b4ded02b8b16f3c9cabeef4f21dae2655eb3e894f0a44eb5529",
-    "sweep-6": "885d8eba83bcbee17ff669fab338cea1963d026e032827def1a52a52bbdb15b2",
+    "sweep-6": "ea87fe744f816eda1ca1f8ae2d91ba63467737d16fd2262fd32bce9778f1009c",
     "sweep-7": "02d86903062d97a294d3c0dce5c361492714336ebd26aea4d7da80ca24ea08a6",
     "sweep-8": "a9dbe94bf3537567c69d1543f7a30979faca1d0e886120aa8cc4652c81582276",
     "sweep-9": "6b13732dc299cf38ef46e1cc89f2db5a423535c6c4f50aa4103d20a0c653c032",
     "sweep-10": "0a8bdbdf956dcc7ca60eadf581b1dc5a44a4553b2ce2782cda595da884b04b21",
     "sweep-11": "deea33db53fa70af51b6c4c70a35178a593c6f9c7697b4a68382a7cdb0d22c14",
-    "sweep-12": "712528b19bda234f17792db27055d4518d6c0ccecc98253716d830ec62b4cca5",
+    "sweep-12": "bb995ddddc931c4c77a123a8bc53a6a2f1fe235376b203fb14089bd2f5ef331a",
     "sweep-13": "8cf3c8215273a1cec772b4402ff65f169e3ab0308383d7530b0e6100751d9e3f",
-    "sweep-14": "a47430ff74cbdc3c3d8ed7628e7acb533c7521b4b5c25c95bb0085fbaf256bb5",
-    "sweep-15": "10df268e566f7cf5e264816271bef5c01bdbfae713e19640912c80addc7d870b",
+    "sweep-14": "dc3ca96b95da40e9f25a1a4d01049cff39cd784ea1fb7cee3baa2114647d561a",
+    "sweep-15": "945bb0a08821800312956fdd6cd4dd3e887d30d3d3f533b64869b2dd963b58ec",
     "sweep-16": "943aa6db80c69a0fedd6fd433196ad0ec610135a64f74ecb9bfb3f48110ee438",
-    "sweep-17": "f464640b0580ae13415bd70be100ef1de651f895758d6066e359e2668c738b9a",
+    "sweep-17": "4dc0d10135b5692a2684f0c41a3c59b1eff7c883c1ebd3b4a7194916c8e4eb16",
     "sweep-18": "755483c716494f5f21eb99ace5df2d6bddca7195c1d0f8f58b185a2506ec9ec5",
     "sweep-19": "0a9a10402f14959f06a6bb6649fd6ea7d7e38e86abcc293092d397e803017e68",
 }
 
 # (instance, mode, edge rule) -> digest.
 GOLDEN_VARIANTS = {
-    ("petersen", "base", "maxsum"): "4c5b4122876a9cb3db494d90c9c524e5ca62f2763917c1b900830038affa017f",
+    ("petersen", "base", "maxsum"): "c50bb91a4b2b7e3d83fa44039caefbc1183ed43a6d132c00f9e9cde84803c8c1",
     ("complete(4)", "base", "maxsum"): "5020c99715023998b1636c8c8115245c8fad67aa02eb9d2f8c0dfbed89bcdca6",
     ("circulant(11,(1,3))", "base", "maxsum"): "58e1b55bf1d2de5eff3a8009879f2e70460f51750cc2050733cc0d64816ce4db",
     ("circulant+edge", "base", "maxsum"): "a11aa59757554999a1e5f941bc750844f54362ad8f10b8d6c52cfdbef445b23b",
-    ("trianglefree(17,0.37,11)", "base", "maxsum"): "c4b0a087d258c050009427961d98c4ed2a1d6d8f0526def6f7794c7bf2074447",
+    ("trianglefree(17,0.37,11)", "base", "maxsum"): "4d83420299123ca9ca1be97b1ed3a5f4cc5dc374c50cf5594886c4afc2b222e4",
     ("circulant(11,(1,3))", "enhanced", "random"): "bf50e191c3a3a4fbe2f3f8a8537ab194250912565374085f494163e27f6a7850",
 }
 
