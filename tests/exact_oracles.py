@@ -461,7 +461,7 @@ def round_of_cuts(g: Graph, x: Mapping[int, object], disjoint: bool = True) -> l
             break
         taken = set(found[0].vertices)
         keep = [v for v in rest.vertices if v not in taken]
-        rest = Graph.from_edges(keep, [(u, v) for u, v in rest.edges() if u in keep and v in keep])
+        rest = Graph.from_edges(keep, [e for e in rest.edges() if taken.isdisjoint(e)])
     return cuts
 
 
