@@ -19,8 +19,7 @@ where f1 is the relaxation value on the original graph. xi = 0 certifies a
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from ._rat import THREE_HALVES, TWO_THIRDS, ZERO, Rat
 from .graph import Graph
@@ -75,8 +74,7 @@ def validate_cover(g: Graph, cover: Iterable[int]) -> tuple[bool, list[tuple[int
     return not uncovered, uncovered
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     f1: object
     cover_size: int
     eta: int  # active-edge reductions

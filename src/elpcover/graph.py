@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import random
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 log = logging.getLogger("elpcover.graph")
@@ -30,24 +29,35 @@ def normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
 class OddCycle:
     """A simple cycle of odd length, stored in canonical cyclic order.
 
     Canonical form: the smallest vertex first, continuing toward its smaller
     cyclic neighbor, so equal vertex sequences compare equal regardless of the
-    rotation/direction they were discovered in.
+    rotation/direction they were discovered in. Equality, hash and repr go by
+    the canonical vertices.
     """
 
-    vertices: tuple[int, ...]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        seq = tuple(self.vertices)
+    def __init__(self, vertices: Iterable[int]):
+        seq = tuple(vertices)
         if len(seq) < 3 or len(seq) % 2 == 0:
             raise ValueError(f"odd cycle needs odd length >= 3, got {len(seq)}")
         if len(set(seq)) != len(seq):
             raise ValueError(f"cycle vertices must be distinct: {seq}")
-        object.__setattr__(self, "vertices", _canonical_rotation(seq))
+        self.vertices: tuple[int, ...] = _canonical_rotation(seq)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices
+
+    def __hash__(self):
+        return hash(self.vertices)
+
+    def __repr__(self):
+        return f"OddCycle(vertices={self.vertices!r})"
 
     @classmethod
     def in_graph(cls, g: "Graph", seq: Iterable[int]) -> "OddCycle":

@@ -5,8 +5,7 @@ branch-and-bound takes an explicit cap and refuses bigger inputs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .elp import relaxation_engine
 from .graph import Graph
@@ -16,8 +15,7 @@ class CapExceededError(Exception):
     """Instance exceeds the size cap of an exponential oracle."""
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     opt_size: int
     cover: frozenset[int]
     all_covers: Optional[tuple[frozenset[int], ...]]

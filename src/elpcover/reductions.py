@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._rat import FOUR_THIRDS, ONE, ZERO, Rat
 from .elp import ElpSolution, explore_alternate_bfs, solve_elp
@@ -63,21 +62,25 @@ class PipelineError(RuntimeError):
     """Internal invariant broken (no progress, bad precondition)."""
 
 
-@dataclass
 class PipelineConfig:
-    mode: str = "enhanced"  # "base" or "enhanced"
-    edge_rule: str = "maxsum"  # random-edge selection: "maxsum" or "random"
-    seed: int = 0
+    __slots__ = ("mode", "edge_rule", "seed")
 
-    def __post_init__(self):
-        if self.mode not in STEP_ORDER:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.edge_rule not in ("maxsum", "random"):
-            raise ValueError(f"unknown edge rule {self.edge_rule!r}")
+    def __init__(
+        self,
+        mode: str = "enhanced",  # "base" or "enhanced"
+        edge_rule: str = "maxsum",  # random-edge selection: "maxsum" or "random"
+        seed: int = 0,
+    ):
+        if mode not in STEP_ORDER:
+            raise ValueError(f"unknown mode {mode!r}")
+        if edge_rule not in ("maxsum", "random"):
+            raise ValueError(f"unknown edge rule {edge_rule!r}")
+        self.mode = mode
+        self.edge_rule = edge_rule
+        self.seed = seed
 
 
-@dataclass
-class ReductionRecord:
+class ReductionRecord(NamedTuple):
     index: int  # iteration k, 1-based
     kind: str
     f: object  # relaxation value f^k on G_k
@@ -94,16 +97,24 @@ class ReductionRecord:
         return Rat(len(self.i1) if self.zero_one_applied else 0) + DROP_TABLE[self.kind]
 
 
-@dataclass
 class ReductionTrace:
     """A pipeline run: one record per iteration k = 1..L, in order. The
     last record, of kind KIND_TERMINAL, is the iteration that ended the
     run; with hypothesis_failed set, it is where base mode stopped."""
 
-    mode: str
-    records: list[ReductionRecord] = field(default_factory=list)
-    hypothesis_failed: bool = False
-    diagnostics: dict = field(default_factory=dict)
+    __slots__ = ("mode", "records", "hypothesis_failed", "diagnostics")
+
+    def __init__(
+        self,
+        mode: str,
+        records: Optional[list[ReductionRecord]] = None,
+        hypothesis_failed: bool = False,
+        diagnostics: Optional[dict] = None,
+    ):
+        self.mode = mode
+        self.records = [] if records is None else records
+        self.hypothesis_failed = hypothesis_failed
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     @property
     def L(self) -> int:

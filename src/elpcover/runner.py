@@ -10,14 +10,11 @@ output.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import logging
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from ._rat import Rat, rat_str
@@ -249,6 +246,9 @@ def hunt(
     work = [(i, d, seed, edge_rule, oracle_cap) for i, d in enumerate(descriptors)]
     jobs = min(jobs, trials, os.cpu_count() or 1)
     if jobs > 1:
+        # Imported here, so that a solve never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = dict(pool.map(_hunt_worker, work))
         reports = [results[i] for i in range(trials)]
@@ -315,6 +315,9 @@ def _histogram(values: list[str]) -> dict[str, int]:
 
 
 def hunt_rows_csv(rows: list[dict]) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=HUNT_CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()

@@ -499,7 +499,7 @@ def chase_cuts(
 
 
 def _round_cap(g: Graph) -> int:
-    return elp.ROUNDS_PER_VERTEX * max(1, g.n)
+    return elp.CUTS_PER_VERTEX * max(1, g.n)
 
 
 def reference_explore_alternate(g: Graph, sol: ElpSolution) -> tuple[Optional[ElpSolution], int]:

@@ -104,7 +104,7 @@ def test_exit_code_internal_error(error, monkeypatch, capsys):
 def test_cut_round_cap_exits_as_internal_error(monkeypatch, capsys):
     from elpcover import elp
 
-    monkeypatch.setattr(elp, "ROUNDS_PER_VERTEX", 0)  # C5 needs one cut
+    monkeypatch.setattr(elp, "CUTS_PER_VERTEX", 0)  # C5 needs one cut
     assert run_cli(["solve", "gen:cycle(5)"]) == cli.EXIT_INTERNAL
     assert "CutLoopLimitError" in capsys.readouterr().err
 
@@ -222,7 +222,10 @@ def test_hunt_deterministic_and_parallel_equivalent():
     [(64, 3, 8, 3), (64, 10, 4, 4), (2, 10, 4, 2), (64, 10, None, None), (1, 10, 8, None)],
 )
 def test_hunt_clamps_jobs(monkeypatch, jobs, trials, cpus, workers):
-    # A stand-in executor records max_workers and maps in process.
+    # A stand-in executor records max_workers and maps in process. hunt
+    # imports ProcessPoolExecutor from concurrent.futures when it runs.
+    import concurrent.futures
+
     from elpcover import runner
 
     started = []
@@ -239,7 +242,7 @@ def test_hunt_clamps_jobs(monkeypatch, jobs, trials, cpus, workers):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
     summary, rows = hunt(gen="gnp-trianglefree", n_range=(4, 5), trials=trials, seed=1, jobs=jobs)
     assert len(rows) == trials

@@ -258,7 +258,7 @@ def test_chase_rounds_add_disjoint_violated_cuts(g):
         assert reference_separate_odd_cycle(g.delete_vertices(taken), x) is None
     engine = relaxation_engine(g)
     engine.optimize()
-    one_per_round = list(chase_cuts(g, engine, [], set(), elp.ROUNDS_PER_VERTEX * g.n, disjoint=False))
+    one_per_round = list(chase_cuts(g, engine, [], set(), elp.CUTS_PER_VERTEX * g.n, disjoint=False))
     assert all(len(r.cuts) == 1 for r in one_per_round)
     assert engine.objective() == sol.objective
 
@@ -369,7 +369,7 @@ def test_pinned_chase_raises_past_the_round_cap(monkeypatch):
     c5, sol = _c5_edge_lp_solution()
     alt, pins = explore_alternate_bfs(c5, sol)
     assert alt is None and pins == 5  # each chased cut lifts the value to 3
-    monkeypatch.setattr(elp, "ROUNDS_PER_VERTEX", 0)
+    monkeypatch.setattr(elp, "CUTS_PER_VERTEX", 0)
     with pytest.raises(CutLoopLimitError):
         explore_alternate_bfs(c5, sol)
 

@@ -1,6 +1,9 @@
 """Checks on the package sources themselves."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "elpcover"
@@ -70,3 +73,26 @@ def test_package_defines_only_what_it_uses():
         if name not in referenced and not (name.startswith("__") and name.endswith("__"))
     ]
     assert found == []
+
+
+def test_import_loads_no_batch_or_dataclass_modules():
+    # Every vc run pays for what importing the package loads. The process
+    # pool and the CSV writer are imported by the hunt code that uses them,
+    # and the package defines no dataclass. The stdlib modules the package
+    # imports are loaded first, so that only what the package itself adds
+    # counts, whatever those modules load on a given Python version.
+    code = """
+import argparse, collections, fractions, heapq, json, logging, math
+import operator, os, pathlib, random, re, sys, time, typing
+before = set(sys.modules)
+import elpcover, elpcover.runner, elpcover.cli
+added = set(sys.modules) - before
+print(" ".join(sorted(added & {"multiprocessing", "concurrent.futures", "csv", "dataclasses"})))
+"""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
