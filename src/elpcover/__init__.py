@@ -29,7 +29,7 @@ from .oracles import (
     matching_2approx,
     nt_half_integral_round,
 )
-from .reductions import PipelineConfig, ReductionRecord, ReductionTrace, run_pipeline
+from .reductions import ReductionRecord, ReductionTrace, run_pipeline
 from .simplex import CoveringSimplex, InfeasibleError
 
 __version__ = "0.1.0"

@@ -240,8 +240,13 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "hunt" and not 1 <= args.n_range[0] <= args.n_range[1]:
-        parser.error(f"--n-range needs 1 <= LO <= HI, got {args.n_range[0]} {args.n_range[1]}")
+    if args.command == "hunt":
+        if not 1 <= args.n_range[0] <= args.n_range[1]:
+            parser.error(f"--n-range needs 1 <= LO <= HI, got {args.n_range[0]} {args.n_range[1]}")
+        if args.trials < 0:
+            parser.error(f"--trials needs a count >= 0, got {args.trials}")
+        if args.jobs < 1:
+            parser.error(f"--jobs needs at least 1, got {args.jobs}")
     try:
         return args.func(args)
     except GraphFormatError as exc:

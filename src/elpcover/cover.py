@@ -111,8 +111,9 @@ class BoundCertificate(NamedTuple):
         }
 
 
-def certify(trace: ReductionTrace, f1, cover: Cover) -> BoundCertificate:
-    """Compute the certificate for a validated cover.
+def certify(trace: ReductionTrace, cover: Cover) -> BoundCertificate:
+    """Compute the certificate for a validated cover backtracked from trace;
+    f1 is trace.f1.
 
     Raises GuaranteeViolation when a run without random-edge reductions
     breaks |S1| <= (3/2) f1 or gets a nonzero xi, both provably impossible."""
@@ -125,7 +126,7 @@ def certify(trace: ReductionTrace, f1, cover: Cover) -> BoundCertificate:
     beta = len(i1_union) + eta
     alpha = max(0, gamma - beta)
     lam = Rat(gamma) + Rat(delta) + TWO_THIRDS * sigma
-    f1 = Rat(f1)
+    f1 = trace.f1
     xi = min(Rat(alpha) / 2, max(ZERO, lam - f1 / 2))
     if gamma == 0 and Rat(len(cover)) > THREE_HALVES * f1:
         raise GuaranteeViolation(

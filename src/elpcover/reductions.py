@@ -19,7 +19,10 @@ The trace keeps one record per iteration k = 1..L. Each stores what the
 backtracking step needs (value-1 set, triangle, removed or rewired pair, and
 the active pair's neighbor set) plus the guaranteed objective decrease d_k
 for the value ledger; the last record, of kind KIND_TERMINAL, is the
-iteration that ends the run.
+iteration that ends the run. Every record, the terminal one included, also
+states what its iteration did: whether the {0,1}-reduction ran, whether the
+solution is an alternate optimum, the odd-cycle cuts solve_elp pooled and
+the pins the sweep tried. A report's diagnostics are sums over these.
 """
 
 from __future__ import annotations
@@ -62,24 +65,6 @@ class PipelineError(RuntimeError):
     """Internal invariant broken (no progress, bad precondition)."""
 
 
-class PipelineConfig:
-    __slots__ = ("mode", "edge_rule", "seed")
-
-    def __init__(
-        self,
-        mode: str = "enhanced",  # "base" or "enhanced"
-        edge_rule: str = "maxsum",  # random-edge selection: "maxsum" or "random"
-        seed: int = 0,
-    ):
-        if mode not in STEP_ORDER:
-            raise ValueError(f"unknown mode {mode!r}")
-        if edge_rule not in ("maxsum", "random"):
-            raise ValueError(f"unknown edge rule {edge_rule!r}")
-        self.mode = mode
-        self.edge_rule = edge_rule
-        self.seed = seed
-
-
 class ReductionRecord(NamedTuple):
     index: int  # iteration k, 1-based
     kind: str
@@ -91,6 +76,8 @@ class ReductionRecord(NamedTuple):
     pair: Optional[tuple[int, int]] = None  # active, over-active or random edge
     d_i: Optional[frozenset[int]] = None  # active pair (i, j): i's other neighbors
     alternate_used: bool = False
+    cuts: int = 0  # odd-cycle cuts pooled by solve_elp on G_k
+    pins: int = 0  # pins the alternate-optimum sweep tried
 
     @property
     def d_k(self):
@@ -100,21 +87,21 @@ class ReductionRecord(NamedTuple):
 class ReductionTrace:
     """A pipeline run: one record per iteration k = 1..L, in order. The
     last record, of kind KIND_TERMINAL, is the iteration that ended the
-    run; with hypothesis_failed set, it is where base mode stopped."""
+    run; with hypothesis_failed set, it is where base mode stopped. The
+    records are the whole account of the run: a report's diagnostics are
+    read off them."""
 
-    __slots__ = ("mode", "records", "hypothesis_failed", "diagnostics")
+    __slots__ = ("mode", "records", "hypothesis_failed")
 
     def __init__(
         self,
         mode: str,
         records: Optional[list[ReductionRecord]] = None,
         hypothesis_failed: bool = False,
-        diagnostics: Optional[dict] = None,
     ):
         self.mode = mode
         self.records = [] if records is None else records
         self.hypothesis_failed = hypothesis_failed
-        self.diagnostics = {} if diagnostics is None else diagnostics
 
     @property
     def L(self) -> int:
@@ -168,7 +155,7 @@ def choose_edge(g: Graph, x: dict, rule: str, rng: random.Random) -> tuple[int, 
     return rng.choice(edges)
 
 
-def _candidates(kind: str, g: Graph, sol: ElpSolution, swept: bool, cfg, rng) -> tuple:
+def _candidates(kind: str, g: Graph, sol: ElpSolution, swept: bool, edge_rule, rng) -> tuple:
     """Candidates of `kind` on g, the graph left by the {0,1} step (or G_k
     itself after a failed sweep). sol's (over-)active edges that g keeps are
     exactly those of g under sol.x: deleting vertices keeps the order and
@@ -178,56 +165,48 @@ def _candidates(kind: str, g: Graph, sol: ElpSolution, swept: bool, cfg, rng) ->
         triangle = g.find_triangle()
         return () if triangle is None else (triangle,)
     if kind == KIND_RANDOM:
-        return (choose_edge(g, sol.x, cfg.edge_rule, rng),) if swept and g.m else ()
+        return (choose_edge(g, sol.x, edge_rule, rng),) if swept and g.m else ()
     edges = sol.active_edges if kind == KIND_ACTIVE else sol.over_active_edges
     return tuple(e for e in edges if g.has_edge(*e))
 
 
-def run_pipeline(g: Graph, config: Optional[PipelineConfig] = None) -> ReductionTrace:
-    """Run the reduction loop on g and return its trace.
-
-    config defaults to PipelineConfig(): enhanced mode, maxsum edge rule,
-    seed 0.
+def run_pipeline(
+    g: Graph, mode: str = "enhanced", edge_rule: str = "maxsum", seed: int = 0
+) -> ReductionTrace:
+    """Run the reduction loop on g in `mode` ("base" or "enhanced") and
+    return its trace. The random-edge step picks its edge by `edge_rule`:
+    "maxsum", or "random", drawn from a generator seeded with `seed`.
 
     The trace holds one record per iteration, the last of kind
     KIND_TERMINAL. In base mode the run may instead end with
     hypothesis_failed set (no cover can be reconstructed from such a trace).
     """
-    cfg = config if config is not None else PipelineConfig()
-    rng = random.Random(cfg.seed)
-    trace = ReductionTrace(mode=cfg.mode)
-    trace.diagnostics.update(
-        {
-            "cut_rounds": 0,
-            "pin_solves": 0,
-            "alternate_hits": 0,
-            "skipped_zero_one": [],
-            "isolated_terminal": False,
-        }
-    )
+    if mode not in STEP_ORDER:
+        raise ValueError(f"unknown mode {mode!r}")
+    if edge_rule not in ("maxsum", "random"):
+        raise ValueError(f"unknown edge rule {edge_rule!r}")
+    rng = random.Random(seed)
+    trace = ReductionTrace(mode)
     current = g
     while current is not None:
         k = trace.L + 1
         if k > g.n + 1:
             raise PipelineError("iteration count exceeded |V|+1; no progress")
-        sol = solve_elp(current)
-        trace.diagnostics["cut_rounds"] += len(sol.cycle_pool)
-        record, current = _iteration(current, sol, k, cfg, rng, trace)
+        record, current = _iteration(current, solve_elp(current), k, edge_rule, rng, trace)
         trace.records.append(record)
     return trace
 
 
-def _iteration(current, sol, k, cfg, rng, trace) -> tuple[ReductionRecord, Optional[Graph]]:
+def _iteration(current, sol, k, edge_rule, rng, trace) -> tuple[ReductionRecord, Optional[Graph]]:
     """One iteration on G_k = current: its record and G_{k+1}, or None in
     place of G_{k+1} when the run ends here."""
-    diag = trace.diagnostics
+    mode = trace.mode
     i0, i1 = zero_one_sets(sol.x)
+    cuts, pins = len(sol.cycle_pool), 0
     alternate_used = swept = False
-    if cfg.mode == "enhanced" and not i1 and not sol.active_edges:
+    if mode == "enhanced" and not i1 and not sol.active_edges:
         alt, pins = explore_alternate_bfs(current, sol)
-        diag["pin_solves"] += pins
         if alt is not None:
-            diag["alternate_hits"] += 1
             sol, alternate_used = alt, True
             i0, i1 = zero_one_sets(sol.x)
         else:
@@ -235,13 +214,14 @@ def _iteration(current, sol, k, cfg, rng, trace) -> tuple[ReductionRecord, Optio
             # {0,1}-reduction even when I_{k,0} is nonempty.
             swept = True
             if i0:
-                diag["skipped_zero_one"].append((k, sorted(i0)))
                 log.info(
                     "iteration %d: alternate sweep failed; skipping {0,1} with "
                     "nonempty I(k,0) per the literal step order", k,
                 )
-    record = dict(index=k, f=sol.objective, i0=i0, i1=i1)
-    # The terminal record keeps the default flags, as reports always have.
+    record = dict(
+        index=k, f=sol.objective, i0=i0, i1=i1, zero_one_applied=not swept,
+        alternate_used=alternate_used, cuts=cuts, pins=pins,
+    )
     end = ReductionRecord(kind=KIND_TERMINAL, **record), None
     if swept:
         reduced = current
@@ -249,21 +229,19 @@ def _iteration(current, sol, k, cfg, rng, trace) -> tuple[ReductionRecord, Optio
         reduced = current.delete_vertices(i0 | i1)
         if reduced.n == 0:
             return end
-    record.update(zero_one_applied=not swept, alternate_used=alternate_used)
-    for kind in STEP_ORDER[cfg.mode]:
-        candidates = _candidates(kind, reduced, sol, swept, cfg, rng)
+    for kind in STEP_ORDER[mode]:
+        candidates = _candidates(kind, reduced, sol, swept, edge_rule, rng)
         if candidates:
             nxt, fields = step(reduced, kind, candidates)
             return ReductionRecord(kind=kind, **record, **fields), nxt
     if swept:
         # "Choose any edge" is undefined; isolated vertices need no cover.
-        diag["isolated_terminal"] = True
         return end
     if i0 or i1:
         # The restricted values are not an optimal solution of the reduced
         # graph, so hypothesis failure cannot be affirmed; re-solve on it.
         return ReductionRecord(kind=KIND_ZERO_ONE, **record), reduced
-    if cfg.mode == "enhanced":
+    if mode == "enhanced":
         raise PipelineError("enhanced iteration made no progress")
     trace.hypothesis_failed = True
     log.info("active edge hypothesis failed at iteration %d (n=%d)", k, current.n)

@@ -21,7 +21,7 @@ from ._rat import Rat, rat_str
 from .cover import backtrack, certify, validate_cover
 from .graph import Graph, random_triangle_free_graph, torus_grid_graph
 from .oracles import exact_vc, matching_2approx, nt_half_integral_round
-from .reductions import KIND_ACTIVE, KIND_TERMINAL, PipelineConfig, run_pipeline
+from .reductions import KIND_ACTIVE, KIND_TERMINAL, run_pipeline
 
 log = logging.getLogger("elpcover.runner")
 
@@ -57,15 +57,19 @@ def _record_detail(rec) -> Optional[dict]:
 
 
 def _diagnostics_payload(trace) -> dict:
-    diag = trace.diagnostics
+    records = trace.records
     return {
-        "cutRounds": diag["cut_rounds"],
-        "pinSolves": diag["pin_solves"],
-        "alternateHits": diag["alternate_hits"],
+        "cutRounds": sum(rec.cuts for rec in records),
+        "pinSolves": sum(rec.pins for rec in records),
+        "alternateHits": sum(rec.alternate_used for rec in records),
         "skippedZeroOne": [
-            {"k": k, "vertices": verts} for k, verts in diag["skipped_zero_one"]
+            {"k": rec.index, "vertices": sorted(rec.i0)}
+            for rec in records
+            if not rec.zero_one_applied and rec.i0
         ],
-        "isolatedTerminal": diag["isolated_terminal"],
+        # Only a failed sweep that leaves no edge to remove ends a run
+        # without its {0,1} step; every other end applies it.
+        "isolatedTerminal": not records[-1].zero_one_applied,
     }
 
 
@@ -82,8 +86,7 @@ def solve_instance(
 ) -> dict:
     """Run the full algorithm on one instance and build its report."""
     started = time.perf_counter()
-    config = PipelineConfig(mode=mode, edge_rule=edge_rule, seed=seed)
-    trace = run_pipeline(g, config)
+    trace = run_pipeline(g, mode=mode, edge_rule=edge_rule, seed=seed)
     report = {
         "schema": SCHEMA_VERSION,
         "instance": {"name": name, "n": g.n, "m": g.m, "source": source},
@@ -107,7 +110,7 @@ def solve_instance(
     valid, uncovered = validate_cover(g, cover)
     if not valid:
         raise AssertionError(f"invalid cover on {name}: uncovered {uncovered[:5]}")
-    certificate = certify(trace, trace.f1, cover)
+    certificate = certify(trace, cover)
     report["cover"] = sorted(cover)
     report["coverSize"] = len(cover)
     report["certificate"] = certificate.as_dict()

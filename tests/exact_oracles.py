@@ -50,34 +50,40 @@ def point_values(point: tuple[Sequence[int], int]) -> list[Rat]:
     return [Rat(v, scale) for v in ints]
 
 
-def run_pipeline_iterates(g: Graph, config=None):
-    """run_pipeline(g, config) plus what its trace does not keep: the graphs
-    [G_1 .. G_L] and the solutions [x_1 .. x_L], x_k taken after an
+def run_pipeline_iterates(g: Graph, notes: Optional[list] = None, **options):
+    """run_pipeline(g, **options) plus what its trace does not keep: the
+    graphs [G_1 .. G_L] and the solutions [x_1 .. x_L], x_k taken after an
     alternate-optimum swap, if any.
 
     While the pipeline runs, the solve_elp and explore_alternate_bfs names
     it calls in the reductions module are wrapped to note each G_k and
-    x_k, so no LP is solved twice. Returns (trace, graphs, xs).
+    x_k, so no LP is solved twice. When notes is a list, iteration k also
+    appends [cuts, pins, hit] to it: the cuts solve_elp pooled on G_k, the
+    pins the alternate sweep tried, and whether the sweep found an
+    alternate optimum (None when no sweep ran). Returns (trace, graphs, xs).
     """
     graphs: list[Graph] = []
     xs: list[dict] = []
+    notes = [] if notes is None else notes
     solve, explore = reductions.solve_elp, reductions.explore_alternate_bfs
 
     def solving(h):
         sol = solve(h)
         graphs.append(h)
         xs.append(sol.x)
+        notes.append([len(sol.cycle_pool), 0, None])
         return sol
 
     def exploring(h, sol):
         alt, pins = explore(h, sol)
+        notes[-1][1:] = pins, alt is not None
         if alt is not None:
             xs[-1] = alt.x
         return alt, pins
 
     reductions.solve_elp, reductions.explore_alternate_bfs = solving, exploring
     try:
-        trace = reductions.run_pipeline(g, config)
+        trace = reductions.run_pipeline(g, **options)
     finally:
         reductions.solve_elp, reductions.explore_alternate_bfs = solve, explore
     assert len(graphs) == len(xs) == trace.L

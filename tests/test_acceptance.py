@@ -66,7 +66,7 @@ def _run_instance(g: Graph) -> Run:
     cover = backtrack(trace)
     ok, uncovered = validate_cover(g, cover)
     assert ok, f"invalid cover, uncovered: {uncovered[:5]}"
-    cert = certify(trace, trace.f1, cover)
+    cert = certify(trace, cover)
     opt = exact_vc(g).opt_size
     return Run(g, trace, graphs, xs, cover, cert, opt)
 

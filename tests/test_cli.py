@@ -66,9 +66,10 @@ def test_exit_code_bad_generator_spec():
     assert run_cli(["solve", "gen:cycle(2)"]) == 2
     assert run_cli(["solve", "gen:no_such(3)"]) == 2
     assert run_cli(["gen", "cycle("]) == 2
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["hunt", "--n-range", "10", "5"])
-    assert exc.value.code == 2
+    for flags in (["--n-range", "10", "5"], ["--trials", "-2"], ["--jobs", "0"], ["--jobs", "-4"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["hunt", *flags])
+        assert exc.value.code == 2, flags
 
 
 def test_exit_code_oversized_instance(tmp_path):

@@ -103,7 +103,7 @@ def test_validate_cover():
 def test_certify_gamma_zero():
     trace = run_pipeline(cycle_graph(5))
     cover = backtrack(trace)
-    cert = certify(trace, trace.f1, cover)
+    cert = certify(trace, cover)
     assert cert.gamma == 0 and cert.alpha == 0 and cert.xi == 0
     assert cert.guarantee_rhs == Rat(3, 2) * trace.f1
 
@@ -123,8 +123,12 @@ def test_certify_formula_two_random_reductions():
     # gamma=2, delta=sigma=0, f1=15, beta >= 2 -> alpha=0, lambda=2, xi=0.
     trace = ReductionTrace(mode="enhanced")
     # beta = 15 >= 2
-    trace.records = [random_record(1), random_record(2), terminal_record(3, range(100, 115))]
-    cert = certify(trace, Rat(15), frozenset(range(40)))
+    trace.records = [
+        random_record(1)._replace(f=Rat(15)),
+        random_record(2),
+        terminal_record(3, range(100, 115)),
+    ]
+    cert = certify(trace, frozenset(range(40)))
     assert cert.gamma == 2 and cert.alpha == 0
     assert cert.lam == 2 and cert.xi == 0
 
@@ -133,8 +137,12 @@ def test_certify_formula_synthetic_counters():
     # gamma=5, beta=1, delta=sigma=0, f1=4 -> alpha=4, lambda=5, xi=min(2,3)=2.
     trace = ReductionTrace(mode="enhanced")
     # i1_total = 1, eta = 0 -> beta = 1
-    trace.records = [random_record(k) for k in range(1, 6)] + [terminal_record(6, {77})]
-    cert = certify(trace, Rat(4), frozenset(range(9)))
+    trace.records = (
+        [random_record(1)._replace(f=Rat(4))]
+        + [random_record(k) for k in range(2, 6)]
+        + [terminal_record(6, {77})]
+    )
+    cert = certify(trace, frozenset(range(9)))
     assert cert.alpha == 4
     assert cert.lam == 5
     assert cert.xi == 2
@@ -147,16 +155,16 @@ def test_certify_xi_zero_whenever_gamma_zero():
         g = random_connected_gnp(rng.randint(3, 9), rng.uniform(0.3, 0.8), rng)
         trace = run_pipeline(g)
         cover = backtrack(trace)
-        cert = certify(trace, trace.f1, cover)
+        cert = certify(trace, cover)
         if cert.gamma == 0:
             assert cert.xi == 0
         assert cert.xi >= 0
 
 
 def test_certify_guarantee_violation_detected():
-    trace = ReductionTrace(mode="enhanced", records=[terminal_record(1, ())])
+    trace = ReductionTrace(mode="enhanced", records=[terminal_record(1, ())._replace(f=Rat(2))])
     with pytest.raises(GuaranteeViolation):
-        certify(trace, Rat(2), frozenset(range(10)))  # |S1|=10 > 3 with gamma=0
+        certify(trace, frozenset(range(10)))  # |S1|=10 > 3 with gamma=0
 
 
 def test_certify_rejects_nonzero_xi_without_random_edges(monkeypatch):
@@ -167,7 +175,7 @@ def test_certify_rejects_nonzero_xi_without_random_edges(monkeypatch):
     monkeypatch.setattr(cover_module, "min", lambda *args: Rat(1, 2), raising=False)
     trace = run_pipeline(cycle_graph(5))
     with pytest.raises(GuaranteeViolation, match="gamma=0"):
-        certify(trace, trace.f1, backtrack(trace))
+        certify(trace, backtrack(trace))
 
 
 def test_backtrack_growth_ledger():
@@ -191,7 +199,7 @@ def test_end_to_end_guarantees_small():
         cover = backtrack(trace)
         ok, _ = validate_cover(g, cover)
         assert ok
-        cert = certify(trace, trace.f1, cover)
+        cert = certify(trace, cover)
         opt = exact_vc(g).opt_size
         assert Rat(len(cover)) <= Rat(3, 2) * opt + cert.xi
         assert Rat(len(cover)) <= opt + cert.lam

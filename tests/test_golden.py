@@ -30,7 +30,7 @@ from elpcover.graph import (
     torus_grid_graph,
 )
 from elpcover.runner import dump_json, solve_instance
-from exact_oracles import circulant, random_connected_gnp
+from exact_oracles import circulant, random_connected_gnp, run_pipeline_iterates
 
 SWEEP_SEED = 20260810  # tests/test_acceptance.py's sweep corpus
 SWEEP_COUNT = 20
@@ -119,3 +119,25 @@ def test_golden_report_digest(name):
 @pytest.mark.parametrize("name,mode,edge_rule", list(GOLDEN_VARIANTS))
 def test_golden_variant_digest(name, mode, edge_rule):
     assert _digest(name, mode, edge_rule) == GOLDEN_VARIANTS[name, mode, edge_rule]
+
+
+@pytest.mark.parametrize("mode", ["enhanced", "base"])
+@pytest.mark.parametrize("name", list(GRAPHS))
+def test_diagnostics_match_observed_iterations(name, mode):
+    # The report's diagnostics are read off the trace records; count them
+    # again from the solve_elp and sweep calls the pipeline makes.
+    notes = []
+    _, _, xs = run_pipeline_iterates(GRAPHS[name], notes, mode=mode)
+    report = solve_instance(GRAPHS[name], name, "golden", mode=mode, with_oracle=False)
+    skipped = [
+        {"k": k, "vertices": sorted(v for v, val in x.items() if val == 0)}
+        for k, (x, (_, _, hit)) in enumerate(zip(xs, notes), start=1)
+        if hit is False and 0 in x.values()
+    ]
+    assert report["diagnostics"] == {
+        "cutRounds": sum(cuts for cuts, _, _ in notes),
+        "pinSolves": sum(pins for _, pins, _ in notes),
+        "alternateHits": sum(hit is True for _, _, hit in notes),
+        "skippedZeroOne": skipped,
+        "isolatedTerminal": notes[-1][2] is False,
+    }

@@ -19,7 +19,6 @@ from elpcover.reductions import (
     KIND_THREE_CYCLE,
     KIND_ZERO_ONE,
     STEP_ORDER,
-    PipelineConfig,
     PipelineError,
     ReductionTrace,
     choose_edge,
@@ -68,13 +67,13 @@ def triangles(g):
     return () if triangle is None else (triangle,)
 
 
-def test_pipeline_config_rejects_unknown_mode_and_rule():
+def test_run_pipeline_rejects_unknown_mode_and_rule():
     # The modes are the keys of the step-order table.
-    assert PipelineConfig(mode="base").mode in STEP_ORDER
+    assert run_pipeline(cycle_graph(5), mode="base").mode in STEP_ORDER
     with pytest.raises(ValueError):
-        PipelineConfig(mode="greedy")
+        run_pipeline(cycle_graph(5), mode="greedy")
     with pytest.raises(ValueError):
-        PipelineConfig(edge_rule="minsum")
+        run_pipeline(cycle_graph(5), edge_rule="minsum")
 
 
 def test_step_zero_one_terminal_on_k3():
@@ -259,9 +258,27 @@ def test_pipeline_k4_uses_three_cycle():
     assert trace.records[0].d_k == 2
 
 
+def test_terminal_rows_state_their_own_iteration():
+    # K4 (L = 2): the last iteration's sweep fails on the isolated vertex
+    # the 3-cycle step left, so it skips its {0,1} step.
+    g = complete_graph(4)
+    trace = run_pipeline(g)
+    assert trace.L == 2 and trace.records[-1].zero_one_applied is False
+    assert solve_instance(g, "k4", "test")["diagnostics"]["isolatedTerminal"] is True
+    # sweep-small's sweep-28 (L = 1): the first pin reaches an alternate
+    # optimum, and its {0,1} step consumes the whole graph.
+    edges = [(1, 2), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4),
+             (2, 5), (2, 6), (3, 4), (3, 6), (4, 5), (4, 6)]
+    trace = run_pipeline(Graph.from_edges(range(1, 7), edges))
+    terminal = trace.records[-1]
+    assert trace.L == 1 and terminal.kind == KIND_TERMINAL
+    assert terminal.alternate_used is True and terminal.pins == 1
+    assert terminal.zero_one_applied is True
+
+
 def test_pipeline_base_hypothesis_failure():
     g = circulant(11, (1, 3))
-    trace = run_pipeline(g, PipelineConfig(mode="base"))
+    trace = run_pipeline(g, mode="base")
     assert trace.hypothesis_failed and trace.L == 1
     assert trace.records[-1].f == Rat(33, 5)
     assert_trace_shape(trace, solve_instance(g, "c11", "test", mode="base"))
@@ -274,16 +291,16 @@ def test_pipeline_enhanced_random_edge_on_hard_circulant():
     assert KIND_RANDOM in kinds
     rec = trace.records[kinds.index(KIND_RANDOM)]
     assert rec.d_k == 1
-    assert trace.diagnostics["pin_solves"] == g.m  # full sweep failed first
+    assert sum(r.pins for r in trace.records) == g.m  # full sweep failed first
 
 
 def test_pipeline_edge_rules_deterministic_and_seeded():
     g = circulant(11, (1, 3))
-    a = run_pipeline(g, PipelineConfig(edge_rule="maxsum"))
-    b = run_pipeline(g, PipelineConfig(edge_rule="maxsum"))
+    a = run_pipeline(g, edge_rule="maxsum")
+    b = run_pipeline(g, edge_rule="maxsum")
     assert [r.pair for r in a.records] == [r.pair for r in b.records]
-    c = run_pipeline(g, PipelineConfig(edge_rule="random", seed=123))
-    d = run_pipeline(g, PipelineConfig(edge_rule="random", seed=123))
+    c = run_pipeline(g, edge_rule="random", seed=123)
+    d = run_pipeline(g, edge_rule="random", seed=123)
     assert [r.pair for r in c.records] == [r.pair for r in d.records]
 
 
@@ -335,7 +352,7 @@ def test_pipeline_zero_one_progress_then_hard_residual():
     g = Graph.from_edges(
         list(range(1, 12)) + [20, 21], list(hard.edges()) + [(20, 21)]
     )
-    trace = run_pipeline(g, PipelineConfig(mode="base"))
+    trace = run_pipeline(g, mode="base")
     assert [r.kind for r in trace.records] == [KIND_ZERO_ONE, KIND_TERMINAL]
     assert trace.hypothesis_failed and trace.L == 2
 
@@ -357,9 +374,11 @@ def test_pipeline_isolated_vertices_terminal():
     # the run ends with an empty cover and a diagnostic.
     iso = Graph.from_edges([1, 2, 3])
     trace = run_pipeline(iso)
-    assert trace.L == 1 and trace.diagnostics["isolated_terminal"]
-    assert_trace_shape(trace, solve_instance(iso, "iso", "test"))
-    assert trace.diagnostics["skipped_zero_one"] == [(1, [1, 2, 3])]
+    assert trace.L == 1 and trace.records[-1].zero_one_applied is False
+    report = solve_instance(iso, "iso", "test")
+    assert_trace_shape(trace, report)
+    assert report["diagnostics"]["isolatedTerminal"] is True
+    assert report["diagnostics"]["skippedZeroOne"] == [{"k": 1, "vertices": [1, 2, 3]}]
     from elpcover.cover import backtrack
 
     assert backtrack(trace) == frozenset()
