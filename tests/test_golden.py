@@ -8,7 +8,11 @@ moved (other optimal vertices, so other cut rounds and covers of the same
 size) were re-recorded with it. The 13 reports (11 here, 2 in
 GOLDEN_VARIANTS) that a vertex-disjoint batch of cuts per round moved
 (other cycle pools and cutRounds, the same f1, cover size, L and xi) were
-re-recorded with that. Any engine or pipeline change that alters a cover,
+re-recorded with that. complete(4) was re-recorded when the terminal
+record began to state its own iteration: that iteration is a failed sweep
+on the vertex the 3-cycle step left, so its row now says
+zeroOneApplied false, as its isolatedTerminal diagnostic always did; no
+other digest moved. Any engine or pipeline change that alters a cover,
 a cycle pool, a value or a diagnostic on these instances fails here.
 GOLDEN_VARIANTS pins base mode (a cover, 3-cycle and active-edge steps, a
 hypothesis failure, and a {0,1}-only step before one) and the seeded
@@ -62,7 +66,7 @@ GRAPHS = dict(_named_graphs())
 GOLDEN = {
     "petersen": "03421616ab769426991ba4ecd8e1ea63c647bea3249281364423b44725c6b548",
     "cycle(5)": "53a7b1740e8a1c32c9427d8d8203a0a6636e589d2ddc72044134b102004d7a62",
-    "complete(4)": "8046d744ac8c29d5957bc1a4db91f8bdc70cd4f6003a4849b1e915ddd1e01081",
+    "complete(4)": "d3d79a3d7303dda6abefd1ef9be8b63d423e206e53e81305a6287bb1668dcc14",
     "circulant(11,(1,3))": "18961142d76f94d4cde5fe4f4b486c5af7e34423c0e4dc7e340328ce547e4c0d",
     "circulant+edge": "9e21b98ad9d7072a13eaadc56c096b75e855a195211e56937a58a36cb028bc9c",
     "torus_grid(5,5)": "c813555a2188ccbfaa2edd326ae45448f3a7d519c3f4ba1aff5cf7b0424bc117",
