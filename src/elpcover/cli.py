@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     hunt_p.add_argument("--jobs", type=int, default=1)
     hunt_p.add_argument("--oracle-cap", type=int, default=26)
     hunt_p.add_argument("--out", default="hunt-out")
-    hunt_p.set_defaults(func=_cmd_hunt)
+    hunt_p.set_defaults(func=_cmd_hunt, parser=hunt_p)
     return parser
 
 
@@ -241,12 +241,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "hunt":
+        error = args.parser.error  # prints the `vc hunt` usage line
         if not 1 <= args.n_range[0] <= args.n_range[1]:
-            parser.error(f"--n-range needs 1 <= LO <= HI, got {args.n_range[0]} {args.n_range[1]}")
+            error(f"--n-range needs 1 <= LO <= HI, got {args.n_range[0]} {args.n_range[1]}")
         if args.trials < 0:
-            parser.error(f"--trials needs a count >= 0, got {args.trials}")
+            error(f"--trials needs a count >= 0, got {args.trials}")
         if args.jobs < 1:
-            parser.error(f"--jobs needs at least 1, got {args.jobs}")
+            error(f"--jobs needs at least 1, got {args.jobs}")
     try:
         return args.func(args)
     except GraphFormatError as exc:

@@ -39,7 +39,7 @@ from typing import Optional
 
 from ._rat import Rat
 from .graph import Graph, OddCycle
-from .simplex import AboveCeilingError, CoveringSimplex, InfeasibleError
+from .simplex import CoveringSimplex, InfeasibleError
 
 log = logging.getLogger("elpcover.elp")
 
@@ -81,15 +81,13 @@ class ElpSolution:
         return frozenset(v for v, val in self.x.items() if val == 1)
 
 
-def relaxation_engine(g: Graph, pool=()) -> CoveringSimplex:
+def relaxation_engine(g: Graph) -> CoveringSimplex:
     """Unsolved engine over g.vertices order: one x_u + x_v >= 1 row per
-    edge, then one sum_{v in C} x_v >= s + 1 row per cycle C of pool."""
+    edge."""
     index = _index(g)
     engine = CoveringSimplex(g.n)
     for u, v in g.edges():
         engine.add_ge_row({index[u]: 1, index[v]: 1}, 1)
-    for cycle in pool:
-        _add_cycle_row(engine, cycle, index)
     return engine
 
 
@@ -258,7 +256,7 @@ def _assemble(g: Graph, engine: CoveringSimplex, pool) -> ElpSolution:
     )
 
 
-def _chase(g: Graph, engine: CoveringSimplex, pool: list, ceiling=None) -> ElpSolution:
+def _chase(g: Graph, engine: CoveringSimplex, pool: list) -> ElpSolution:
     """Optimize engine, then add rounds of violated odd-cycle cuts until x
     satisfies every odd-cycle inequality of g; the certified optimum.
 
@@ -267,21 +265,15 @@ def _chase(g: Graph, engine: CoveringSimplex, pool: list, ceiling=None) -> ElpSo
     so the chase ends only when a separation over the whole of g finds
     nothing. engine holds the edge rows of g and one row per cycle of pool
     (plus a pin, for the alternate sweep), and each cut is appended to
-    pool. Every optimize runs with the given ceiling (InfeasibleError and
-    AboveCeilingError propagate), and when one returns under a ceiling the
-    objective must equal it (AssertionError otherwise). More than
-    CUTS_PER_VERTEX * max(1, n) cuts raise CutLoopLimitError.
+    pool; InfeasibleError propagates. More than CUTS_PER_VERTEX * max(1, n)
+    cuts raise CutLoopLimitError.
     """
     index = _index(g)
     seen = {c.vertex_set for c in pool}
     cap = CUTS_PER_VERTEX * max(1, g.n)
     added = rounds = 0
     while True:
-        engine.optimize(ceiling=ceiling)
-        if ceiling is not None and engine.objective() != ceiling:
-            raise AssertionError(
-                f"objective {engine.objective()} left its ceiling {ceiling} at cut round {rounds}"
-            )
+        engine.optimize()
         cuts = _disjoint_cuts(g, engine.scaled_values())
         if not cuts:
             return _assemble(g, engine, pool)
@@ -336,35 +328,41 @@ def solve_elp(g: Graph) -> ElpSolution:
 def explore_alternate_bfs(g: Graph, sol: ElpSolution) -> tuple[Optional[ElpSolution], int]:
     """Search for an alternate optimum with an active edge by pinning edges.
 
-    For each edge in g.edges() order, a copy of sol.engine gets the row
-    x_u + x_v <= 1 (as -x_u - x_v >= -1; with the edge row it pins
-    x_u + x_v = 1) and goes through the same cut chase as solve_elp, so the
-    alternate is full-relaxation feasible. The first pin whose optimum keeps
-    the unpinned value is returned: it has an active edge by construction.
+    For each edge in g.edges() order, a copy of sol.engine's optimal face
+    (CoveringSimplex.optimal_face) gets the row x_u + x_v <= 1 (as
+    -x_u - x_v >= -1; with the edge row it pins x_u + x_v = 1) and goes
+    through the same cut chase as solve_elp, so the alternate is
+    full-relaxation feasible. The first pin whose optimum keeps the
+    unpinned value is returned: it has an active edge by construction.
     Returns (solution or None, number of pins tried). Requires sol to have
     no active edge and no unit value.
 
     A pin fails when its LP is infeasible or its optimum rises above
-    sol.objective. Every optimize of a pin's chase runs with
-    ceiling=sol.objective, so a failing pin stops at the first pivot that
-    would raise the objective (see CoveringSimplex.optimize) instead of
-    solving to its higher optimum; a pin that gets past every optimize keeps
-    the value exactly, and anything else is a bug (AssertionError). The
-    pins tried, their order and the alternate returned are those of a sweep
-    that solves every pin to optimality.
+    sol.objective. On the face either one raises InfeasibleError, no later
+    than the first pivot that would raise the objective (see
+    CoveringSimplex.optimize), instead of solving the pin to its higher
+    optimum; a pin that gets past every optimize keeps the value exactly,
+    and anything else is a bug (AssertionError). The pins tried, their
+    order and the alternate returned are those of a sweep that solves every
+    pin to optimality.
     """
     if sol.active_edges:
         raise ValueError("solution already has an active edge")
     if sol.one_vertices:
         raise ValueError("solution has a variable at 1; {0,1}-reduction applies")
     index = _index(g)
+    face = sol.engine.optimal_face()
     for pins, (u, v) in enumerate(g.edges(), 1):
-        trial = sol.engine.copy()
+        trial = face.copy()
         trial.add_ge_row({index[u]: -1, index[v]: -1}, -1)
         try:
-            alt = _chase(g, trial, list(sol.cycle_pool), ceiling=sol.objective)
-        except (InfeasibleError, AboveCeilingError):
+            alt = _chase(g, trial, list(sol.cycle_pool))
+        except InfeasibleError:
             continue
+        if alt.objective != sol.objective:
+            raise AssertionError(
+                f"pin {(u, v)} left the optimal face: objective {alt.objective} != {sol.objective}"
+            )
         if not alt.active_edges:
             raise AssertionError("pinned alternate lost its active edge")
         return alt, pins

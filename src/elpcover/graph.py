@@ -259,6 +259,8 @@ def _parse_dimacs(text: str) -> Graph:
                 n, declared_m = int(fields[2]), int(fields[3])
             except ValueError as exc:
                 raise GraphFormatError(f"line {lineno}: {line!r}") from exc
+            if min(n, declared_m) < 0:
+                raise GraphFormatError(f"line {lineno}: negative count in {line!r}")
             if max(n, declared_m) > MAX_GRAPH_SIZE:
                 raise GraphFormatError(
                     f"line {lineno}: {line!r} exceeds the size limit {MAX_GRAPH_SIZE}"

@@ -70,19 +70,18 @@ integer rows it was given, untouched by pivots, and certified_values()
 checks that point against them exactly: feasibility and, through the
 duals read off the cost row, optimality.
 
-optimize(ceiling=c) serves callers that only care whether the optimum stays
-at the current objective c, such as the alternate-optimum pin sweep. The
-dual objective never decreases, and a pivot raises it exactly when its
-entering column has a positive reduced cost. Take any row i with
-rhs_i < 0 whose least ratio cost_q / -a_q over its a_q < 0 is t > 0. Row
-i reads x_{B_i} = (rhs_i - sum_q a_q x_q) / den_i, so every feasible point
-has sum_q -a_q x_q >= -rhs_i > 0 over the a_q < 0 columns; all reduced
-costs are >= 0, so its objective exceeds c by at least t * -rhs_i > 0 (up
-to the positive denominators). So whichever row the leaving rule picked,
-the first time its chosen column has a positive cost the optimum is
-certainly above c. optimize then raises AboveCeilingError instead of
-pivoting, and every pivot it does make is one the unbounded call would
-have made too.
+optimal_face() serves callers that only ask whether the optimum f stays
+put once rows are added, such as the alternate-optimum pin sweep. It is
+reduced-cost fixing (Nemhauser & Wolsey, Integer and Combinatorial
+Optimization, 1988): at the optimum every reduced cost d_q is >= 0 and the
+objective reads f + sum_q d_q x_q, so a point keeps the value f exactly
+when each column with d_q > 0 is zero. The copy it returns never enters
+such a column. A zero-cost pivot leaves the cost row as it is, so those
+columns stay fixed and the objective stays f. Bland's least ratio enters a
+zero-cost column whenever the leaving row has one; when it has none, the
+row cannot be met with the fixed columns at zero, and optimize raises
+InfeasibleError just where the unrestricted engine would make its first
+objective-raising pivot, after the same pivots.
 """
 
 from __future__ import annotations
@@ -97,13 +96,12 @@ from ._rat import Rat
 # enter at zero reduced cost, until a pivot raises the objective.
 STALL_LIMIT = 20
 
+# One optimize() call raises PivotLimitError once it makes more pivots.
+PIVOT_CAP = 200_000
+
 
 class InfeasibleError(Exception):
     """The problem (typically after pinning a row to equality) is infeasible."""
-
-
-class AboveCeilingError(Exception):
-    """optimize(ceiling=c) stopped before a pivot that raises the objective above c."""
 
 
 class PivotLimitError(RuntimeError):
@@ -135,12 +133,12 @@ class CoveringSimplex:
 
     _plus[j] and _minus[j] list the k whose given row has a positive and a
     negative coefficient on x_j: the rows that a fall, and a rise, of x_j
-    can violate.
+    can violate. _on_face is set on the copies optimal_face() returns.
     """
 
     __slots__ = (
         "num_vars", "_rows", "_cost", "_cost_rhs", "_cost_den", "_nonbasic",
-        "_position", "_given", "_plus", "_minus", "pivots",
+        "_position", "_given", "_plus", "_minus", "pivots", "_on_face",
     )
 
     def __init__(self, num_vars: int, rows: Iterable[tuple[Mapping, int]] = ()):
@@ -155,6 +153,7 @@ class CoveringSimplex:
         self._plus: list[list[int]] = [[] for _ in range(num_vars)]
         self._minus: list[list[int]] = [[] for _ in range(num_vars)]
         self.pivots = 0
+        self._on_face = False
         for coeffs, rhs in rows:
             self.add_ge_row(coeffs, rhs)
 
@@ -171,6 +170,15 @@ class CoveringSimplex:
         dup._plus = [ks.copy() for ks in self._plus]
         dup._minus = [ks.copy() for ks in self._minus]
         dup.pivots = self.pivots
+        dup._on_face = self._on_face
+        return dup
+
+    def optimal_face(self) -> "CoveringSimplex":
+        """A copy of this optimal engine whose columns with a positive
+        reduced cost never enter, so its optimize stays on the optimal face
+        or raises InfeasibleError (see the module docstring)."""
+        dup = self.copy()
+        dup._on_face = True
         return dup
 
     def add_ge_row(self, coeffs: Mapping[int, int], rhs: int) -> None:
@@ -215,33 +223,22 @@ class CoveringSimplex:
                 new[q] -= c * mult
         return _normalize(new, new_rhs, mult)
 
-    def optimize(self, pivot_cap: int = 200_000, ceiling=None) -> None:
+    def optimize(self) -> None:
         """Dual simplex to optimality; raises InfeasibleError when primal empty.
 
         The leaving row is the dual steepest-edge choice (_steepest_row)
         until STALL_LIMIT consecutive pivots have entered at zero reduced
         cost; from then on it is Bland's lowest basic column (_bland_row)
         until a pivot raises the objective. The entering column is always
-        Bland's least ratio.
+        Bland's least ratio. More than PIVOT_CAP pivots in one call raise
+        PivotLimitError.
 
-        pivot_cap bounds the pivots of this call alone; PivotLimitError is
-        raised once it is exceeded.
-
-        With a ceiling, objective() must equal it on entry (ValueError
-        otherwise), and AboveCeilingError is raised in place of the first
-        pivot whose entering column has a positive reduced cost. That
-        column has the least ratio in a row with rhs < 0, so every feasible
-        point lies strictly above the ceiling, whichever row was picked (see
-        the module docstring). The engine is then left as it was after the
-        last zero-cost pivot. A normal return therefore means the optimum
-        equals the ceiling, reached by the same pivots as without it.
+        On an optimal_face() copy, InfeasibleError is raised in place of
+        the first pivot whose entering column has a positive reduced cost,
+        and the engine is left as it was after the last zero-cost pivot.
         """
-        if ceiling is not None and (
-            -self._cost_rhs * ceiling.denominator != ceiling.numerator * self._cost_den
-        ):
-            raise ValueError(f"ceiling {ceiling} is not the objective {self.objective()}")
         n, rows, nonbasic = self.num_vars, self._rows, self._nonbasic
-        limit = self.pivots + pivot_cap
+        limit = self.pivots + PIVOT_CAP
         kept = set(rows)  # the rows this solve starts with
         stalled = 0
         while True:
@@ -273,14 +270,14 @@ class CoveringSimplex:
             if enter < 0:
                 raise InfeasibleError("no feasible point exists")
             if best_cost > 0:
-                if ceiling is not None:
-                    raise AboveCeilingError(f"the optimum rises above {ceiling}")
+                if self._on_face:
+                    raise InfeasibleError("no point of the optimal face satisfies the rows")
                 stalled = 0
             else:
                 stalled += 1
             self._pivot(leave, enter, kept)
             if self.pivots > limit:
-                raise PivotLimitError(f"exceeded {pivot_cap} pivots")
+                raise PivotLimitError(f"exceeded {PIVOT_CAP} pivots")
 
     def _pivot(self, leave: int, q: int, kept=()) -> None:
         """Exchange basic column leave with nonbasic column _nonbasic[q].

@@ -26,12 +26,7 @@ from elpcover._rat import ONE, ZERO, Rat
 from elpcover.cover import backtrack
 from elpcover.elp import ElpSolution, classify_edges, separate_odd_cycle, solve_elp
 from elpcover.graph import Graph, OddCycle, normalize_edge, random_gnp_graph
-from elpcover.simplex import (
-    AboveCeilingError,
-    CoveringSimplex,
-    InfeasibleError,
-    PivotLimitError,
-)
+from elpcover.simplex import CoveringSimplex, InfeasibleError, PivotLimitError
 
 
 def scale_point(g: Graph, x: Mapping[int, object]) -> tuple[list[int], int]:
@@ -418,7 +413,7 @@ def _extract_simple_odd_cycle(walk: list[int]) -> tuple[int, ...]:
             walk = walk[: i + 1] + walk[j + 1 :]
 
 
-# The pin sweep as it was before its optimize calls took a ceiling, kept
+# The pin sweep as it was before it ran on the optimal face, kept
 # verbatim as the differential reference for elp.explore_alternate_bfs:
 # every pin is solved to its optimum before it is judged. It runs on its
 # own copy of the generator cut chase that elp used before its one _chase,
@@ -472,18 +467,16 @@ def round_of_cuts(g: Graph, x: Mapping[int, object], disjoint: bool = True) -> l
 
 
 def chase_cuts(
-    g: Graph, engine: CoveringSimplex, pool: list, seen: set, cap: int, ceiling=None,
-    disjoint: bool = True,
+    g: Graph, engine: CoveringSimplex, pool: list, seen: set, cap: int, disjoint: bool = True,
 ) -> Iterator[CutRound]:
     """Add rounds of violated odd-cycle cuts (round_of_cuts) to an optimal
     engine until x satisfies every odd-cycle inequality of g, yielding one
     CutRound per round; disjoint=False takes one cut per round.
 
     Each cut is appended to pool and its vertex set to seen, and the engine
-    is re-optimized once per round with the given ceiling (InfeasibleError
-    and AboveCeilingError propagate). More than cap cuts raise
-    CutLoopLimitError. A caller that stops iterating leaves the engine
-    optimal for the cuts added so far.
+    is re-optimized once per round (InfeasibleError propagates). More than
+    cap cuts raise CutLoopLimitError. A caller that stops iterating leaves
+    the engine optimal for the cuts added so far.
     """
     index = _index(g)
     added = 0
@@ -500,7 +493,7 @@ def chase_cuts(
             pool.append(cycle)
             _add_cycle_row(engine, cycle, index)
             added += 1
-        engine.optimize(ceiling=ceiling)
+        engine.optimize()
         yield CutRound(tuple(cuts), engine.objective())
 
 
@@ -752,10 +745,16 @@ def _eliminate(row: dict, rhs: int, den: int, factor: int, pitems, prhs: int, pd
 # The steepest-edge engine that stored every row of the dictionary, before
 # CoveringSimplex kept only the working rows explicit. It is kept verbatim
 # (only renamed) as the differential reference for CoveringSimplex: both
-# must make the same pivots and hold the same dictionary. It reads
-# STALL_LIMIT from this module, so a test that patches the limit patches
-# both.
+# must make the same pivots and hold the same dictionary. Its
+# optimize(ceiling=c) is what CoveringSimplex.optimal_face replaced; the
+# argument its docstring points to is now the reduced-cost-fixing one of
+# the simplex module docstring. It reads STALL_LIMIT from this module, so a
+# test that patches the limit patches both.
 STALL_LIMIT = simplex.STALL_LIMIT
+
+
+class AboveCeilingError(Exception):
+    """optimize(ceiling=c) stopped before a pivot that raises the objective above c."""
 
 
 class FullDictionarySimplex:
@@ -1155,13 +1154,21 @@ class Lockstep:
     and entering column, with the same full dictionary after every pivot,
     and end the same way; every other call must give the same result. The
     CoveringSimplex answers. Stands in for CoveringSimplex in elp, so whole
-    cut chases and pin sweeps run in lockstep."""
+    cut chases and pin sweeps run in lockstep.
 
-    def __init__(self, num_vars: int, rows: Iterable[tuple[Mapping, int]] = (), pair=None):
+    optimal_face() pairs the engine's face with the reference under a
+    ceiling at the objective, so the face rule is checked pivot by pivot
+    against the ceiling it replaced: the reference's AboveCeilingError and
+    the engine's InfeasibleError count as the same outcome."""
+
+    def __init__(
+        self, num_vars: int, rows: Iterable[tuple[Mapping, int]] = (), pair=None, ceiling=None,
+    ):
         self.num_vars = num_vars
         if pair is None:
             pair = CoveringSimplex(num_vars), FullDictionarySimplex(num_vars)
         self.engine, self.reference = pair
+        self.ceiling = ceiling
         for coeffs, rhs in rows:
             self.add_ge_row(coeffs, rhs)
 
@@ -1170,7 +1177,14 @@ class Lockstep:
         return self.engine.pivots
 
     def copy(self) -> "Lockstep":
-        dup = Lockstep(self.num_vars, pair=(self.engine.copy(), self.reference.copy()))
+        pair = self.engine.copy(), self.reference.copy()
+        dup = Lockstep(self.num_vars, pair=pair, ceiling=self.ceiling)
+        check_same_dictionary(dup.engine, dup.reference)
+        return dup
+
+    def optimal_face(self) -> "Lockstep":
+        pair = self.engine.optimal_face(), self.reference.copy()
+        dup = Lockstep(self.num_vars, pair=pair, ceiling=self.objective())
         check_same_dictionary(dup.engine, dup.reference)
         return dup
 
@@ -1179,12 +1193,15 @@ class Lockstep:
         self.reference.add_ge_row(coeffs, rhs)
         check_same_dictionary(self.engine, self.reference)
 
-    def optimize(self, pivot_cap: int = 200_000, ceiling=None) -> None:
+    def optimize(self) -> None:
         errors = []
         with recorded_pivots([]) as log:
-            for e in (self.reference, self.engine):
+            for call in (
+                lambda: self.reference.optimize(simplex.PIVOT_CAP, self.ceiling),
+                self.engine.optimize,
+            ):
                 try:
-                    e.optimize(pivot_cap, ceiling)
+                    call()
                     errors.append(None)
                 except (InfeasibleError, AboveCeilingError, PivotLimitError, ValueError) as exc:
                     errors.append(exc)
@@ -1192,7 +1209,10 @@ class Lockstep:
                 for e in (self.reference, self.engine)]
         if made[0] != made[1]:
             raise AssertionError(f"pivots differ: {made[1]} != {made[0]}")
-        if type(errors[0]) is not type(errors[1]):
+        outcomes = [
+            InfeasibleError if type(exc) is AboveCeilingError else type(exc) for exc in errors
+        ]
+        if outcomes[0] is not outcomes[1]:
             raise AssertionError(f"outcomes differ: {errors[1]!r} != {errors[0]!r}")
         check_same_dictionary(self.engine, self.reference)
         if self.engine.pivots != self.reference.pivots:

@@ -163,7 +163,11 @@ def test_criterion_4_elp_values():
     # enumerated odd-cycle family (independent of the separation loop).
     pet = petersen_graph()
     cutting = solve_elp(pet).objective
-    direct = _lp_value(relaxation_engine(pet, nx_odd_cycles(pet)))
+    full_family = relaxation_engine(pet)
+    index = {v: j for j, v in enumerate(pet.vertices)}
+    for cycle in nx_odd_cycles(pet):
+        full_family.add_ge_row(dict.fromkeys((index[v] for v in cycle.vertices), 1), cycle.rhs)
+    direct = _lp_value(full_family)
     assert cutting == direct == 6 == exact_vc(pet).opt_size
     # Sandwich on oracle-checked instances.
     rng = random.Random(404)

@@ -57,19 +57,22 @@ def test_solve_reads_edgelist(tmp_path):
 
 def test_exit_code_parse_error(tmp_path):
     bad = tmp_path / "bad.col"
-    bad.write_text("p edge 2 1\ne 1 9\n")
-    assert run_cli(["solve", str(bad)]) == 2
+    for text in ("p edge 2 1\ne 1 9\n", "p edge -5 0\n", "p edge 5 -3\n"):
+        bad.write_text(text)
+        assert run_cli(["solve", str(bad)]) == 2, text
     assert run_cli(["solve", str(tmp_path / "missing.col")]) == 2
 
 
-def test_exit_code_bad_generator_spec():
+def test_exit_code_bad_generator_spec(capsys):
     assert run_cli(["solve", "gen:cycle(2)"]) == 2
     assert run_cli(["solve", "gen:no_such(3)"]) == 2
     assert run_cli(["gen", "cycle("]) == 2
+    capsys.readouterr()
     for flags in (["--n-range", "10", "5"], ["--trials", "-2"], ["--jobs", "0"], ["--jobs", "-4"]):
         with pytest.raises(SystemExit) as exc:
             run_cli(["hunt", *flags])
         assert exc.value.code == 2, flags
+        assert capsys.readouterr().err.startswith("usage: vc hunt"), flags
 
 
 def test_exit_code_oversized_instance(tmp_path):

@@ -390,7 +390,7 @@ def test_explore_alternate_reuses_the_solved_engine(monkeypatch):
 
 
 def _sweep_matches_reference(g, sol):
-    """The sweep with the ceiling gives the reference sweep's pins and
+    """The sweep on the optimal face gives the reference sweep's pins and
     alternate, reached by the same pivots."""
     alt, pins = explore_alternate_bfs(g, sol)
     ref_alt, ref_pins = reference_explore_alternate(g, sol)
@@ -462,22 +462,17 @@ def test_explore_alternate_pivots_of_failing_pins(case, expected, monkeypatch):
 @pytest.mark.parametrize(
     "case, message",
     [
-        (_hard_circulant_solution, "ceiling 33/5 at cut round 0"),
-        (_c5_edge_lp_solution, "ceiling 5/2 at cut round 1"),
+        (_hard_circulant_solution, r"pin \(1, 2\) left the optimal face: objective 7 != 33/5"),
+        (_c5_edge_lp_solution, r"pin \(1, 2\) left the optimal face: objective 3 != 5/2"),
     ],
     ids=["pin", "chase"],
 )
 def test_explore_alternate_rejects_an_objective_off_target(case, message, monkeypatch):
-    # Without the ceiling a failing pin solves on to its higher optimum; the
-    # sweep must flag that as a bug, not skip the pin. C11(1,3) rises at the
-    # pin itself, the C5 edge LP only after the chased cut.
+    # Off the optimal face a failing pin solves on to its higher optimum;
+    # the sweep must flag that as a bug, not skip the pin. C11(1,3) rises at
+    # the pin itself, the C5 edge LP only after the chased cut.
     g, sol = case()
-    optimize = CoveringSimplex.optimize
-
-    def no_ceiling(engine, pivot_cap=200_000, ceiling=None):
-        optimize(engine, pivot_cap)
-
-    monkeypatch.setattr(CoveringSimplex, "optimize", no_ceiling)
+    monkeypatch.setattr(CoveringSimplex, "optimal_face", CoveringSimplex.copy)
     with pytest.raises(AssertionError, match=message):
         explore_alternate_bfs(g, sol)
 

@@ -16,12 +16,7 @@ from elpcover.graph import (
     random_gnp_graph,
     torus_grid_graph,
 )
-from elpcover.simplex import (
-    AboveCeilingError,
-    CoveringSimplex,
-    InfeasibleError,
-    PivotLimitError,
-)
+from elpcover.simplex import CoveringSimplex, InfeasibleError, PivotLimitError
 import exact_oracles
 from exact_oracles import (
     Lockstep,
@@ -288,21 +283,25 @@ def _k3_engine():
     return relaxation_engine(complete_graph(3))
 
 
-def test_pivot_cap_bounds_a_single_call():
+def test_pivot_cap_bounds_a_single_call(monkeypatch):
+    monkeypatch.setattr(simplex, "PIVOT_CAP", 1)
     with pytest.raises(PivotLimitError):
-        _k3_engine().optimize(pivot_cap=1)
+        _k3_engine().optimize()
+    monkeypatch.setattr(simplex, "PIVOT_CAP", 3)
     engine = _k3_engine()
-    engine.optimize(pivot_cap=3)
+    engine.optimize()
     assert engine.pivots == 3
 
 
-def test_pivot_cap_ignores_pivots_of_earlier_calls_and_copies():
+def test_pivot_cap_ignores_pivots_of_earlier_calls_and_copies(monkeypatch):
     engine = _k3_engine()
     engine.pivots = 10**6  # as after a long cut loop
-    engine.optimize(pivot_cap=3)
+    monkeypatch.setattr(simplex, "PIVOT_CAP", 3)
+    engine.optimize()
     trial = engine.copy()
     trial.add_ge_row({0: 1, 1: 1, 2: 1}, 2)  # the triangle cut: one more pivot
-    trial.optimize(pivot_cap=1)
+    monkeypatch.setattr(simplex, "PIVOT_CAP", 1)
+    trial.optimize()
     assert trial.pivots == 10**6 + 4
     assert trial.objective() == 2
 
@@ -315,19 +314,19 @@ def _path_engine():
     return engine
 
 
-def test_optimize_ceiling_follows_a_zero_cost_path():
+def test_optimal_face_follows_a_zero_cost_path():
     # x1 + x2 >= 1 is cut off at (1, 0, 0); x1 enters at reduced cost 0
-    # (x1 = 1 - x0 + s0), so the value stays 1 and the ceiling lets it pass.
-    engine = _path_engine()
+    # (x1 = 1 - x0 + s0), so the value stays 1 and the face lets it pass.
+    engine = _path_engine().optimal_face()
     engine.add_ge_row({1: 1, 2: 1}, 1)
-    engine.optimize(ceiling=Rat(1))
+    engine.optimize()
     assert engine.pivots == 2
     assert engine.certified_values() == ([0, 1, 0], 1) and engine.objective() == 1
 
 
-def test_optimize_ceiling_raises_before_a_rising_pivot():
-    # x2 >= 1 can only be met by x2 entering at reduced cost 1: no pivot is
-    # made and the engine is left as it was.
+def test_optimal_face_stops_before_a_rising_pivot():
+    # x2 >= 1 can only be met by x2 entering at reduced cost 1: on the face
+    # no pivot is made and the engine is left as it was.
     def snapshot(e):
         return (
             dict(e._rows), dictionary(e), list(e._nonbasic), list(e._cost), e._cost_rhs,
@@ -335,19 +334,15 @@ def test_optimize_ceiling_raises_before_a_rising_pivot():
         )
 
     engine = _path_engine()
-    engine.add_ge_row({2: 1}, 1)
-    before = snapshot(engine)
-    with pytest.raises(AboveCeilingError):
-        engine.optimize(ceiling=1)
-    assert engine.pivots == 1 and snapshot(engine) == before
-    engine.optimize()  # without the ceiling the same pivot is made
+    face = engine.optimal_face()
+    for e in (engine, face):
+        e.add_ge_row({2: 1}, 1)
+    before = snapshot(face)
+    with pytest.raises(InfeasibleError):
+        face.optimize()
+    assert face.pivots == 1 and snapshot(face) == before
+    engine.optimize()  # off the face the same pivot is made
     assert engine.pivots == 2 and engine.objective() == 2
-
-
-def test_optimize_ceiling_must_be_the_current_objective():
-    engine = _path_engine()
-    with pytest.raises(ValueError, match="ceiling"):
-        engine.optimize(ceiling=Rat(3, 2))
 
 
 def test_stall_fallback_ends_certified_optimal(monkeypatch):
@@ -466,10 +461,10 @@ _SIGNED_ROW = st.tuples(
 )
 
 
-def _optimize(engine, ceiling=None):
+def _optimize(engine):
     try:
-        engine.optimize(ceiling=ceiling)
-    except (InfeasibleError, AboveCeilingError):
+        engine.optimize()
+    except InfeasibleError:
         pass
 
 
@@ -488,9 +483,9 @@ def test_engine_matches_full_dictionary_engine(n, rows, cuts, pin, stall_limit):
     # every violated column stored, and every stored surplus row must
     # equal its derivation. Both run all rows from cold, then the covering
     # rows with each row of any sign appended and solved in turn, a pinned
-    # copy solved freely and under the unpinned objective as ceiling, and
-    # the original again, under steepest edge, an early Bland fallback,
-    # and Bland's rule alone.
+    # copy solved freely and on the optimal face (the full-dictionary engine
+    # under the unpinned objective as ceiling), and the original again,
+    # under steepest edge, an early Bland fallback, and Bland's rule alone.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "STALL_LIMIT", stall_limit)
         mp.setattr(exact_oracles, "STALL_LIMIT", stall_limit)
@@ -503,11 +498,10 @@ def test_engine_matches_full_dictionary_engine(n, rows, cuts, pin, stall_limit):
             _optimize(both)
         coeffs, rhs = (rows + cuts)[pin % (len(rows) + len(cuts))]
         row, bound = _int_row(coeffs[:n], rhs)
-        ceiling = both.objective()
-        for limit in (None, ceiling):
-            trial = both.copy()
+        for pinned in (both.copy, both.optimal_face):
+            trial = pinned()
             trial.add_ge_row({j: -c for j, c in row.items()}, -bound)
-            _optimize(trial, limit)
+            _optimize(trial)
         _optimize(both)  # the copies left the original alone
 
 
@@ -534,8 +528,9 @@ def test_cut_chase_matches_full_dictionary_engine(name, monkeypatch):
 
 
 def test_pin_sweep_matches_full_dictionary_engine(monkeypatch):
-    # Every pin of C11(1,3) fails: copies, pin rows, and optimize stopped
-    # by its ceiling, all in lockstep.
+    # Every pin of C11(1,3) fails: the optimal face, its copies, pin rows,
+    # and optimize stopped at the face, all in lockstep with the
+    # full-dictionary engine stopped by its ceiling.
     g = circulant(11, (1, 3))
     monkeypatch.setattr(elp, "CoveringSimplex", Lockstep)
     sol = solve_elp(g)
