@@ -15,6 +15,7 @@ from .cover import (
     validate_cover,
 )
 from .elp import (
+    CapExceededError,
     ElpSolution,
     classify_edges,
     explore_alternate_bfs,
@@ -23,7 +24,6 @@ from .elp import (
 )
 from .graph import Graph, GraphFormatError, OddCycle, generate, parse_graph, to_dimacs
 from .oracles import (
-    CapExceededError,
     OracleResult,
     exact_vc,
     matching_2approx,

@@ -18,9 +18,9 @@ import sys
 from pathlib import Path
 
 from .cover import GuaranteeViolation
-from .elp import CutLoopLimitError
+from .elp import CapExceededError, CutLoopLimitError
 from .graph import GraphFormatError, detect_format, generate, parse_graph, to_dimacs
-from .oracles import CapExceededError, exact_vc
+from .oracles import exact_vc
 from .reductions import PipelineError
 from .runner import (
     SCHEMA_VERSION,
@@ -186,6 +186,13 @@ def _cmd_hunt(args) -> int:
     return EXIT_OK
 
 
+def count(text: str) -> int:
+    """argparse type of a count flag; a negative count is a usage error."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"needs a count >= 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vc",
@@ -204,14 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--edge-rule", choices=["maxsum", "random"], default="maxsum")
     solve.add_argument("--no-oracle", action="store_true", help="skip the exact optimum check")
-    solve.add_argument("--oracle-cap", type=int, default=26)
+    solve.add_argument("--oracle-cap", type=count, default=26)
     solve.add_argument("--timings", action="store_true", help="include wall-clock (breaks byte-determinism)")
     solve.set_defaults(func=_cmd_solve)
 
     exact = sub.add_parser("exact", help="exact optimum by branch and bound")
     add_instance(exact)
     exact.add_argument("--all", action="store_true", help="enumerate all optimal covers")
-    exact.add_argument("--cap", type=int, default=None, help="vertex-count cap override")
+    exact.add_argument("--cap", type=count, default=None, help="vertex-count cap override")
     exact.set_defaults(func=_cmd_exact)
 
     compare = sub.add_parser("compare", help="algorithm vs 2-approximation baselines")
@@ -226,11 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
     hunt_p = sub.add_parser("hunt", help="batch sweep hunting for nonzero error bounds")
     hunt_p.add_argument("--gen", choices=["gnp-trianglefree", "torus", "mixed"], default="gnp-trianglefree")
     hunt_p.add_argument("--n-range", type=int, nargs=2, default=(6, 20), metavar=("LO", "HI"))
-    hunt_p.add_argument("--trials", type=int, default=100)
+    hunt_p.add_argument("--trials", type=count, default=100)
     hunt_p.add_argument("--seed", type=int, default=0)
     hunt_p.add_argument("--edge-rule", choices=["maxsum", "random"], default="maxsum")
     hunt_p.add_argument("--jobs", type=int, default=1)
-    hunt_p.add_argument("--oracle-cap", type=int, default=26)
+    hunt_p.add_argument("--oracle-cap", type=count, default=26)
     hunt_p.add_argument("--out", default="hunt-out")
     hunt_p.set_defaults(func=_cmd_hunt, parser=hunt_p)
     return parser
@@ -244,8 +251,6 @@ def main(argv=None) -> int:
         error = args.parser.error  # prints the `vc hunt` usage line
         if not 1 <= args.n_range[0] <= args.n_range[1]:
             error(f"--n-range needs 1 <= LO <= HI, got {args.n_range[0]} {args.n_range[1]}")
-        if args.trials < 0:
-            error(f"--trials needs a count >= 0, got {args.trials}")
         if args.jobs < 1:
             error(f"--jobs needs at least 1, got {args.jobs}")
     try:

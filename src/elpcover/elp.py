@@ -48,6 +48,15 @@ log = logging.getLogger("elpcover.elp")
 # before CutLoopLimitError.
 CUTS_PER_VERTEX = 10
 
+# relaxation_engine refuses a graph with n * m over MAX_ENGINE_CELLS: it would
+# store a dense row of n ints per edge, at 9-10 bytes per cell, so about
+# 100 MB at the cap, some 280 times the largest graph solved, gnp(80,0.15,2).
+MAX_ENGINE_CELLS = 10_000_000
+
+
+class CapExceededError(Exception):
+    """Instance over a size cap: MAX_ENGINE_CELLS, or an exact oracle's."""
+
 
 class CutLoopLimitError(RuntimeError):
     """Cut cap exceeded: a chase added more than CUTS_PER_VERTEX * max(1, n)
@@ -84,6 +93,8 @@ class ElpSolution:
 def relaxation_engine(g: Graph) -> CoveringSimplex:
     """Unsolved engine over g.vertices order: one x_u + x_v >= 1 row per
     edge."""
+    if g.n * g.m > MAX_ENGINE_CELLS:
+        raise CapExceededError(f"n*m = {g.n}*{g.m} exceeds the LP size cap {MAX_ENGINE_CELLS}")
     index = _index(g)
     engine = CoveringSimplex(g.n)
     for u, v in g.edges():

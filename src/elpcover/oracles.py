@@ -7,12 +7,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .elp import relaxation_engine
+from .elp import CapExceededError, relaxation_engine
 from .graph import Graph
-
-
-class CapExceededError(Exception):
-    """Instance exceeds the size cap of an exponential oracle."""
 
 
 class OracleResult(NamedTuple):

@@ -50,16 +50,10 @@ x only on the structural columns whose rows it updates, plus the entering
 and leaving columns; so after each pivot just the implicit rows on a
 moved column, with the right sign, are checked against the new point, in
 integers over its common denominator, and the violated ones are derived.
-A solve keeps every row it starts with until it returns, and drops a
-row it derived as soon as a pivot leaves that row satisfied; at the
-optimum every surplus row is satisfied, and optimize drops them all. The
-rows a solve starts with are those given since the last one: on a fresh
-engine all of them, violated at x = 0 and mostly used again, so a cold
-solve works much as on the full dictionary, while a warm restart after a
-cut or a pin starts with just the structural rows and the new row.
-add_ge_row appends the row as given and derives its row only if the
-current point violates it, and copy() copies the stored rows alone,
-sharing them, since no row is changed in place.
+A pivot drops each stored surplus row that it leaves satisfied, so at the
+optimum none is stored. add_ge_row appends the row as given and derives
+its row only if the current point violates it, and copy() copies the
+stored rows alone, sharing them, since no row is changed in place.
 
 add_ge_row takes a sparse {column: int} row with an int right-hand side,
 and rationals (Rat) appear only where results leave the engine:
@@ -123,13 +117,13 @@ class CoveringSimplex:
     right-hand side rhs / den, the column's value; the basic column itself
     is an implicit unit column. _rows holds the row of every basic
     structural column and of every basic surplus column whose value is
-    negative, and while optimize runs, the rows it started with. Any other
-    basic surplus row is derived from _given on demand (_derive). The
-    cost row _cost is a list of the same kind over _cost_den, holding the
-    reduced costs of the nonbasic columns, and -_cost_rhs / _cost_den is
-    the objective of the current basis. Every denominator is positive, and
-    each row is divided by gcd(den, rhs, *entries) after every change.
-    Stored rows are replaced, never changed in place, so copies share them.
+    negative, and no other: any other basic surplus row is derived from
+    _given on demand (_derive). The cost row _cost is a list of the same
+    kind over _cost_den, holding the reduced costs of the nonbasic columns,
+    and -_cost_rhs / _cost_den is the objective of the current basis. Every
+    denominator is positive, and each row is divided by gcd(den, rhs,
+    *entries) after every change. Stored rows are replaced, never changed
+    in place, so copies share them.
 
     _plus[j] and _minus[j] list the k whose given row has a positive and a
     negative coefficient on x_j: the rows that a fall, and a rise, of x_j
@@ -237,9 +231,8 @@ class CoveringSimplex:
         the first pivot whose entering column has a positive reduced cost,
         and the engine is left as it was after the last zero-cost pivot.
         """
-        n, rows, nonbasic = self.num_vars, self._rows, self._nonbasic
+        rows, nonbasic = self._rows, self._nonbasic
         limit = self.pivots + PIVOT_CAP
-        kept = set(rows)  # the rows this solve starts with
         stalled = 0
         while True:
             if stalled < STALL_LIMIT:
@@ -247,9 +240,6 @@ class CoveringSimplex:
             else:
                 leave = _bland_row(rows)
             if leave < 0:
-                # Optimal: every surplus row is satisfied, so none is kept.
-                for col in [col for col in rows if col >= n]:
-                    del rows[col]
                 return
             # Bland entering rule: least ratio cost_q / -a_q over a_q < 0,
             # ties to the lowest column index. Row and cost denominators are
@@ -275,15 +265,14 @@ class CoveringSimplex:
                 stalled = 0
             else:
                 stalled += 1
-            self._pivot(leave, enter, kept)
+            self._pivot(leave, enter)
             if self.pivots > limit:
                 raise PivotLimitError(f"exceeded {PIVOT_CAP} pivots")
 
-    def _pivot(self, leave: int, q: int, kept=()) -> None:
+    def _pivot(self, leave: int, q: int) -> None:
         """Exchange basic column leave with nonbasic column _nonbasic[q].
 
-        A stored surplus row that the pivot leaves satisfied is dropped,
-        unless its column is in kept."""
+        A stored surplus row that the pivot leaves satisfied is dropped."""
         n, rows, given = self.num_vars, self._rows, self._given
         # Of the rows implicit after the pivot, only those implicit before
         # it can be violated: the pivot finds the others satisfied (a
@@ -302,19 +291,17 @@ class CoveringSimplex:
         # sign of that entry; a structural leaving column rises to 0. A
         # surplus row's new rhs has the sign of rhs * pden - factor * prhs,
         # so a row the pivot leaves satisfied is dropped uneliminated.
-        moved, satisfied = [], []
-        for col, (row, rhs, den) in rows.items():
+        moved = []
+        for col, (row, rhs, den) in list(rows.items()):
             factor = row[q]
             if factor:
                 if col < n:
                     if implicit:
                         moved.append((col, factor))
-                elif rhs * pden >= factor * prhs and col not in kept:
-                    satisfied.append(col)
+                elif rhs * pden >= factor * prhs:
+                    del rows[col]
                     continue
                 rows[col] = _eliminate(row, rhs, den, factor, q, prow, prhs, pden)
-        for col in satisfied:
-            del rows[col]
         factor = self._cost[q]
         if factor:
             self._cost, self._cost_rhs, self._cost_den = _eliminate(

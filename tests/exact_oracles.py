@@ -1079,13 +1079,22 @@ def _state(nonbasic, cost, rows: dict) -> str:
     return hashlib.sha256(repr((nonbasic, cost, sorted(rows.items()))).encode()).hexdigest()
 
 
-def engine_state(engine: CoveringSimplex) -> str:
-    """A digest of engine's nonbasic order, cost row and full dictionary,
-    after checking that the row of every violated basic column is stored."""
-    rows = dictionary(engine)
+def check_stored_rows(engine: CoveringSimplex, rows: dict) -> None:
+    """engine stores the row of every violated basic column in rows, its
+    full dictionary, and no satisfied surplus row."""
     for col, (_, rhs, _) in rows.items():
         if rhs < 0 and col not in engine._rows:
             raise AssertionError(f"violated row of basic column {col} is not stored")
+    for col, (_, rhs, _) in engine._rows.items():
+        if col >= engine.num_vars and rhs >= 0:
+            raise AssertionError(f"satisfied row of surplus column {col} is stored")
+
+
+def engine_state(engine: CoveringSimplex) -> str:
+    """A digest of engine's nonbasic order, cost row and full dictionary,
+    after checking that its stored surplus rows are the violated ones."""
+    rows = dictionary(engine)
+    check_stored_rows(engine, rows)
     cost = (engine._cost, engine._cost_rhs, engine._cost_den)
     return _state(engine._nonbasic, cost, rows)
 
@@ -1097,8 +1106,8 @@ def reference_state(reference: FullDictionarySimplex) -> str:
 
 def check_same_dictionary(engine: CoveringSimplex, reference: FullDictionarySimplex) -> None:
     """engine holds the reference's dictionary row for row, stores the row
-    of every violated basic column, and each stored surplus row equals its
-    derivation from the row as given."""
+    of every violated basic column and no satisfied surplus row, and each
+    stored surplus row equals its derivation from the row as given."""
     n = engine.num_vars
     if engine._nonbasic != reference._nonbasic:
         raise AssertionError(f"nonbasic {engine._nonbasic} != {reference._nonbasic}")
@@ -1110,9 +1119,7 @@ def check_same_dictionary(engine: CoveringSimplex, reference: FullDictionarySimp
     full = full_dictionary(reference)
     if dictionary(engine) != full:
         raise AssertionError("dictionaries differ")
-    for col, (_, rhs, _) in full.items():
-        if rhs < 0 and col not in engine._rows:
-            raise AssertionError(f"violated row of basic column {col} is not stored")
+    check_stored_rows(engine, full)
     for col, stored in engine._rows.items():
         if col >= n and stored != engine._derive(col - n):
             raise AssertionError(f"stored row of column {col} differs from its derivation")

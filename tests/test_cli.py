@@ -75,6 +75,24 @@ def test_exit_code_bad_generator_spec(capsys):
         assert capsys.readouterr().err.startswith("usage: vc hunt"), flags
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "gen:cycle(5)", "--cap", "-3"],
+        ["solve", "gen:cycle(5)", "--oracle-cap", "-1"],
+        ["hunt", "--trials", "1", "--oracle-cap", "-1"],
+    ],
+    ids=["exact-cap", "solve-oracle-cap", "hunt-oracle-cap"],
+)
+def test_negative_cap_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: vc {argv[0]}")
+    assert "needs a count >= 0, got -" in err
+
+
 def test_exit_code_oversized_instance(tmp_path):
     # Rejected before allocation, from the spec or the header alone.
     assert run_cli(["solve", "gen:cycle(99999999999)"]) == 2
@@ -123,6 +141,19 @@ def test_exit_code_hypothesis_failure(tmp_path):
 
 def test_exit_code_cap_exceeded():
     assert run_cli(["exact", "gen:torus_grid(5,5)", "--cap", "10"]) == 4
+
+
+def test_lp_size_cap_exits_before_the_engine_allocates(monkeypatch, capsys):
+    from elpcover import elp
+    from elpcover.graph import petersen_graph
+
+    monkeypatch.setattr(elp, "MAX_ENGINE_CELLS", 150)  # Petersen: 10 * 15 cells
+    assert elp.relaxation_engine(petersen_graph()).num_vars == 10
+    monkeypatch.setattr(elp, "MAX_ENGINE_CELLS", 149)
+    monkeypatch.setattr(elp, "CoveringSimplex", None)  # building an engine would fail
+    for command in ("solve", "compare"):
+        assert run_cli([command, "gen:petersen"]) == cli.EXIT_CAP == 4
+        assert capsys.readouterr().err == "error: n*m = 10*15 exceeds the LP size cap 149\n"
 
 
 def test_exact_command(tmp_path):
