@@ -23,13 +23,13 @@ from .graph import GraphFormatError, detect_format, generate, parse_graph, to_di
 from .oracles import exact_vc
 from .reductions import PipelineError
 from .runner import (
+    ORACLE_CAP,
     SCHEMA_VERSION,
-    _build_hunt_instance,
-    _hunt_instance_descriptor,
     compare_instance,
     dump_json,
     format_comparison,
     hunt,
+    hunt_instance,
     hunt_rows_csv,
     solve_instance,
 )
@@ -96,7 +96,6 @@ def _cmd_solve(args) -> int:
         mode=args.mode,
         seed=args.seed,
         edge_rule=args.edge_rule,
-        with_oracle=not args.no_oracle,
         oracle_cap=args.oracle_cap,
         timings=args.timings,
     )
@@ -153,10 +152,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_hunt(args) -> int:
-    lo, hi = args.n_range
     summary, rows = hunt(
         gen=args.gen,
-        n_range=(lo, hi),
+        n_range=args.n_range,
         trials=args.trials,
         seed=args.seed,
         edge_rule=args.edge_rule,
@@ -170,9 +168,7 @@ def _cmd_hunt(args) -> int:
     # Nonzero-xi instances are findings; archive them for reproduction.
     archived = 0
     for item in summary["nonzeroXiInstances"]:
-        # Rebuild deterministically: the row index pins the descriptor.
-        desc = _hunt_instance_descriptor(args.gen, item["index"], args.seed, lo, hi)
-        g, _ = _build_hunt_instance(desc)
+        g, _ = hunt_instance(args.gen, item["index"], args.seed, args.n_range)
         path = outdir / f"nonzero_xi_{item['index']:05d}.col"
         path.write_text(to_dimacs(g, comments=[item["name"], f"xi={item['xi']}"]))
         archived += 1
@@ -210,8 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mode", choices=["base", "enhanced"], default="enhanced")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--edge-rule", choices=["maxsum", "random"], default="maxsum")
-    solve.add_argument("--no-oracle", action="store_true", help="skip the exact optimum check")
-    solve.add_argument("--oracle-cap", type=count, default=26)
+    oracle = solve.add_mutually_exclusive_group()
+    oracle.add_argument("--oracle-cap", type=count, default=ORACLE_CAP, help="largest n the exact oracle checks")
+    oracle.add_argument("--no-oracle", dest="oracle_cap", action="store_const", const=None, help="skip the exact optimum check")
     solve.add_argument("--timings", action="store_true", help="include wall-clock (breaks byte-determinism)")
     solve.set_defaults(func=_cmd_solve)
 
@@ -237,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     hunt_p.add_argument("--seed", type=int, default=0)
     hunt_p.add_argument("--edge-rule", choices=["maxsum", "random"], default="maxsum")
     hunt_p.add_argument("--jobs", type=int, default=1)
-    hunt_p.add_argument("--oracle-cap", type=count, default=26)
+    hunt_p.add_argument("--oracle-cap", type=count, default=ORACLE_CAP)
     hunt_p.add_argument("--out", default="hunt-out")
     hunt_p.set_defaults(func=_cmd_hunt, parser=hunt_p)
     return parser

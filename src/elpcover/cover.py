@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, NamedTuple
 
-from ._rat import THREE_HALVES, TWO_THIRDS, ZERO, Rat
+from ._rat import THREE_HALVES, TWO_THIRDS, ZERO, Rat, rat_str
 from .graph import Graph
 from .reductions import (
     KIND_ACTIVE,
@@ -91,8 +91,6 @@ class BoundCertificate(NamedTuple):
     hypothesis_failed: bool
 
     def as_dict(self) -> dict:
-        from ._rat import rat_str
-
         return {
             "f1": rat_str(self.f1),
             "coverSize": self.cover_size,

@@ -15,6 +15,7 @@ import logging
 import os
 import random
 import time
+from functools import partial
 from typing import Optional
 
 from ._rat import Rat, rat_str
@@ -26,6 +27,9 @@ from .reductions import KIND_ACTIVE, KIND_TERMINAL, run_pipeline
 log = logging.getLogger("elpcover.runner")
 
 SCHEMA_VERSION = 1
+
+# Largest instance the exact oracle checks by default, for solve and hunt.
+ORACLE_CAP = 26
 
 
 def _trace_summary(trace) -> list[dict]:
@@ -80,11 +84,11 @@ def solve_instance(
     mode: str = "enhanced",
     seed: int = 0,
     edge_rule: str = "maxsum",
-    with_oracle: bool = True,
-    oracle_cap: int = 26,
+    oracle_cap: Optional[int] = ORACLE_CAP,
     timings: bool = False,
 ) -> dict:
-    """Run the full algorithm on one instance and build its report."""
+    """Run the full algorithm on one instance and build its report. The exact
+    oracle, capped at oracle_cap, checks the cover if g.n <= oracle_cap."""
     started = time.perf_counter()
     trace = run_pipeline(g, mode=mode, edge_rule=edge_rule, seed=seed)
     report = {
@@ -115,8 +119,8 @@ def solve_instance(
     report["coverSize"] = len(cover)
     report["certificate"] = certificate.as_dict()
     report["oracle"] = None
-    if with_oracle and g.n <= oracle_cap:
-        oracle = exact_vc(g)
+    if oracle_cap is not None and g.n <= oracle_cap:
+        oracle = exact_vc(g, cap=oracle_cap)
         opt = oracle.opt_size
         ratio = Rat(len(cover), opt) if opt else Rat(1)
         xi_observed = max(Rat(0), Rat(len(cover)) - Rat(3, 2) * opt)
@@ -181,7 +185,9 @@ _TORUS_SHAPES = [
 ]
 
 
-def _hunt_instance_descriptor(gen: str, index: int, seed: int, n_lo: int, n_hi: int):
+def hunt_instance(gen: str, index: int, seed: int, n_range: tuple[int, int]) -> tuple[Graph, str]:
+    """The graph and name of hunt instance index; a summary's index rebuilds it."""
+    n_lo, n_hi = n_range
     rng = random.Random(seed * 1_000_003 + index)
     kind = gen
     if gen == "mixed":
@@ -189,26 +195,19 @@ def _hunt_instance_descriptor(gen: str, index: int, seed: int, n_lo: int, n_hi: 
     if kind == "gnp-trianglefree":
         n = rng.randint(n_lo, n_hi)
         p = round(rng.uniform(0.15, 0.5), 4)
-        return {"kind": "gnp-trianglefree", "n": n, "p": p, "seed": seed * 7919 + index}
+        g_seed = seed * 7919 + index
+        g = random_triangle_free_graph(n, p, g_seed)
+        return g, f"gnp-trianglefree(n={n},p={p},seed={g_seed})"
     if kind == "torus":
         shapes = [s for s in _TORUS_SHAPES if n_lo <= s[0] * s[1] <= n_hi] or _TORUS_SHAPES[:4]
         a, b = shapes[index % len(shapes)]
-        return {"kind": "torus", "a": a, "b": b}
+        return torus_grid_graph(a, b), f"torus_grid({a},{b})"
     raise ValueError(f"unknown hunt generator {gen!r}")
 
 
-def _build_hunt_instance(desc: dict) -> tuple[Graph, str]:
-    if desc["kind"] == "gnp-trianglefree":
-        g = random_triangle_free_graph(desc["n"], desc["p"], desc["seed"])
-        return g, f"gnp-trianglefree(n={desc['n']},p={desc['p']},seed={desc['seed']})"
-    g = torus_grid_graph(desc["a"], desc["b"])
-    return g, f"torus_grid({desc['a']},{desc['b']})"
-
-
-def _hunt_worker(args) -> tuple[int, dict]:
-    index, desc, seed, edge_rule, oracle_cap = args
-    g, name = _build_hunt_instance(desc)
-    report = solve_instance(
+def _hunt_report(gen, seed, n_range, edge_rule, oracle_cap, index) -> dict:
+    g, name = hunt_instance(gen, index, seed, n_range)
+    return solve_instance(
         g,
         name=name,
         source="hunt",
@@ -217,8 +216,6 @@ def _hunt_worker(args) -> tuple[int, dict]:
         edge_rule=edge_rule,
         oracle_cap=oracle_cap,
     )
-    report["huntIndex"] = index
-    return index, report
 
 
 HUNT_CSV_COLUMNS = [
@@ -234,38 +231,33 @@ def hunt(
     seed: int = 0,
     edge_rule: str = "maxsum",
     jobs: int = 1,
-    oracle_cap: int = 26,
+    oracle_cap: Optional[int] = ORACLE_CAP,
 ) -> tuple[dict, list[dict]]:
     """Run the batch sweep; returns (summary, per-instance rows).
 
     Rows carry no graph: the summary lists the nonzero-xi instances by
-    index, and the descriptor of that index rebuilds each one. jobs is
-    clamped to min(jobs, trials, os.cpu_count()); one job runs in process.
+    index, and hunt_instance rebuilds each one. jobs is clamped to
+    min(jobs, trials, os.cpu_count()); one job runs in process.
     """
-    n_lo, n_hi = n_range
-    descriptors = [
-        _hunt_instance_descriptor(gen, i, seed, n_lo, n_hi) for i in range(trials)
-    ]
-    work = [(i, d, seed, edge_rule, oracle_cap) for i, d in enumerate(descriptors)]
+    report_of = partial(_hunt_report, gen, seed, n_range, edge_rule, oracle_cap)
     jobs = min(jobs, trials, os.cpu_count() or 1)
     if jobs > 1:
         # Imported here, so that a solve never loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(_hunt_worker, work))
-        reports = [results[i] for i in range(trials)]
+            reports = list(pool.map(report_of, range(trials)))
     else:
-        reports = [_hunt_worker(w)[1] for w in work]
+        reports = [report_of(i) for i in range(trials)]
 
     rows = []
     xi_zero = 0
     ratios = []
-    for rep in reports:
+    for index, rep in enumerate(reports):
         cert = rep["certificate"]
         oracle = rep["oracle"]
         row = {
-            "index": rep["huntIndex"],
+            "index": index,
             "name": rep["instance"]["name"],
             "n": rep["instance"]["n"],
             "m": rep["instance"]["m"],
@@ -289,15 +281,13 @@ def hunt(
     summary = {
         "schema": SCHEMA_VERSION,
         "generator": gen,
-        "nRange": [n_lo, n_hi],
+        "nRange": list(n_range),
         "trials": trials,
         "seed": seed,
         "xiZeroCount": xi_zero,
         "xiZeroRate": rat_str(Rat(xi_zero, trials)) if trials else "0",
         "nonzeroXiInstances": [
-            {"index": r["huntIndex"], "name": r["instance"]["name"], "xi": r["certificate"]["xi"]}
-            for r in reports
-            if r["certificate"]["xi"] != "0"
+            {"index": r["index"], "name": r["name"], "xi": r["xi"]} for r in rows if r["xi"] != "0"
         ],
         "oracleChecked": len(ratios),
         "ratioHistogram": _histogram(ratios),

@@ -3,14 +3,15 @@ import random
 
 import pytest
 
-from elpcover import cli
+from elpcover import cli, runner
 from elpcover.cli import main
-from elpcover.graph import to_dimacs
+from elpcover.graph import cycle_graph, parse_graph, to_dimacs
 from elpcover.runner import (
     HUNT_CSV_COLUMNS,
     SCHEMA_VERSION,
     compare_instance,
     hunt,
+    hunt_instance,
     hunt_rows_csv,
     solve_instance,
 )
@@ -76,21 +77,34 @@ def test_exit_code_bad_generator_spec(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["exact", "gen:cycle(5)", "--cap", "-3"],
-        ["solve", "gen:cycle(5)", "--oracle-cap", "-1"],
-        ["hunt", "--trials", "1", "--oracle-cap", "-1"],
+        (["exact", "gen:cycle(5)", "--cap", "-3"], "needs a count >= 0, got -3"),
+        (["solve", "gen:cycle(5)", "--oracle-cap", "-1"], "needs a count >= 0, got -1"),
+        (["hunt", "--trials", "1", "--oracle-cap", "-1"], "needs a count >= 0, got -1"),
+        (["solve", "gen:petersen", "--no-oracle", "--oracle-cap", "5"], "not allowed with argument --no-oracle"),
     ],
-    ids=["exact-cap", "solve-oracle-cap", "hunt-oracle-cap"],
+    ids=["exact-cap", "solve-oracle-cap", "hunt-oracle-cap", "solve-no-oracle-with-cap"],
 )
-def test_negative_cap_is_a_usage_error(argv, capsys):
+def test_negative_cap_is_a_usage_error(argv, message, capsys):
+    # So is a cap given together with --no-oracle, the other oracle setting.
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage: vc {argv[0]}")
-    assert "needs a count >= 0, got -" in err
+    assert message in err
+
+
+def test_oracle_cap_is_also_the_oracles_own_cap(tmp_path):
+    # exact_vc's default cap is 30; a larger --oracle-cap must reach it.
+    report = solve_instance(cycle_graph(35), "c35", "test", oracle_cap=40)
+    assert report["oracle"]["optSize"] == 18
+    assert solve_instance(cycle_graph(35), "c35", "test", oracle_cap=34)["oracle"] is None
+    assert solve_instance(cycle_graph(35), "c35", "test", oracle_cap=None)["oracle"] is None
+    out = tmp_path / "r.json"
+    assert run_cli(["solve", "gen:cycle(35)", "--oracle-cap", "40", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["oracle"]["optSize"] == 18
 
 
 def test_exit_code_oversized_instance(tmp_path):
@@ -242,6 +256,31 @@ def test_hunt_small_batch(tmp_path):
     csv_text = (tmp_path / "h" / "hunt.csv").read_text()
     assert csv_text.count("\n") == 9  # header + 8 rows
     assert csv_text.splitlines()[0] == ",".join(HUNT_CSV_COLUMNS)
+
+
+def test_hunt_archives_nonzero_xi_instances(tmp_path, monkeypatch, capsys):
+    # No instance has given xi != 0 yet, so one hunt index is made to.
+    gen, seed, n_range, target = "gnp-trianglefree", 5, (6, 12), 2
+    target_graph, target_name = hunt_instance(gen, target, seed, n_range)
+    solve = runner.solve_instance
+
+    def solve_with_one_finding(g, name, *args, **kwargs):
+        report = solve(g, name, *args, **kwargs)
+        if name == target_name:
+            report["certificate"]["xi"] = "1/2"
+        return report
+
+    monkeypatch.setattr(runner, "solve_instance", solve_with_one_finding)
+    out = tmp_path / "h"
+    argv = ["hunt", "--gen", gen, "--n-range", "6", "12", "--trials", "4", "--seed", "5", "--out", str(out)]
+    assert run_cli(argv) == 0
+    summary = json.loads((out / "hunt.json").read_text())
+    assert summary["nonzeroXiInstances"] == [{"index": target, "name": target_name, "xi": "1/2"}]
+    assert summary["xiZeroCount"] == 3
+    assert sorted(p.name for p in out.iterdir()) == ["hunt.csv", "hunt.json", "nonzero_xi_00002.col"]
+    archived = (out / "nonzero_xi_00002.col").read_text()
+    assert parse_graph(archived) == target_graph
+    assert "archived 1 nonzero-xi instance(s)" in capsys.readouterr().out
 
 
 def test_hunt_deterministic_and_parallel_equivalent():

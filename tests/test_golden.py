@@ -132,7 +132,7 @@ def test_diagnostics_match_observed_iterations(name, mode):
     # again from the solve_elp and sweep calls the pipeline makes.
     notes = []
     _, _, xs = run_pipeline_iterates(GRAPHS[name], notes, mode=mode)
-    report = solve_instance(GRAPHS[name], name, "golden", mode=mode, with_oracle=False)
+    report = solve_instance(GRAPHS[name], name, "golden", mode=mode, oracle_cap=None)
     skipped = [
         {"k": k, "vertices": sorted(v for v, val in x.items() if val == 0)}
         for k, (x, (_, _, hit)) in enumerate(zip(xs, notes), start=1)

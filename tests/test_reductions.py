@@ -310,7 +310,7 @@ def test_pipeline_value_ledger_and_termination():
         g = random_connected_gnp(rng.randint(3, 10), rng.uniform(0.2, 0.85), rng)
         trace, graphs, _ = run_pipeline_iterates(g)
         assert trace.L <= g.n + 1
-        assert_trace_shape(trace, solve_instance(g, "g", "test", with_oracle=False))
+        assert_trace_shape(trace, solve_instance(g, "g", "test", oracle_cap=None))
         assert len(graphs) == trace.L
         values = [rec.f for rec in trace.records]
         for rec, (before, after) in zip(trace.records[:-1], zip(values, values[1:])):
