@@ -17,11 +17,10 @@ import os
 import sys
 from pathlib import Path
 
-from .cover import GuaranteeViolation
-from .elp import CapExceededError, CutLoopLimitError
+from . import graph
+from .elp import CapExceededError
 from .graph import GraphFormatError, detect_format, generate, parse_graph, to_dimacs
 from .oracles import exact_vc
-from .reductions import PipelineError
 from .runner import (
     ORACLE_CAP,
     SCHEMA_VERSION,
@@ -32,8 +31,8 @@ from .runner import (
     hunt_instance,
     hunt_rows_csv,
     solve_instance,
+    torus_shapes,
 )
-from .simplex import PivotLimitError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -41,9 +40,10 @@ EXIT_HYPOTHESIS = 3
 EXIT_CAP = 4
 EXIT_INTERNAL = 5
 
-# Raised only when the program itself is at fault: a safety cap that a
-# correct solver never reaches, or a cover that breaks its proven bound.
-INTERNAL_ERRORS = (PipelineError, CutLoopLimitError, PivotLimitError, GuaranteeViolation)
+# Raised only when the program itself is at fault: every safety cap that a
+# correct solver never reaches is a RuntimeError, and every broken invariant
+# or proven bound an AssertionError.
+INTERNAL_ERRORS = (AssertionError, RuntimeError)
 
 log = logging.getLogger("elpcover.cli")
 
@@ -166,16 +166,14 @@ def _cmd_hunt(args) -> int:
     (outdir / "hunt.json").write_text(dump_json(summary))
     (outdir / "hunt.csv").write_text(hunt_rows_csv(rows))
     # Nonzero-xi instances are findings; archive them for reproduction.
-    archived = 0
     for item in summary["nonzeroXiInstances"]:
         g, _ = hunt_instance(args.gen, item["index"], args.seed, args.n_range)
         path = outdir / f"nonzero_xi_{item['index']:05d}.col"
         path.write_text(to_dimacs(g, comments=[item["name"], f"xi={item['xi']}"]))
-        archived += 1
     print(
         f"hunt: {args.trials} instances, xi=0 on {summary['xiZeroCount']} "
         f"({summary['xiZeroRate']}); oracle-checked {summary['oracleChecked']}; "
-        f"archived {archived} nonzero-xi instance(s) under {outdir}"
+        f"archived {len(summary['nonzeroXiInstances'])} nonzero-xi instance(s) under {outdir}"
     )
     if summary["guaranteeViolations"]:
         print(f"GUARANTEE VIOLATIONS (findings): {summary['guaranteeViolations']}")
@@ -246,8 +244,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "hunt":
         error = args.parser.error  # prints the `vc hunt` usage line
-        if not 1 <= args.n_range[0] <= args.n_range[1]:
-            error(f"--n-range needs 1 <= LO <= HI, got {args.n_range[0]} {args.n_range[1]}")
+        lo, hi = args.n_range
+        if not 1 <= lo <= hi:
+            error(f"--n-range needs 1 <= LO <= HI, got {lo} {hi}")
+        # The bound generate() puts on random_triangle_free(HI, p, seed).
+        pairs = hi * (hi - 1) // 2
+        if args.gen != "torus" and pairs > graph.MAX_GRAPH_SIZE:
+            error(f"--n-range HI={hi} allows {pairs} edges, over the size limit {graph.MAX_GRAPH_SIZE}")
+        if args.gen != "gnp-trianglefree" and not torus_shapes(args.n_range):
+            error(f"--n-range {lo} {hi} fits no torus_grid shape")
         if args.jobs < 1:
             error(f"--jobs needs at least 1, got {args.jobs}")
     try:

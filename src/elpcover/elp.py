@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import heapq
 import logging
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._rat import Rat
 from .graph import Graph, OddCycle
@@ -63,27 +63,15 @@ class CutLoopLimitError(RuntimeError):
     cuts, however many rounds it took; signals a separation/extraction bug."""
 
 
-class ElpSolution:
-    """An optimal point of the relaxation on g, with the engine that holds
-    it; solutions compare by identity."""
+class ElpSolution(NamedTuple):
+    """An optimal point of the relaxation on g, with the engine that holds it."""
 
-    __slots__ = ("x", "objective", "cycle_pool", "active_edges", "over_active_edges", "engine")
-
-    def __init__(
-        self,
-        x: dict,
-        objective,
-        cycle_pool: tuple[OddCycle, ...],
-        active_edges: tuple[tuple[int, int], ...],
-        over_active_edges: tuple[tuple[int, int], ...],
-        engine: CoveringSimplex,  # optimal for the edge rows and cycle_pool (plus a pin)
-    ):
-        self.x = x
-        self.objective = objective
-        self.cycle_pool = cycle_pool
-        self.active_edges = active_edges
-        self.over_active_edges = over_active_edges
-        self.engine = engine
+    x: dict
+    objective: object
+    cycle_pool: tuple[OddCycle, ...]
+    active_edges: tuple[tuple[int, int], ...]
+    over_active_edges: tuple[tuple[int, int], ...]
+    engine: CoveringSimplex  # optimal for the edge rows and cycle_pool (plus a pin)
 
     @property
     def one_vertices(self) -> frozenset[int]:

@@ -270,19 +270,11 @@ def _parse_dimacs(text: str) -> Graph:
                 raise GraphFormatError(f"line {lineno}: edge before problem line")
             if len(fields) != 3:
                 raise GraphFormatError(f"line {lineno}: malformed edge line {line!r}")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError as exc:
-                raise GraphFormatError(f"line {lineno}: {line!r}") from exc
-            if u == v:
-                raise GraphFormatError(f"line {lineno}: self-loop at {u}")
-            if not (1 <= u <= n and 1 <= v <= n):
+            edge = _edge_line(lineno, line, fields[1:], edges)
+            if not (1 <= edge[0] and edge[1] <= n):
                 raise GraphFormatError(
                     f"line {lineno}: vertex out of range 1..{n}: {line!r}"
                 )
-            edge = normalize_edge(u, v)
-            if edge in edges:
-                log.warning("duplicate edge %s deduplicated", edge)
             edges.add(edge)
         else:
             raise GraphFormatError(f"line {lineno}: unknown line type {line!r}")
@@ -302,17 +294,23 @@ def _parse_edgelist(text: str) -> Graph:
         fields = line.split()
         if len(fields) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"line {lineno}: {line!r}") from exc
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop at {u}")
-        edge = normalize_edge(u, v)
-        if edge in edges:
-            log.warning("duplicate edge %s deduplicated", edge)
-        edges.add(edge)
+        edges.add(_edge_line(lineno, line, fields, edges))
     return Graph.from_edges((), sorted(edges))
+
+
+def _edge_line(lineno: int, line: str, fields: list[str], edges: set) -> tuple[int, int]:
+    """The edge named by the two fields of an edge line; a duplicate of one
+    in edges is warned about, and the caller adds it."""
+    try:
+        u, v = int(fields[0]), int(fields[1])
+    except ValueError as exc:
+        raise GraphFormatError(f"line {lineno}: {line!r}") from exc
+    if u == v:
+        raise GraphFormatError(f"line {lineno}: self-loop at {u}")
+    edge = normalize_edge(u, v)
+    if edge in edges:
+        log.warning("duplicate edge %s deduplicated", edge)
+    return edge
 
 
 def to_dimacs(g: Graph, comments: Iterable[str] = ()) -> str:

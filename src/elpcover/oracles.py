@@ -63,8 +63,7 @@ def exact_vc(g: Graph, enumerate_all: bool = False, cap: Optional[int] = None) -
 
 
 def _bb_opt(adj: dict[int, set[int]], chosen: set[int], best) -> None:
-    adj = {v: set(nbrs) for v, nbrs in adj.items()}
-    chosen = set(chosen)
+    # Changes adj and chosen in place: every caller passes fresh ones.
     # Cheap eliminations preserve some optimal cover.
     changed = True
     while changed:

@@ -15,6 +15,7 @@ import logging
 import os
 import random
 import time
+from collections import Counter
 from functools import partial
 from typing import Optional
 
@@ -185,6 +186,11 @@ _TORUS_SHAPES = [
 ]
 
 
+def torus_shapes(n_range: tuple[int, int]) -> list[tuple[int, int]]:
+    """The torus_grid shapes a hunt draws from: those with n in n_range."""
+    return [s for s in _TORUS_SHAPES if n_range[0] <= s[0] * s[1] <= n_range[1]]
+
+
 def hunt_instance(gen: str, index: int, seed: int, n_range: tuple[int, int]) -> tuple[Graph, str]:
     """The graph and name of hunt instance index; a summary's index rebuilds it."""
     n_lo, n_hi = n_range
@@ -199,7 +205,7 @@ def hunt_instance(gen: str, index: int, seed: int, n_range: tuple[int, int]) -> 
         g = random_triangle_free_graph(n, p, g_seed)
         return g, f"gnp-trianglefree(n={n},p={p},seed={g_seed})"
     if kind == "torus":
-        shapes = [s for s in _TORUS_SHAPES if n_lo <= s[0] * s[1] <= n_hi] or _TORUS_SHAPES[:4]
+        shapes = torus_shapes(n_range)
         a, b = shapes[index % len(shapes)]
         return torus_grid_graph(a, b), f"torus_grid({a},{b})"
     raise ValueError(f"unknown hunt generator {gen!r}")
@@ -251,33 +257,12 @@ def hunt(
         reports = [report_of(i) for i in range(trials)]
 
     rows = []
-    xi_zero = 0
-    ratios = []
     for index, rep in enumerate(reports):
-        cert = rep["certificate"]
-        oracle = rep["oracle"]
-        row = {
-            "index": index,
-            "name": rep["instance"]["name"],
-            "n": rep["instance"]["n"],
-            "m": rep["instance"]["m"],
-            "f1": rep["f1"],
-            "coverSize": rep["coverSize"],
-            "optSize": oracle["optSize"] if oracle else "",
-            "ratio": oracle["ratio"] if oracle else "",
-            "eta": cert["eta"],
-            "gamma": cert["gamma"],
-            "delta": cert["delta"],
-            "sigma": cert["sigma"],
-            "alpha": cert["alpha"],
-            "lambda": cert["lambda"],
-            "xi": cert["xi"],
-        }
-        rows.append(row)
-        if cert["xi"] == "0":
-            xi_zero += 1
-        if oracle:
-            ratios.append(oracle["ratio"])
+        oracle = rep["oracle"] or {"optSize": "", "ratio": ""}
+        fields = {"index": index, **rep["instance"], **rep["certificate"], **oracle}
+        rows.append({c: fields[c] for c in HUNT_CSV_COLUMNS})
+    xi_zero = sum(r["xi"] == "0" for r in rows)
+    ratios = [r["ratio"] for r in rows if r["ratio"] != ""]
     summary = {
         "schema": SCHEMA_VERSION,
         "generator": gen,
@@ -290,7 +275,7 @@ def hunt(
             {"index": r["index"], "name": r["name"], "xi": r["xi"]} for r in rows if r["xi"] != "0"
         ],
         "oracleChecked": len(ratios),
-        "ratioHistogram": _histogram(ratios),
+        "ratioHistogram": dict(Counter(ratios)),
         "guaranteeViolations": [
             r["instance"]["name"]
             for r in reports
@@ -298,13 +283,6 @@ def hunt(
         ],
     }
     return summary, rows
-
-
-def _histogram(values: list[str]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for v in sorted(values):
-        out[v] = out.get(v, 0) + 1
-    return out
 
 
 def hunt_rows_csv(rows: list[dict]) -> str:

@@ -274,11 +274,6 @@ class CoveringSimplex:
 
         A stored surplus row that the pivot leaves satisfied is dropped."""
         n, rows, given = self.num_vars, self._rows, self._given
-        # Of the rows implicit after the pivot, only those implicit before
-        # it can be violated: the pivot finds the others satisfied (a
-        # dropped row, or a surplus column entering at a positive value).
-        # Every stored row is basic, so m - len(rows) rows are implicit.
-        implicit = len(rows) < len(given)
         row, rhs, den = rows.pop(leave)
         # Solving the row for the entering column divides it by its entry
         # a = row[q] / den < 0; the leaving column takes position q with
@@ -296,8 +291,7 @@ class CoveringSimplex:
             factor = row[q]
             if factor:
                 if col < n:
-                    if implicit:
-                        moved.append((col, factor))
+                    moved.append((col, factor))
                 elif rhs * pden >= factor * prhs:
                     del rows[col]
                     continue
@@ -314,8 +308,6 @@ class CoveringSimplex:
         if enter < n:
             rows[enter] = (prow, prhs, pden)
         self.pivots += 1
-        if not implicit:
-            return
         # An implicit basic surplus row had a value >= 0. It can only have
         # turned negative through a fallen column where its coefficient is
         # positive or a risen one where it is negative; those rows are

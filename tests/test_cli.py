@@ -1,11 +1,15 @@
+import csv
 import json
 import random
 
 import pytest
 
-from elpcover import cli, runner
+from elpcover import cli, graph, runner
 from elpcover.cli import main
+from elpcover.cover import GuaranteeViolation
+from elpcover.elp import CutLoopLimitError
 from elpcover.graph import cycle_graph, parse_graph, to_dimacs
+from elpcover.reductions import PipelineError
 from elpcover.runner import (
     HUNT_CSV_COLUMNS,
     SCHEMA_VERSION,
@@ -15,6 +19,7 @@ from elpcover.runner import (
     hunt_rows_csv,
     solve_instance,
 )
+from elpcover.simplex import CoveringSimplex, PivotLimitError
 from exact_oracles import circulant, random_bipartite
 
 
@@ -127,7 +132,11 @@ def test_internal_value_error_is_not_a_parse_error(monkeypatch):
         run_cli(["solve", "gen:cycle(5)"])
 
 
-@pytest.mark.parametrize("error", cli.INTERNAL_ERRORS, ids=lambda e: e.__name__)
+@pytest.mark.parametrize(
+    "error",
+    [PipelineError, CutLoopLimitError, PivotLimitError, GuaranteeViolation, AssertionError],
+    ids=lambda e: e.__name__,
+)
 def test_exit_code_internal_error(error, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise error("cap reached")
@@ -135,6 +144,15 @@ def test_exit_code_internal_error(error, monkeypatch, capsys):
     monkeypatch.setattr(cli, "solve_instance", broken)
     assert run_cli(["solve", "gen:cycle(5)"]) == cli.EXIT_INTERNAL == 5
     assert capsys.readouterr().err == f"error: internal {error.__name__}: cap reached\n"
+
+
+def test_failed_optimality_check_exits_as_internal_error(monkeypatch, capsys):
+    def broken(self):
+        raise AssertionError("duality gap")
+
+    monkeypatch.setattr(CoveringSimplex, "certified_values", broken)
+    assert run_cli(["solve", "gen:cycle(5)"]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err == "error: internal AssertionError: duality gap\n"
 
 
 def test_cut_round_cap_exits_as_internal_error(monkeypatch, capsys):
@@ -256,6 +274,41 @@ def test_hunt_small_batch(tmp_path):
     csv_text = (tmp_path / "h" / "hunt.csv").read_text()
     assert csv_text.count("\n") == 9  # header + 8 rows
     assert csv_text.splitlines()[0] == ",".join(HUNT_CSV_COLUMNS)
+
+
+def _hunt_usage_error(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["hunt", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: vc hunt")
+    return err
+
+
+def test_hunt_refuses_graphs_over_the_size_limit(tmp_path, monkeypatch, capsys):
+    # Checked from HI alone, before any instance is built: C(HI, 2) vertex
+    # pairs, the bound generate() puts on random_triangle_free(HI, p, seed).
+    monkeypatch.setattr(graph, "MAX_GRAPH_SIZE", 20)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "hunt", lambda **kwargs: pytest.fail("hunt ran"))
+        for gen in ("gnp-trianglefree", "mixed"):
+            err = _hunt_usage_error(["--gen", gen, "--n-range", "6", "8", "--trials", "1"], capsys)
+            assert "HI=8 allows 28 edges, over the size limit 20" in err
+    argv = ["hunt", "--n-range", "6", "6", "--trials", "2", "--out", str(tmp_path / "h")]
+    assert run_cli(argv) == 0
+
+
+@pytest.mark.parametrize("gen", ["torus", "mixed"])
+def test_hunt_refuses_a_range_that_fits_no_torus(gen, tmp_path, monkeypatch, capsys):
+    # Every instance a hunt draws lies inside --n-range; 6..8 holds no torus.
+    with monkeypatch.context() as m:
+        m.setattr(cli, "hunt", lambda **kwargs: pytest.fail("hunt ran"))
+        err = _hunt_usage_error(["--gen", gen, "--n-range", "6", "8", "--trials", "2"], capsys)
+        assert "--n-range 6 8 fits no torus_grid shape" in err
+    out = tmp_path / "h"
+    assert run_cli(["hunt", "--gen", gen, "--n-range", "9", "12", "--trials", "6", "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "hunt.csv").read_text().splitlines()))
+    assert len(rows) == 6 and all(9 <= int(row["n"]) <= 12 for row in rows)
 
 
 def test_hunt_archives_nonzero_xi_instances(tmp_path, monkeypatch, capsys):

@@ -16,8 +16,9 @@ other digest moved. Any engine or pipeline change that alters a cover,
 a cycle pool, a value or a diagnostic on these instances fails here.
 GOLDEN_VARIANTS pins base mode (a cover, 3-cycle and active-edge steps, a
 hypothesis failure, and a {0,1}-only step before one) and the seeded
-random edge rule. A change that moves a report on purpose updates the
-digest and says so in CHANGES.md.
+random edge rule. GOLDEN_HUNTS pins the two files of three `vc hunt`
+batches, one per generator. A change that moves a report on purpose
+updates the digest and says so in CHANGES.md.
 """
 
 import hashlib
@@ -33,7 +34,7 @@ from elpcover.graph import (
     random_triangle_free_graph,
     torus_grid_graph,
 )
-from elpcover.runner import dump_json, solve_instance
+from elpcover.runner import dump_json, hunt, hunt_rows_csv, solve_instance
 from exact_oracles import circulant, random_connected_gnp, run_pipeline_iterates
 
 SWEEP_SEED = 20260810  # tests/test_acceptance.py's sweep corpus
@@ -104,6 +105,15 @@ GOLDEN_VARIANTS = {
 }
 
 
+# (generator, n range, trials, seed) -> sha256 of hunt.json + hunt.csv, the
+# bytes of `cat hunt.json hunt.csv` after `vc hunt` with those flags.
+GOLDEN_HUNTS = {
+    ("mixed", (6, 12), 30, 3): "faf2b5eb333b0fde11b30bf9c0ba84b8d005428367122da9109b262a94980f66",
+    ("torus", (9, 30), 10, 1): "cef9ce5092a585459e23de7f43343b4c06580b8522a69201892b9348e93269b2",
+    ("gnp-trianglefree", (6, 20), 30, 7): "49b3d7cc2354541878f736d5b29ee3613fa375ba8750001c1515a52ef680057e",
+}
+
+
 def _digest(name: str, mode: str = "enhanced", edge_rule: str = "maxsum") -> str:
     report = solve_instance(
         GRAPHS[name], name, "golden", mode=mode, seed=0, edge_rule=edge_rule
@@ -123,6 +133,13 @@ def test_golden_report_digest(name):
 @pytest.mark.parametrize("name,mode,edge_rule", list(GOLDEN_VARIANTS))
 def test_golden_variant_digest(name, mode, edge_rule):
     assert _digest(name, mode, edge_rule) == GOLDEN_VARIANTS[name, mode, edge_rule]
+
+
+@pytest.mark.parametrize("gen,n_range,trials,seed", list(GOLDEN_HUNTS), ids=[k[0] for k in GOLDEN_HUNTS])
+def test_golden_hunt_digest(gen, n_range, trials, seed):
+    summary, rows = hunt(gen=gen, n_range=n_range, trials=trials, seed=seed)
+    text = dump_json(summary) + hunt_rows_csv(rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_HUNTS[gen, n_range, trials, seed]
 
 
 @pytest.mark.parametrize("mode", ["enhanced", "base"])
