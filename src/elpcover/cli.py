@@ -17,13 +17,13 @@ import os
 import sys
 from pathlib import Path
 
-from . import graph
 from .elp import CapExceededError
 from .graph import GraphFormatError, detect_format, generate, parse_graph, to_dimacs
 from .oracles import exact_vc
 from .runner import (
     ORACLE_CAP,
     SCHEMA_VERSION,
+    check_hunt_range,
     compare_instance,
     dump_json,
     format_comparison,
@@ -31,7 +31,6 @@ from .runner import (
     hunt_instance,
     hunt_rows_csv,
     solve_instance,
-    torus_shapes,
 )
 
 EXIT_OK = 0
@@ -244,15 +243,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "hunt":
         error = args.parser.error  # prints the `vc hunt` usage line
-        lo, hi = args.n_range
-        if not 1 <= lo <= hi:
-            error(f"--n-range needs 1 <= LO <= HI, got {lo} {hi}")
-        # The bound generate() puts on random_triangle_free(HI, p, seed).
-        pairs = hi * (hi - 1) // 2
-        if args.gen != "torus" and pairs > graph.MAX_GRAPH_SIZE:
-            error(f"--n-range HI={hi} allows {pairs} edges, over the size limit {graph.MAX_GRAPH_SIZE}")
-        if args.gen != "gnp-trianglefree" and not torus_shapes(args.n_range):
-            error(f"--n-range {lo} {hi} fits no torus_grid shape")
+        try:
+            check_hunt_range(args.gen, args.n_range)
+        except ValueError as exc:  # runner's rule, named by its flag here
+            error(str(exc).replace("n_range", "--n-range", 1))
         if args.jobs < 1:
             error(f"--jobs needs at least 1, got {args.jobs}")
     try:

@@ -19,6 +19,7 @@ from collections import Counter
 from functools import partial
 from typing import Optional
 
+from . import graph
 from ._rat import Rat, rat_str
 from .cover import backtrack, certify, validate_cover
 from .graph import Graph, random_triangle_free_graph, torus_grid_graph
@@ -191,8 +192,25 @@ def torus_shapes(n_range: tuple[int, int]) -> list[tuple[int, int]]:
     return [s for s in _TORUS_SHAPES if n_range[0] <= s[0] * s[1] <= n_range[1]]
 
 
+def check_hunt_range(gen: str, n_range: tuple[int, int]) -> None:
+    """Raise ValueError unless a gen hunt can draw every instance inside
+    n_range: 1 <= LO <= HI, at most graph.MAX_GRAPH_SIZE vertex pairs at HI
+    (the bound generate() puts on random_triangle_free(HI, p, seed)), and
+    a torus_grid shape inside the range."""
+    lo, hi = n_range
+    if not 1 <= lo <= hi:
+        raise ValueError(f"n_range needs 1 <= LO <= HI, got {lo} {hi}")
+    pairs = hi * (hi - 1) // 2
+    if gen != "torus" and pairs > graph.MAX_GRAPH_SIZE:
+        raise ValueError(f"n_range HI={hi} allows {pairs} edges, over the size limit {graph.MAX_GRAPH_SIZE}")
+    if gen != "gnp-trianglefree" and not torus_shapes(n_range):
+        raise ValueError(f"n_range {lo} {hi} fits no torus_grid shape")
+
+
 def hunt_instance(gen: str, index: int, seed: int, n_range: tuple[int, int]) -> tuple[Graph, str]:
-    """The graph and name of hunt instance index; a summary's index rebuilds it."""
+    """The graph and name of hunt instance index; a summary's index rebuilds it.
+    Raises ValueError for a range check_hunt_range refuses."""
+    check_hunt_range(gen, n_range)
     n_lo, n_hi = n_range
     rng = random.Random(seed * 1_000_003 + index)
     kind = gen
@@ -243,8 +261,10 @@ def hunt(
 
     Rows carry no graph: the summary lists the nonzero-xi instances by
     index, and hunt_instance rebuilds each one. jobs is clamped to
-    min(jobs, trials, os.cpu_count()); one job runs in process.
+    min(jobs, trials, os.cpu_count()); one job runs in process. Raises
+    ValueError for a range check_hunt_range refuses, before any solve.
     """
+    check_hunt_range(gen, n_range)
     report_of = partial(_hunt_report, gen, seed, n_range, edge_rule, oracle_cap)
     jobs = min(jobs, trials, os.cpu_count() or 1)
     if jobs > 1:

@@ -15,25 +15,29 @@ All arithmetic is exact and every pivot choice is a deterministic integer
 comparison. The leaving row is picked by exact dual steepest edge (Forrest &
 Goldfarb, Math. Programming 57, 1992): among rows with a negative
 right-hand side, the one whose hyperplane lies farthest from the current
-basic solution, with the norms recomputed on every pivot. The entering
-column is Bland's least ratio, ties to the lowest column index. Steepest
-edge alone can cycle on degenerate pivots, so after STALL_LIMIT
-consecutive pivots that leave the objective unchanged, the leaving rule
-falls back to Bland's lowest basic column until a pivot raises the
-objective. Each pivot either raises the dual objective, which never
-decreases, or is one of a bounded run of steepest-edge pivots followed by
-Bland's rule, which cannot cycle; so optimize terminates.
+basic solution, each row's norm computed once for as long as it is kept.
+The entering column is Bland's least ratio, ties to the lowest column
+index. Steepest edge alone can cycle on degenerate pivots, so after
+STALL_LIMIT consecutive pivots that leave the objective unchanged, the
+leaving rule falls back to Bland's lowest basic column until a pivot
+raises the objective. Each pivot either raises the dual objective, which
+never decreases, or is one of a bounded run of steepest-edge pivots
+followed by Bland's rule, which cannot cycle; so optimize terminates.
 
 The tableau is kept in dictionary form (Chvatal, Linear Programming, 1983):
-only the num_vars nonbasic columns are stored, so each row is a dense list
-of num_vars Python ints plus one int right-hand side and one positive int
-denominator shared by the row, and the basic columns are implicit unit
-columns. The reduced-cost row is a list of the same kind, and its
-right-hand side carries the objective. The tableau is fraction-free: a
-pivot combines rows over a common denominator in one pass per row and
-divides each changed row by the gcd of its entries, right-hand side and
-denominator (Bareiss, Math. Comp. 22, 1968), so ratio tests and sign tests
-are integer comparisons, and every row has one canonical form.
+only the num_vars nonbasic columns are stored, so a row is num_vars ints
+packed into one Python int, entry q in signed slot q of width bits
+(Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009), plus one
+int right-hand side and one positive int denominator shared by the row;
+the basic columns are implicit unit columns. The reduced-cost row is a row
+of the same kind, and its right-hand side carries the objective. The
+tableau is fraction-free: a pivot combines rows over a common denominator,
+a few bigint operations per row, and divides each changed row by the gcd of
+its entries, right-hand side and denominator (Bareiss, Math. Comp. 22,
+1968), so ratio tests and sign tests are integer comparisons, and every row
+has one canonical form. Entries and denominators are kept at most
+2^(width / 2 - 2), so no slot that a pivot forms leaves its range; a row
+that outgrows that bound makes the engine re-encode at twice the width.
 
 Only the working part of the dictionary is stored, after the revised
 simplex (Dantzig & Orchard-Hays, 1954): the rows of the basic structural
@@ -80,11 +84,16 @@ objective-raising pivot, after the same pivots.
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd, lcm
 from operator import mul
+from struct import Struct
 from typing import Iterable, Mapping
 
 from ._rat import Rat
+
+# Bits per slot of a packed row, until the engine widens (_widen).
+SLOT_WIDTH = 64
 
 # optimize() leaves by Bland's rule after this many consecutive pivots that
 # enter at zero reduced cost, until a pivot raises the objective.
@@ -112,18 +121,19 @@ class CoveringSimplex:
     maps each of them to its index there: position q of every row stands
     for column _nonbasic[q]. Every other column is basic.
 
-    _rows maps a basic column to its dictionary row (row, rhs, den): a
-    dense list of num_vars ints read as the rationals row[q] / den, with
-    right-hand side rhs / den, the column's value; the basic column itself
-    is an implicit unit column. _rows holds the row of every basic
+    _rows maps a basic column to its dictionary row (row, rhs, den): the
+    num_vars ints packed in row by _slots, read as the rationals e_q / den,
+    with right-hand side rhs / den, the column's value; the basic column
+    itself is an implicit unit column. _rows holds the row of every basic
     structural column and of every basic surplus column whose value is
     negative, and no other: any other basic surplus row is derived from
-    _given on demand (_derive). The cost row _cost is a list of the same
-    kind over _cost_den, holding the reduced costs of the nonbasic columns,
-    and -_cost_rhs / _cost_den is the objective of the current basis. Every
+    _given on demand (_derive). The cost row _cost is packed the same way
+    over _cost_den, holding the reduced costs of the nonbasic columns, and
+    -_cost_rhs / _cost_den is the objective of the current basis. Every
     denominator is positive, and each row is divided by gcd(den, rhs,
     *entries) after every change. Stored rows are replaced, never changed
-    in place, so copies share them.
+    in place, so copies share them, and _norms[col] = (entry, norm) keeps
+    the steepest-edge norm of row entry while _rows[col] is entry.
 
     _plus[j] and _minus[j] list the k whose given row has a positive and a
     negative coefficient on x_j: the rows that a fall, and a rise, of x_j
@@ -132,13 +142,15 @@ class CoveringSimplex:
 
     __slots__ = (
         "num_vars", "_rows", "_cost", "_cost_rhs", "_cost_den", "_nonbasic",
-        "_position", "_given", "_plus", "_minus", "pivots", "_on_face",
+        "_position", "_given", "_plus", "_minus", "pivots", "_on_face", "_slots", "_norms",
     )
 
     def __init__(self, num_vars: int, rows: Iterable[tuple[Mapping, int]] = ()):
         self.num_vars = num_vars
-        self._rows: dict[int, tuple[list[int], int, int]] = {}
-        self._cost = [1] * num_vars
+        self._slots = _Slots(num_vars, SLOT_WIDTH)
+        self._rows: dict[int, tuple[int, int, int]] = {}
+        self._norms: dict[int, tuple[tuple[int, int, int], int]] = {}
+        self._cost = self._slots.ones
         self._cost_rhs = 0
         self._cost_den = 1
         self._nonbasic = list(range(num_vars))
@@ -165,6 +177,8 @@ class CoveringSimplex:
         dup._minus = [ks.copy() for ks in self._minus]
         dup.pivots = self.pivots
         dup._on_face = self._on_face
+        dup._slots = self._slots
+        dup._norms = self._norms.copy()
         return dup
 
     def optimal_face(self) -> "CoveringSimplex":
@@ -181,8 +195,11 @@ class CoveringSimplex:
         coeffs maps columns to ints and rhs is an int; a row with rational
         entries is scaled to integers by the caller. The row is kept in
         _given, and its new surplus s = a.x - b becomes basic. Its
-        dictionary row is derived only if the current point violates it."""
+        dictionary row is derived only if the current point violates it.
+        The engine is widened until the slot limit bounds every coefficient."""
         row = {j: c for j, c in coeffs.items() if c}
+        while row and max(map(abs, row.values())) > self._slots.limit:
+            self._widen()
         k = len(self._given)
         self._given.append((row, rhs))
         for j, c in row.items():
@@ -191,7 +208,7 @@ class CoveringSimplex:
         if new[1] < 0:
             self._rows[self.num_vars + k] = new
 
-    def _derive(self, k: int) -> tuple[list[int], int, int]:
+    def _derive(self, k: int) -> tuple[int, int, int]:
         """The dictionary row of basic surplus column num_vars + k.
 
         As a tableau row, given row k reads s - a.x = -b. An entry a_j on a
@@ -199,23 +216,40 @@ class CoveringSimplex:
         rows are zero on each other's basic columns, so each such entry is
         read off the given row as it is; the rows are subtracted over the
         lcm of their denominators, and one gcd division at the end makes
-        the result canonical: the row that pivots would have kept."""
+        the result canonical: the row that pivots would have kept. A slot
+        takes at most limit * (sum |f| + mult), as no coefficient exceeds
+        limit; when that could leave the half range, or the result outgrows
+        limit, the engine is widened and the row derived again."""
         row, rhs = self._given[k]
+        while True:
+            rows, slots, position = self._rows, self._slots, self._position
+            used = [(c, rows[j]) for j, c in row.items() if j in rows]
+            mult = lcm(*[den for _, (_, _, den) in used])
+            new, new_rhs, size = 0, -rhs * mult, 0
+            for c, (prow, prhs, pden) in used:
+                f = c * (mult // pden)
+                new, new_rhs, size = new + f * prow, new_rhs + f * prhs, size + abs(f)
+            width = slots.width
+            for j, c in row.items():
+                q = position.get(j)
+                if q is not None:
+                    new -= (c * mult) << (width * q)
+            limit = slots.limit
+            if (size + mult) * limit < slots.half:
+                new = _normalize(new, new_rhs, mult, slots)
+                if new[2] < limit and not (new[0] + slots.room) & slots.high:
+                    return new
+            self._widen()
+
+    def _widen(self) -> None:
+        """Re-encode every stored row and the cost row at twice the slot
+        width, which restores the slot limit after a row outgrew it."""
+        old = self._slots
+        new = self._slots = _Slots(self.num_vars, 2 * old.width)
         rows = self._rows
-        used = [(c, rows[j]) for j, c in row.items() if j in rows]
-        mult = lcm(*[den for _, (_, _, den) in used])
-        new = [0] * self.num_vars
-        new_rhs = -rhs * mult
-        for c, (prow, prhs, pden) in used:
-            f = c * (mult // pden)
-            new = [v + f * p for v, p in zip(new, prow)]
-            new_rhs += f * prhs
-        position = self._position
-        for j, c in row.items():
-            q = position.get(j)
-            if q is not None:
-                new[q] -= c * mult
-        return _normalize(new, new_rhs, mult)
+        for col, (row, rhs, den) in list(rows.items()):
+            rows[col] = new.pack(old.unpack(row)), rhs, den
+        self._cost = new.pack(old.unpack(self._cost))
 
     def optimize(self) -> None:
         """Dual simplex to optimality; raises InfeasibleError when primal empty.
@@ -234,9 +268,11 @@ class CoveringSimplex:
         rows, nonbasic = self._rows, self._nonbasic
         limit = self.pivots + PIVOT_CAP
         stalled = 0
+        packed = None  # the cost row whose entries cost holds
         while True:
+            unpack = self._slots.unpack
             if stalled < STALL_LIMIT:
-                leave = _steepest_row(rows)
+                leave = _steepest_row(rows, self._norms, unpack)
             else:
                 leave = _bland_row(rows)
             if leave < 0:
@@ -245,10 +281,11 @@ class CoveringSimplex:
             # ties to the lowest column index. Row and cost denominators are
             # positive and common to every candidate, so comparing
             # cost_q * -a_best with cost_best * -a_q decides it in integers.
-            cost = self._cost
+            if packed is not self._cost:
+                packed, cost = self._cost, unpack(self._cost)
             enter = -1
             best_cost = best_neg = 0
-            for q, a in enumerate(rows[leave][0]):
+            for q, a in enumerate(unpack(rows[leave][0])):
                 if a < 0:
                     c = cost[q]
                     if enter < 0:
@@ -273,34 +310,39 @@ class CoveringSimplex:
         """Exchange basic column leave with nonbasic column _nonbasic[q].
 
         A stored surplus row that the pivot leaves satisfied is dropped."""
-        n, rows, given = self.num_vars, self._rows, self._given
+        n, rows, given, slots = self.num_vars, self._rows, self._given, self._slots
+        bias, mask, half, shift = slots.bias, slots.mask, slots.half, slots.width * q
+        limit, room, high = slots.limit, slots.room, slots.high
         row, rhs, den = rows.pop(leave)
+        a = (((row + bias) >> shift) & mask) - half
         # Solving the row for the entering column divides it by its entry
-        # a = row[q] / den < 0; the leaving column takes position q with
-        # entry den. Negate everything to keep the denominator positive.
-        prow = [-c for c in row]
-        prow[q] = -den
-        prow, prhs, pden = _normalize(prow, -rhs, -row[q])
+        # a / den < 0; the leaving column takes position q with entry den.
+        # Negate everything to keep the denominator positive.
+        prow, prhs, pden = _normalize(((a - den) << shift) - row, -rhs, -a, slots)
         # The entering column rises from 0 to prhs / pden > 0, which moves
         # every basic column whose row has a nonzero entry at q, against the
         # sign of that entry; a structural leaving column rises to 0. A
         # surplus row's new rhs has the sign of rhs * pden - factor * prhs,
-        # so a row the pivot leaves satisfied is dropped uneliminated.
-        moved = []
+        # so a row the pivot leaves satisfied is dropped uneliminated. Rows
+        # within the bound keep this arithmetic exact at this width; a
+        # changed row that outgrows it widens the engine after the pivot.
+        moved, fits = [], True
         for col, (row, rhs, den) in list(rows.items()):
-            factor = row[q]
+            factor = (((row + bias) >> shift) & mask) - half
             if factor:
                 if col < n:
                     moved.append((col, factor))
                 elif rhs * pden >= factor * prhs:
                     del rows[col]
                     continue
-                rows[col] = _eliminate(row, rhs, den, factor, q, prow, prhs, pden)
-        factor = self._cost[q]
+                row, _, den = rows[col] = _eliminate(row, rhs, den, factor, shift, prow, prhs, pden, slots)
+                fits = fits and den < limit and not (row + room) & high
+        factor = (((self._cost + bias) >> shift) & mask) - half
         if factor:
             self._cost, self._cost_rhs, self._cost_den = _eliminate(
-                self._cost, self._cost_rhs, self._cost_den, factor, q, prow, prhs, pden
+                self._cost, self._cost_rhs, self._cost_den, factor, shift, prow, prhs, pden, slots
             )
+            fits = fits and self._cost_den < limit and not (self._cost + room) & high
         enter = self._nonbasic[q]
         self._nonbasic[q] = leave
         del self._position[enter]
@@ -308,6 +350,8 @@ class CoveringSimplex:
         if enter < n:
             rows[enter] = (prow, prhs, pden)
         self.pivots += 1
+        if not fits:
+            self._widen()
         # An implicit basic surplus row had a value >= 0. It can only have
         # turned negative through a fallen column where its coefficient is
         # positive or a risen one where it is negative; those rows are
@@ -372,7 +416,7 @@ class CoveringSimplex:
                 raise AssertionError(f"row {i} violated: {Rat(lhs, scale)} < {b}")
         column_sums = [0] * n
         bound = 0
-        for col, y in zip(self._nonbasic, self._cost):
+        for col, y in zip(self._nonbasic, self._slots.unpack(self._cost)):
             if col < n:
                 continue
             if y < 0:
@@ -394,27 +438,34 @@ class CoveringSimplex:
         return x, scale
 
 
-def _steepest_row(rows) -> int:
+def _steepest_row(rows, norms, unpack) -> int:
     """Dual steepest-edge leaving column, or -1 when every rhs is >= 0.
 
     Among rows with rhs < 0 it maximises rhs^2 / ||row||^2, the squared
     distance from the current basic solution to the row's hyperplane, where
     the norm is taken over the dictionary row and its implicit basic unit
-    entry: den^2 + sum_q row[q]^2. A common scale of the row cancels, so the
-    ratio is compared by integer cross-multiplication; ties go to the
-    lowest basic column.
+    entry: den^2 + sum_q e_q^2, kept in norms while the row is stored. A
+    common scale of the row cancels, so the ratio is compared by integer
+    cross-multiplication; ties go to the lowest basic column. A lone
+    violated row leaves without a norm.
     """
+    violated = [(col, entry) for col, entry in rows.items() if entry[1] < 0]
+    if len(violated) < 2:
+        return violated[0][0] if violated else -1
     leave = -1
     best_sq = best_norm = 0
-    for col, (row, rhs, den) in rows.items():
-        if rhs < 0:
-            norm = den * den + sum(map(mul, row, row))
-            sq = rhs * rhs
-            if leave >= 0:
-                lhs, rhs_ = sq * best_norm, best_sq * norm
-                if lhs < rhs_ or (lhs == rhs_ and col > leave):
-                    continue
-            leave, best_sq, best_norm = col, sq, norm
+    for col, entry in violated:
+        row, rhs, den = entry
+        norm = norms.get(col)
+        if norm is None or norm[0] is not entry:
+            entries = unpack(row)
+            norm = norms[col] = entry, den * den + sum(map(mul, entries, entries))
+        norm, sq = norm[1], rhs * rhs
+        if leave >= 0:
+            lhs, rhs_ = sq * best_norm, best_sq * norm
+            if lhs < rhs_ or (lhs == rhs_ and col > leave):
+                continue
+        leave, best_sq, best_norm = col, sq, norm
     return leave
 
 
@@ -423,27 +474,58 @@ def _bland_row(rows) -> int:
     return min((col for col, (_, rhs, _) in rows.items() if rhs < 0), default=-1)
 
 
-def _normalize(row: list, rhs: int, den: int):
-    """Divide row, rhs and den by their gcd."""
+@cache
+class _Slots:
+    """The packing of n signed ints into one int, width bits a slot, one
+    object per (n, width). Slot q holds e_q in [-half, half) and reads back
+    through bias, half in every slot: (((row + bias) >> (width * q)) & mask)
+    - half. Each e_q is in [-limit, limit) when (row + room) & high is zero:
+    room is limit in every slot, high the bits of each slot from 2 * limit."""
+
+    __slots__ = ("width", "mask", "half", "limit", "ones", "bias", "room", "high", "pack", "unpack")
+
+    def __init__(self, n: int, width: int):
+        shifts = range(0, width * n, width)
+        ones = self.ones = sum(1 << s for s in shifts)
+        self.width, self.mask, self.half = width, (1 << width) - 1, 1 << (width - 1)
+        self.limit = 1 << (width // 2 - 2)
+        bias, self.room = self.half * ones, self.limit * ones
+        self.bias, self.high = bias, (self.mask + 1 - 2 * self.limit) * ones
+        self.pack = lambda entries: sum(e << s for e, s in zip(entries, shifts))
+        if width <= 64:
+            # (row + bias) ^ bias holds each e_q as a two's-complement slot.
+            fmt = Struct(f"<{n}{ {8: 'b', 16: 'h', 32: 'i', 64: 'q'}[width] }")
+            self.unpack = lambda row: fmt.unpack(((row + bias) ^ bias).to_bytes(fmt.size, "little"))
+        else:
+            self.unpack = lambda row: [(((row + bias) >> s) & self.mask) - self.half for s in shifts]
+
+
+def _normalize(row: int, rhs: int, den: int, slots: _Slots):
+    """Divide row, rhs and den by gcd(den, rhs, *entries). An exact row // g
+    with every slot within limit is row divided slot by slot: g times those
+    slots packs row inside the half range, and that packing is unique."""
     g = gcd(den, rhs)
-    if g != 1:
-        g = gcd(g, *row)
-        if g != 1:
-            return [c // g for c in row], rhs // g, den // g
-    return row, rhs, den
+    if g == 1:
+        return row, rhs, den
+    div, rem = divmod(row, g)
+    if not rem and g <= slots.limit and not (div + slots.room) & slots.high:
+        return div, rhs // g, den // g
+    g = gcd(g, *slots.unpack(row))
+    if g == 1:
+        return row, rhs, den
+    return row // g, rhs // g, den // g
 
 
-def _eliminate(row: list, rhs: int, den: int, factor: int, q: int, prow, prhs: int, pden: int):
+def _eliminate(row: int, rhs: int, den: int, factor: int, shift: int, prow: int, prhs: int, pden: int, slots):
     """row - (factor / pden) * prow over a common denominator, normalized.
 
-    factor is row's entry at position q, which holds the entering column;
-    prow is the pivot row, solved for that column, whose leaving column now
-    sits at position q. The leaving column was basic, so row's own entry for
-    it was zero and position q becomes -(factor / pden) * prow[q].
+    factor is row's entry in the slot at shift, which holds the entering
+    column; prow is the pivot row, solved for that column, whose leaving
+    column now sits in that slot. The leaving column was basic, so row's
+    own entry for it was zero and the slot becomes -(factor / pden) * its
+    prow entry. Inputs within limit keep every slot within 2 * limit^2.
     """
     g = gcd(factor, pden)
-    scale, factor = pden // g, factor // g
-    new = [c * scale - factor * p for c, p in zip(row, prow)]
-    new[q] = -factor * prow[q]
-    return _normalize(new, rhs * scale - factor * prhs, den * scale)
-
+    scale, f = pden // g, factor // g
+    new = row * scale - f * prow - ((factor * scale) << shift)
+    return _normalize(new, rhs * scale - f * prhs, den * scale, slots)

@@ -1053,10 +1053,38 @@ def _full_eliminate(row: list, rhs: int, den: int, factor: int, q: int, prow, pr
     return _full_normalize(new, rhs * scale - factor * prhs, den * scale)
 
 
+def unpack_row(engine: CoveringSimplex, row: int) -> list[int]:
+    """The num_vars entries of one of engine's packed rows, as a list. Read
+    slot by slot from the low end, each slot's bits as a two's-complement
+    int; nothing may be left above the last slot."""
+    width = engine._slots.width
+    entries = []
+    for _ in range(engine.num_vars):
+        e = row & ((1 << width) - 1)
+        if e >> (width - 1):
+            e -= 1 << width
+        entries.append(e)
+        row = (row - e) >> width
+    if row:
+        raise AssertionError("packed row has bits above its last slot")
+    return entries
+
+
+def check_slot_bound(engine: CoveringSimplex) -> None:
+    """Every stored row and the cost row keep their entries and denominator
+    within the slot limit, which keeps the next pivot's packed arithmetic
+    exact."""
+    limit = engine._slots.limit
+    for row, _, den in [*engine._rows.values(), (engine._cost, 0, engine._cost_den)]:
+        if den > limit or max(map(abs, unpack_row(engine, row)), default=0) > limit:
+            raise AssertionError(f"a stored row outgrew the slot limit {limit}")
+
+
 def dictionary(engine: CoveringSimplex) -> dict:
-    """Every row of engine's dictionary, {basic column: (row, rhs, den)}:
-    the stored rows, and each other basic surplus row derived from the row
-    as given. A basic structural column must have a stored row."""
+    """Every row of engine's dictionary, {basic column: (row, rhs, den)}
+    with row a list: the stored rows, and each other basic surplus row
+    derived from the row as given. A basic structural column must have a
+    stored row."""
     n = engine.num_vars
     rows = {}
     for col in range(n + len(engine._given)):
@@ -1065,7 +1093,8 @@ def dictionary(engine: CoveringSimplex) -> dict:
         stored = engine._rows.get(col)
         if stored is None and col < n:
             raise AssertionError(f"basic structural column {col} has no stored row")
-        rows[col] = stored if stored is not None else engine._derive(col - n)
+        row, rhs, den = stored if stored is not None else engine._derive(col - n)
+        rows[col] = unpack_row(engine, row), rhs, den
     return rows
 
 
@@ -1092,10 +1121,12 @@ def check_stored_rows(engine: CoveringSimplex, rows: dict) -> None:
 
 def engine_state(engine: CoveringSimplex) -> str:
     """A digest of engine's nonbasic order, cost row and full dictionary,
-    after checking that its stored surplus rows are the violated ones."""
+    after checking that its stored surplus rows are the violated ones and
+    that its rows keep within the slot limit."""
+    check_slot_bound(engine)
     rows = dictionary(engine)
     check_stored_rows(engine, rows)
-    cost = (engine._cost, engine._cost_rhs, engine._cost_den)
+    cost = (unpack_row(engine, engine._cost), engine._cost_rhs, engine._cost_den)
     return _state(engine._nonbasic, cost, rows)
 
 
@@ -1113,15 +1144,16 @@ def check_same_dictionary(engine: CoveringSimplex, reference: FullDictionarySimp
         raise AssertionError(f"nonbasic {engine._nonbasic} != {reference._nonbasic}")
     if engine._position != {col: q for q, col in enumerate(engine._nonbasic)}:
         raise AssertionError("positions do not index the nonbasic columns")
-    cost = (engine._cost, engine._cost_rhs, engine._cost_den)
+    cost = (unpack_row(engine, engine._cost), engine._cost_rhs, engine._cost_den)
     if cost != (reference._cost, reference._cost_rhs, reference._cost_den):
         raise AssertionError("cost rows differ")
     full = full_dictionary(reference)
     if dictionary(engine) != full:
         raise AssertionError("dictionaries differ")
     check_stored_rows(engine, full)
-    for col, stored in engine._rows.items():
-        if col >= n and stored != engine._derive(col - n):
+    for col in [col for col in engine._rows if col >= n]:
+        derived = engine._derive(col - n)  # may widen the engine's rows first
+        if engine._rows[col] != derived:
             raise AssertionError(f"stored row of column {col} differs from its derivation")
 
 

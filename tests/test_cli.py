@@ -311,6 +311,26 @@ def test_hunt_refuses_a_range_that_fits_no_torus(gen, tmp_path, monkeypatch, cap
     assert len(rows) == 6 and all(9 <= int(row["n"]) <= 12 for row in rows)
 
 
+def test_hunt_checks_its_own_range(monkeypatch):
+    # Called from Python, hunt and hunt_instance refuse the ranges vc hunt
+    # refuses, with ValueError and before any solve: no torus shape inside
+    # 6..8 (this used to be a ZeroDivisionError), and C(HI, 2) pairs over
+    # the size limit.
+    monkeypatch.setattr(graph, "MAX_GRAPH_SIZE", 20)
+    monkeypatch.setattr(runner, "solve_instance", lambda *a, **k: pytest.fail("solved"))
+    refused = [("torus", "6 8 fits no torus_grid shape")] + [
+        (gen, "HI=8 allows 28 edges, over the size limit 20") for gen in ("gnp-trianglefree", "mixed")
+    ]
+    for gen, message in refused:
+        with pytest.raises(ValueError, match=message):
+            runner.hunt(gen=gen, n_range=(6, 8), trials=1)
+        with pytest.raises(ValueError, match=message):
+            runner.hunt_instance(gen, 0, 1, (6, 8))
+    with pytest.raises(ValueError, match="needs 1 <= LO <= HI, got 10 5"):
+        runner.hunt(n_range=(10, 5), trials=1)
+    assert runner.hunt_instance("torus", 0, 1, (9, 12))[1] == "torus_grid(3,3)"
+
+
 def test_hunt_archives_nonzero_xi_instances(tmp_path, monkeypatch, capsys):
     # No instance has given xi != 0 yet, so one hunt index is made to.
     gen, seed, n_range, target = "gnp-trianglefree", 5, (6, 12), 2

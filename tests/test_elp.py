@@ -31,6 +31,7 @@ from elpcover.oracles import exact_vc
 from elpcover.simplex import CoveringSimplex
 from exact_oracles import (
     chase_cuts,
+    check_slot_bound,
     circulant,
     dictionary,
     nx_min_odd_cycle_weight,
@@ -41,6 +42,7 @@ from exact_oracles import (
     reference_separate_odd_cycle,
     scale_point,
     small_edges,
+    unpack_row,
 )
 
 
@@ -513,9 +515,11 @@ def _check_tableau_invariants(engine):
         assert len(row) == n
         assert den > 0
         assert gcd(den, rhs, *row) == 1
-    assert len(engine._cost) == n
+    cost = unpack_row(engine, engine._cost)
+    assert len(cost) == n
     assert engine._cost_den > 0
-    assert gcd(engine._cost_den, engine._cost_rhs, *engine._cost) == 1
+    assert gcd(engine._cost_den, engine._cost_rhs, *cost) == 1
+    check_slot_bound(engine)
     for j in range(n):
         signs = [row.get(j, 0) for row, _ in engine._given]
         assert engine._plus[j] == [k for k, c in enumerate(signs) if c > 0]

@@ -26,16 +26,19 @@ import random
 
 import pytest
 
+from elpcover import simplex
 from elpcover.graph import (
     Graph,
     complete_graph,
     cycle_graph,
     petersen_graph,
+    random_gnp_graph,
     random_triangle_free_graph,
     torus_grid_graph,
 )
 from elpcover.runner import dump_json, hunt, hunt_rows_csv, solve_instance
-from exact_oracles import circulant, random_connected_gnp, run_pipeline_iterates
+from elpcover.simplex import CoveringSimplex
+from exact_oracles import check_slot_bound, circulant, random_connected_gnp, run_pipeline_iterates
 
 SWEEP_SEED = 20260810  # tests/test_acceptance.py's sweep corpus
 SWEEP_COUNT = 20
@@ -133,6 +136,48 @@ def test_golden_report_digest(name):
 @pytest.mark.parametrize("name,mode,edge_rule", list(GOLDEN_VARIANTS))
 def test_golden_variant_digest(name, mode, edge_rule):
     assert _digest(name, mode, edge_rule) == GOLDEN_VARIANTS[name, mode, edge_rule]
+
+
+def _pivots_and_report(name: str, g: Graph) -> tuple[int, str]:
+    pivot, count = CoveringSimplex._pivot, [0]
+
+    def counted(engine, *args):
+        count[0] += 1
+        pivot(engine, *args)
+        check_slot_bound(engine)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CoveringSimplex, "_pivot", counted)
+        report = dump_json(solve_instance(g, name, "golden", seed=0))
+    return count[0], report
+
+
+def test_narrow_slots_widen_to_the_same_reports(monkeypatch):
+    # Packed rows start at 8-bit slots, whose bound is 2^2, so the engines
+    # re-encode their rows at wider slots again and again. Every golden
+    # instance and every lp-large graph must still give its report byte for
+    # byte, with the pivots of the default width, and every pivot must
+    # leave the stored rows within the slot bound.
+    graphs = {
+        **GRAPHS,
+        "torus_grid(5,7)": torus_grid_graph(5, 7),
+        "gnp(30,0.3,1)": random_gnp_graph(30, 0.3, 1),
+    }
+    expected = {name: _pivots_and_report(name, g) for name, g in graphs.items()}
+    widen, widened = CoveringSimplex._widen, [0]
+
+    def counted(engine):
+        widened[0] += 1
+        widen(engine)
+
+    monkeypatch.setattr(simplex, "SLOT_WIDTH", 8)
+    monkeypatch.setattr(CoveringSimplex, "_widen", counted)
+    for name, g in graphs.items():
+        pivots, report = _pivots_and_report(name, g)
+        assert (pivots, report) == expected[name], name
+        if name in GOLDEN:
+            assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN[name]
+    assert widened[0] > 1
 
 
 @pytest.mark.parametrize("gen,n_range,trials,seed", list(GOLDEN_HUNTS), ids=[k[0] for k in GOLDEN_HUNTS])

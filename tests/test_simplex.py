@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elpcover import elp, simplex
@@ -21,6 +21,7 @@ import exact_oracles
 from exact_oracles import (
     Lockstep,
     ReferenceCoveringSimplex,
+    check_slot_bound,
     circulant,
     dictionary,
     lp_value_half_integral,
@@ -28,6 +29,7 @@ from exact_oracles import (
     point_values,
     random_connected_gnp,
     rational_rank,
+    unpack_row,
 )
 
 HALF_SET = {Rat(0), Rat(1, 2), Rat(1)}
@@ -329,7 +331,7 @@ def test_optimal_face_stops_before_a_rising_pivot():
     # no pivot is made and the engine is left as it was.
     def snapshot(e):
         return (
-            dict(e._rows), dictionary(e), list(e._nonbasic), list(e._cost), e._cost_rhs,
+            dict(e._rows), dictionary(e), list(e._nonbasic), unpack_row(e, e._cost), e._cost_rhs,
             e._cost_den,
         )
 
@@ -373,6 +375,102 @@ def test_stall_fallback_ends_certified_optimal(monkeypatch):
     monkeypatch.setattr(simplex, "_bland_row", counted)
     assert [pinned_objective(u, v, 1) for u, v in pins] == expected
     assert fallbacks[0] > 0  # the fallback did pick leaving rows
+
+
+@st.composite
+def _packable(draw):
+    """A slot width, entries within its bound, and two multipliers."""
+    width = draw(st.sampled_from((16, 64, 128)))
+    top = (1 << (width // 2 - 2)) - 1
+    entry = st.one_of(st.integers(-top, top), st.sampled_from((top, -top)))
+    return width, draw(st.lists(entry, max_size=12)), draw(entry), draw(entry)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_packable())
+@example((64, [], 1, 1))
+@example((64, [2**30 - 1], 2**30 - 1, -(2**30 - 1)))
+@example((64, [-(2**30 - 1), 2**30 - 1, 0], -(2**30 - 1), 2**30 - 1))
+def test_packed_rows_round_trip(case):
+    # A packed row reads back as its entries, through the engine's unpack,
+    # the slot read of _pivot and the tests' own decoder, and passes the
+    # bound check; an entry at the bound fails it. A combination of packed
+    # rows is the combination of their entries, slot by slot.
+    width, entries, scale, f = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "SLOT_WIDTH", width)
+        engine = CoveringSimplex(len(entries))
+    slots = engine._slots
+    row, other = slots.pack(entries), slots.pack(entries[::-1])
+    assert list(slots.unpack(row)) == entries == unpack_row(engine, row)
+    for q, e in enumerate(entries):
+        assert (((row + slots.bias) >> (width * q)) & slots.mask) - slots.half == e
+    assert not (row + slots.room) & slots.high
+    combined = [a * scale - f * b for a, b in zip(entries, entries[::-1])]
+    assert unpack_row(engine, row * scale - f * other) == combined
+    for bad in (slots.limit, -slots.limit - 1) if entries else ():
+        assert (slots.pack([bad, *entries[1:]]) + slots.room) & slots.high
+
+
+def test_rows_past_the_slot_bound_widen_the_engine():
+    # Coefficients of 2^70 do not fit 64-bit slots: the engine re-encodes its
+    # rows at wider slots and reaches the point of the rows scaled down.
+    rows = [({0: 1, 1: 2}, 2), ({0: 2, 1: 1}, 2)]
+    big = CoveringSimplex(2, [({j: c << 70 for j, c in r.items()}, b << 70) for r, b in rows])
+    small = CoveringSimplex(2, rows)
+    assert big.scaled_values() == ([0, 0], 1)
+    for engine in (big, small):
+        engine.optimize()
+    assert big._slots.width > 64 == small._slots.width
+    assert point_values(big.certified_values()) == point_values(small.certified_values())
+    assert big.objective() == small.objective() == Rat(4, 3)
+
+
+def test_a_cost_row_past_the_slot_bound_widens_the_engine(monkeypatch):
+    # With 8-bit slots (bound 2^2) a pivot of this LP keeps every stored row
+    # within the bound but not the cost row, which must widen the engine.
+    rows = [({0: 2, 1: 1}, 1), ({0: 2, 1: 2, 2: 3}, 3)]
+    expected = CoveringSimplex(3, rows)
+    expected.optimize()
+    pivot = CoveringSimplex._pivot
+
+    def checked(engine, *args):
+        pivot(engine, *args)
+        check_slot_bound(engine)
+
+    monkeypatch.setattr(simplex, "SLOT_WIDTH", 8)
+    monkeypatch.setattr(CoveringSimplex, "_pivot", checked)
+    engine = CoveringSimplex(3, rows)
+    engine.optimize()
+    assert engine._slots.width > 8
+    assert engine.certified_values() == expected.certified_values()
+
+
+def test_derive_widens_before_a_slot_sum_can_overflow(monkeypatch):
+    # A hand-built state at 8-bit slots (bound 2^2, half range 2^7): basic
+    # x0..x3 over denominators 1..4 with entries within the bound, and a
+    # given row 4x0 + 4x1 + 4x2 + 3x3 >= 1. Summed over mult = 12 its first
+    # slot reaches 256, which would carry into the next slot and normalize
+    # to a row that looks valid; _derive must widen before it sums.
+    monkeypatch.setattr(simplex, "SLOT_WIDTH", 8)
+    engine = CoveringSimplex(4)
+    pack = engine._slots.pack
+    basic = {
+        0: ([4, 0, 0, 0], 0, 1), 1: ([2, 0, 0, 0], 1, 2),
+        2: ([1, -2, 0, 0], 0, 3), 3: ([0, 3, 0, 0], 0, 4),
+    }
+    engine._rows = {j: (pack(row), rhs, den) for j, (row, rhs, den) in basic.items()}
+    engine._nonbasic, engine._position = [4, 5, 6, 7], {4: 0, 5: 1, 6: 2, 7: 3}
+    engine._given = [({j: 1}, 0) for j in range(4)] + [({0: 4, 1: 4, 2: 4, 3: 3}, 1)]
+    coeffs = engine._given[4][0]
+    # The derivation over lists: sum_j c_j * (12 / den_j) * row_j, rhs
+    # -12 + sum_j c_j * (12 / den_j) * rhs_j, over 12; already canonical.
+    f = {j: c * (12 // basic[j][2]) for j, c in coeffs.items()}
+    expected = [sum(f[j] * basic[j][0][q] for j in f) for q in range(4)]
+    assert expected == [256, -5, 0, 0]
+    row, rhs, den = engine._derive(4)
+    assert (unpack_row(engine, row), rhs, den) == (expected, 12, 12)
+    assert engine._slots.width > 8
 
 
 def test_scaled_values_are_the_values_over_one_denominator():
@@ -475,8 +573,9 @@ def _optimize(engine):
     st.lists(_SIGNED_ROW, max_size=4),
     st.integers(min_value=0, max_value=8),
     st.sampled_from((simplex.STALL_LIMIT, 1, 0)),
+    st.sampled_from((simplex.SLOT_WIDTH, 8)),
 )
-def test_engine_matches_full_dictionary_engine(n, rows, cuts, pin, stall_limit):
+def test_engine_matches_full_dictionary_engine(n, rows, cuts, pin, stall_limit, width):
     # Lockstep drives the engine and the full-dictionary engine it
     # replaced through the same calls: each pivot must leave and enter the
     # same columns and leave the same full dictionary, with the row of
@@ -485,8 +584,10 @@ def test_engine_matches_full_dictionary_engine(n, rows, cuts, pin, stall_limit):
     # rows with each row of any sign appended and solved in turn, a pinned
     # copy solved freely and on the optimal face (the full-dictionary engine
     # under the unpinned objective as ceiling), and the original again,
-    # under steepest edge, an early Bland fallback, and Bland's rule alone.
+    # under steepest edge, an early Bland fallback, and Bland's rule alone,
+    # from the default slots and from 8-bit slots that widen again and again.
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "SLOT_WIDTH", width)
         mp.setattr(simplex, "STALL_LIMIT", stall_limit)
         mp.setattr(exact_oracles, "STALL_LIMIT", stall_limit)
         cold = Lockstep(n, [_int_row(c[:n], r) for c, r in rows + cuts])
