@@ -244,9 +244,9 @@ def main(argv=None) -> int:
     if args.command == "hunt":
         error = args.parser.error  # prints the `vc hunt` usage line
         try:
-            check_hunt_range(args.gen, args.n_range)
-        except ValueError as exc:  # runner's rule, named by its flag here
-            error(str(exc).replace("n_range", "--n-range", 1))
+            check_hunt_range(args.gen, args.n_range, "--n-range")
+        except ValueError as exc:
+            error(str(exc))
         if args.jobs < 1:
             error(f"--jobs needs at least 1, got {args.jobs}")
     try:

@@ -192,25 +192,29 @@ def torus_shapes(n_range: tuple[int, int]) -> list[tuple[int, int]]:
     return [s for s in _TORUS_SHAPES if n_range[0] <= s[0] * s[1] <= n_range[1]]
 
 
-def check_hunt_range(gen: str, n_range: tuple[int, int]) -> None:
+def check_hunt_range(gen: str, n_range: tuple[int, int], name: str = "n_range") -> None:
     """Raise ValueError unless a gen hunt can draw every instance inside
     n_range: 1 <= LO <= HI, at most graph.MAX_GRAPH_SIZE vertex pairs at HI
     (the bound generate() puts on random_triangle_free(HI, p, seed)), and
-    a torus_grid shape inside the range."""
+    a torus_grid shape inside the range. The messages call the range name."""
     lo, hi = n_range
     if not 1 <= lo <= hi:
-        raise ValueError(f"n_range needs 1 <= LO <= HI, got {lo} {hi}")
+        raise ValueError(f"{name} needs 1 <= LO <= HI, got {lo} {hi}")
     pairs = hi * (hi - 1) // 2
     if gen != "torus" and pairs > graph.MAX_GRAPH_SIZE:
-        raise ValueError(f"n_range HI={hi} allows {pairs} edges, over the size limit {graph.MAX_GRAPH_SIZE}")
+        raise ValueError(f"{name} HI={hi} allows {pairs} edges, over the size limit {graph.MAX_GRAPH_SIZE}")
     if gen != "gnp-trianglefree" and not torus_shapes(n_range):
-        raise ValueError(f"n_range {lo} {hi} fits no torus_grid shape")
+        raise ValueError(f"{name} {lo} {hi} fits no torus_grid shape")
 
 
 def hunt_instance(gen: str, index: int, seed: int, n_range: tuple[int, int]) -> tuple[Graph, str]:
     """The graph and name of hunt instance index; a summary's index rebuilds it.
     Raises ValueError for a range check_hunt_range refuses."""
     check_hunt_range(gen, n_range)
+    return _draw_hunt_instance(gen, index, seed, n_range)
+
+
+def _draw_hunt_instance(gen: str, index: int, seed: int, n_range: tuple[int, int]) -> tuple[Graph, str]:
     n_lo, n_hi = n_range
     rng = random.Random(seed * 1_000_003 + index)
     kind = gen
@@ -230,7 +234,7 @@ def hunt_instance(gen: str, index: int, seed: int, n_range: tuple[int, int]) -> 
 
 
 def _hunt_report(gen, seed, n_range, edge_rule, oracle_cap, index) -> dict:
-    g, name = hunt_instance(gen, index, seed, n_range)
+    g, name = _draw_hunt_instance(gen, index, seed, n_range)
     return solve_instance(
         g,
         name=name,

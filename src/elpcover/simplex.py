@@ -15,7 +15,7 @@ All arithmetic is exact and every pivot choice is a deterministic integer
 comparison. The leaving row is picked by exact dual steepest edge (Forrest &
 Goldfarb, Math. Programming 57, 1992): among rows with a negative
 right-hand side, the one whose hyperplane lies farthest from the current
-basic solution, each row's norm computed once for as long as it is kept.
+basic solution, each row's norm kept for as long as the row stays violated.
 The entering column is Bland's least ratio, ties to the lowest column
 index. Steepest edge alone can cycle on degenerate pivots, so after
 STALL_LIMIT consecutive pivots that leave the objective unchanged, the
@@ -25,19 +25,18 @@ never decreases, or is one of a bounded run of steepest-edge pivots
 followed by Bland's rule, which cannot cycle; so optimize terminates.
 
 The tableau is kept in dictionary form (Chvatal, Linear Programming, 1983):
-only the num_vars nonbasic columns are stored, so a row is num_vars ints
-packed into one Python int, entry q in signed slot q of width bits
-(Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009), plus one
-int right-hand side and one positive int denominator shared by the row;
-the basic columns are implicit unit columns. The reduced-cost row is a row
-of the same kind, and its right-hand side carries the objective. The
-tableau is fraction-free: a pivot combines rows over a common denominator,
-a few bigint operations per row, and divides each changed row by the gcd of
-its entries, right-hand side and denominator (Bareiss, Math. Comp. 22,
-1968), so ratio tests and sign tests are integer comparisons, and every row
-has one canonical form. Entries and denominators are kept at most
-2^(width / 2 - 2), so no slot that a pivot forms leaves its range; a row
-that outgrows that bound makes the engine re-encode at twice the width.
+only the num_vars nonbasic columns are stored, the basic ones being
+implicit unit columns. A row is one Python int holding its num_vars entries
+in signed slots of width bits (Kronecker substitution; Harvey, J. Symbolic
+Comput. 44, 2009), with an int right-hand side and a positive int
+denominator; the reduced-cost row is one more, whose right-hand side
+carries the objective. The tableau is fraction-free: a pivot combines rows
+over a common denominator in a few bigint operations and divides each
+changed row by the gcd of its entries, right-hand side and denominator
+(Bareiss, Math. Comp. 22, 1968), so every test is an integer comparison and
+every row has one canonical form. Entries and denominators stay at most
+2^(width/2 - 2), so no slot a pivot forms leaves its range; a row past that
+bound makes the engine re-encode its rows at twice the width.
 
 Only the working part of the dictionary is stored, after the revised
 simplex (Dantzig & Orchard-Hays, 1954): the rows of the basic structural
@@ -132,8 +131,9 @@ class CoveringSimplex:
     -_cost_rhs / _cost_den is the objective of the current basis. Every
     denominator is positive, and each row is divided by gcd(den, rhs,
     *entries) after every change. Stored rows are replaced, never changed
-    in place, so copies share them, and _norms[col] = (entry, norm) keeps
-    the steepest-edge norm of row entry while _rows[col] is entry.
+    in place, so copies share them. _norms maps each row that was violated
+    at the last leaving-row choice, (row, rhs, den), to its steepest-edge
+    norm; it too is replaced, never changed, so copies share it.
 
     _plus[j] and _minus[j] list the k whose given row has a positive and a
     negative coefficient on x_j: the rows that a fall, and a rise, of x_j
@@ -149,7 +149,7 @@ class CoveringSimplex:
         self.num_vars = num_vars
         self._slots = _Slots(num_vars, SLOT_WIDTH)
         self._rows: dict[int, tuple[int, int, int]] = {}
-        self._norms: dict[int, tuple[tuple[int, int, int], int]] = {}
+        self._norms: dict[tuple[int, int, int], int] = {}
         self._cost = self._slots.ones
         self._cost_rhs = 0
         self._cost_den = 1
@@ -178,7 +178,7 @@ class CoveringSimplex:
         dup.pivots = self.pivots
         dup._on_face = self._on_face
         dup._slots = self._slots
-        dup._norms = self._norms.copy()
+        dup._norms = self._norms
         return dup
 
     def optimal_face(self) -> "CoveringSimplex":
@@ -195,8 +195,8 @@ class CoveringSimplex:
         coeffs maps columns to ints and rhs is an int; a row with rational
         entries is scaled to integers by the caller. The row is kept in
         _given, and its new surplus s = a.x - b becomes basic. Its
-        dictionary row is derived only if the current point violates it.
-        The engine is widened until the slot limit bounds every coefficient."""
+        dictionary row is derived only if the current point violates it; a
+        coefficient past the slot limit widens the engine first."""
         row = {j: c for j, c in coeffs.items() if c}
         while row and max(map(abs, row.values())) > self._slots.limit:
             self._widen()
@@ -216,30 +216,27 @@ class CoveringSimplex:
         rows are zero on each other's basic columns, so each such entry is
         read off the given row as it is; the rows are subtracted over the
         lcm of their denominators, and one gcd division at the end makes
-        the result canonical: the row that pivots would have kept. A slot
-        takes at most limit * (sum |f| + mult), as no coefficient exceeds
-        limit; when that could leave the half range, or the result outgrows
-        limit, the engine is widened and the row derived again."""
+        the result canonical: the row that pivots would have kept. No slot
+        passes limit * size; if that or the result could break the bound,
+        the engine widens and derives the row again."""
         row, rhs = self._given[k]
-        while True:
-            rows, slots, position = self._rows, self._slots, self._position
-            used = [(c, rows[j]) for j, c in row.items() if j in rows]
-            mult = lcm(*[den for _, (_, _, den) in used])
-            new, new_rhs, size = 0, -rhs * mult, 0
-            for c, (prow, prhs, pden) in used:
+        rows, slots, position = self._rows, self._slots, self._position
+        mult = lcm(*[rows[j][2] for j in row if j in rows])
+        new, new_rhs, size = 0, -rhs * mult, mult
+        for j, c in row.items():
+            if j in rows:
+                prow, prhs, pden = rows[j]
                 f = c * (mult // pden)
                 new, new_rhs, size = new + f * prow, new_rhs + f * prhs, size + abs(f)
-            width = slots.width
-            for j, c in row.items():
-                q = position.get(j)
-                if q is not None:
-                    new -= (c * mult) << (width * q)
-            limit = slots.limit
-            if (size + mult) * limit < slots.half:
-                new = _normalize(new, new_rhs, mult, slots)
-                if new[2] < limit and not (new[0] + slots.room) & slots.high:
-                    return new
-            self._widen()
+            else:
+                new -= (c * mult) << (slots.width * position[j])
+        limit = slots.limit
+        if size * limit < slots.half:
+            new = _normalize(new, new_rhs, mult, slots)
+            if new[2] < limit and not (new[0] + slots.room) & slots.high:
+                return new
+        self._widen()
+        return self._derive(k)
 
     def _widen(self) -> None:
         """Re-encode every stored row and the cost row at twice the slot
@@ -268,11 +265,10 @@ class CoveringSimplex:
         rows, nonbasic = self._rows, self._nonbasic
         limit = self.pivots + PIVOT_CAP
         stalled = 0
-        packed = None  # the cost row whose entries cost holds
         while True:
             unpack = self._slots.unpack
             if stalled < STALL_LIMIT:
-                leave = _steepest_row(rows, self._norms, unpack)
+                leave, self._norms = _steepest_row(rows, self._norms, unpack)
             else:
                 leave = _bland_row(rows)
             if leave < 0:
@@ -281,8 +277,7 @@ class CoveringSimplex:
             # ties to the lowest column index. Row and cost denominators are
             # positive and common to every candidate, so comparing
             # cost_q * -a_best with cost_best * -a_q decides it in integers.
-            if packed is not self._cost:
-                packed, cost = self._cost, unpack(self._cost)
+            cost = unpack(self._cost)
             enter = -1
             best_cost = best_neg = 0
             for q, a in enumerate(unpack(rows[leave][0])):
@@ -323,9 +318,8 @@ class CoveringSimplex:
         # every basic column whose row has a nonzero entry at q, against the
         # sign of that entry; a structural leaving column rises to 0. A
         # surplus row's new rhs has the sign of rhs * pden - factor * prhs,
-        # so a row the pivot leaves satisfied is dropped uneliminated. Rows
-        # within the bound keep this arithmetic exact at this width; a
-        # changed row that outgrows it widens the engine after the pivot.
+        # so a row the pivot leaves satisfied is dropped uneliminated. A row
+        # that outgrows the slot bound widens the engine after the pivot.
         moved, fits = [], True
         for col, (row, rhs, den) in list(rows.items()):
             factor = (((row + bias) >> shift) & mask) - half
@@ -438,35 +432,35 @@ class CoveringSimplex:
         return x, scale
 
 
-def _steepest_row(rows, norms, unpack) -> int:
-    """Dual steepest-edge leaving column, or -1 when every rhs is >= 0.
+def _steepest_row(rows, norms, unpack) -> tuple[int, dict]:
+    """Dual steepest-edge leaving column, or -1 when every rhs is >= 0, and
+    the norms of the violated rows, taken from norms where a row is there.
 
     Among rows with rhs < 0 it maximises rhs^2 / ||row||^2, the squared
     distance from the current basic solution to the row's hyperplane, where
     the norm is taken over the dictionary row and its implicit basic unit
-    entry: den^2 + sum_q e_q^2, kept in norms while the row is stored. A
-    common scale of the row cancels, so the ratio is compared by integer
-    cross-multiplication; ties go to the lowest basic column. A lone
-    violated row leaves without a norm.
+    entry: den^2 + sum_q e_q^2. A common scale of the row cancels, so the
+    ratio is compared by integer cross-multiplication; ties go to the
+    lowest basic column.
     """
-    violated = [(col, entry) for col, entry in rows.items() if entry[1] < 0]
-    if len(violated) < 2:
-        return violated[0][0] if violated else -1
     leave = -1
     best_sq = best_norm = 0
-    for col, entry in violated:
+    kept = {}
+    for col, entry in rows.items():
         row, rhs, den = entry
-        norm = norms.get(col)
-        if norm is None or norm[0] is not entry:
-            entries = unpack(row)
-            norm = norms[col] = entry, den * den + sum(map(mul, entries, entries))
-        norm, sq = norm[1], rhs * rhs
-        if leave >= 0:
-            lhs, rhs_ = sq * best_norm, best_sq * norm
-            if lhs < rhs_ or (lhs == rhs_ and col > leave):
-                continue
-        leave, best_sq, best_norm = col, sq, norm
-    return leave
+        if rhs < 0:
+            norm = norms.get(entry)
+            if norm is None:
+                entries = unpack(row)
+                norm = den * den + sum(map(mul, entries, entries))
+            kept[entry] = norm
+            sq = rhs * rhs
+            if leave >= 0:
+                lhs, rhs_ = sq * best_norm, best_sq * norm
+                if lhs < rhs_ or (lhs == rhs_ and col > leave):
+                    continue
+            leave, best_sq, best_norm = col, sq, norm
+    return leave, kept
 
 
 def _bland_row(rows) -> int:
@@ -476,21 +470,19 @@ def _bland_row(rows) -> int:
 
 @cache
 class _Slots:
-    """The packing of n signed ints into one int, width bits a slot, one
-    object per (n, width). Slot q holds e_q in [-half, half) and reads back
-    through bias, half in every slot: (((row + bias) >> (width * q)) & mask)
-    - half. Each e_q is in [-limit, limit) when (row + room) & high is zero:
-    room is limit in every slot, high the bits of each slot from 2 * limit."""
-
-    __slots__ = ("width", "mask", "half", "limit", "ones", "bias", "room", "high", "pack", "unpack")
+    """n signed ints packed into one int, width bits a slot, one object per
+    (n, width). Slot q holds e_q in [-half, half), read as (((row + bias) >>
+    (width * q)) & mask) - half. Each e_q is in [-limit, limit) when (row +
+    room) & high is zero: room is limit in each slot, high its bits from
+    2 * limit."""
 
     def __init__(self, n: int, width: int):
         shifts = range(0, width * n, width)
         ones = self.ones = sum(1 << s for s in shifts)
         self.width, self.mask, self.half = width, (1 << width) - 1, 1 << (width - 1)
-        self.limit = 1 << (width // 2 - 2)
-        bias, self.room = self.half * ones, self.limit * ones
-        self.bias, self.high = bias, (self.mask + 1 - 2 * self.limit) * ones
+        self.limit = limit = 1 << (width // 2 - 2)
+        self.bias = bias = self.half * ones
+        self.room, self.high = limit * ones, (self.mask + 1 - 2 * limit) * ones
         self.pack = lambda entries: sum(e << s for e, s in zip(entries, shifts))
         if width <= 64:
             # (row + bias) ^ bias holds each e_q as a two's-complement slot.
@@ -511,8 +503,6 @@ def _normalize(row: int, rhs: int, den: int, slots: _Slots):
     if not rem and g <= slots.limit and not (div + slots.room) & slots.high:
         return div, rhs // g, den // g
     g = gcd(g, *slots.unpack(row))
-    if g == 1:
-        return row, rhs, den
     return row // g, rhs // g, den // g
 
 
@@ -521,10 +511,9 @@ def _eliminate(row: int, rhs: int, den: int, factor: int, shift: int, prow: int,
 
     factor is row's entry in the slot at shift, which holds the entering
     column; prow is the pivot row, solved for that column, whose leaving
-    column now sits in that slot. The leaving column was basic, so row's
-    own entry for it was zero and the slot becomes -(factor / pden) * its
-    prow entry. Inputs within limit keep every slot within 2 * limit^2.
-    """
+    column now sits in that slot. The leaving column was basic, so row's own
+    entry for it was zero and the slot becomes -(factor / pden) * its prow
+    entry. Inputs within limit keep every slot within 2 * limit^2."""
     g = gcd(factor, pden)
     scale, f = pden // g, factor // g
     new = row * scale - f * prow - ((factor * scale) << shift)

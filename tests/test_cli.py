@@ -318,15 +318,15 @@ def test_hunt_checks_its_own_range(monkeypatch):
     # the size limit.
     monkeypatch.setattr(graph, "MAX_GRAPH_SIZE", 20)
     monkeypatch.setattr(runner, "solve_instance", lambda *a, **k: pytest.fail("solved"))
-    refused = [("torus", "6 8 fits no torus_grid shape")] + [
-        (gen, "HI=8 allows 28 edges, over the size limit 20") for gen in ("gnp-trianglefree", "mixed")
+    refused = [("torus", "^n_range 6 8 fits no torus_grid shape")] + [
+        (gen, "^n_range HI=8 allows 28 edges, over the size limit 20") for gen in ("gnp-trianglefree", "mixed")
     ]
     for gen, message in refused:
         with pytest.raises(ValueError, match=message):
             runner.hunt(gen=gen, n_range=(6, 8), trials=1)
         with pytest.raises(ValueError, match=message):
             runner.hunt_instance(gen, 0, 1, (6, 8))
-    with pytest.raises(ValueError, match="needs 1 <= LO <= HI, got 10 5"):
+    with pytest.raises(ValueError, match="^n_range needs 1 <= LO <= HI, got 10 5"):
         runner.hunt(n_range=(10, 5), trials=1)
     assert runner.hunt_instance("torus", 0, 1, (9, 12))[1] == "torus_grid(3,3)"
 

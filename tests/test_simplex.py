@@ -473,6 +473,35 @@ def test_derive_widens_before_a_slot_sum_can_overflow(monkeypatch):
     assert engine._slots.width > 8
 
 
+def test_norms_are_kept_for_the_violated_rows_alone(monkeypatch):
+    # Each steepest-edge choice hands back the norm of every row it found
+    # violated, den^2 plus the squared entries, and of no other row, and
+    # the engine keeps just that dict; copies share it. So through a cut
+    # chase and a pin sweep no engine holds more norms than stored rows.
+    steepest, copy = simplex._steepest_row, CoveringSimplex.copy
+    choices, copies = [], []
+
+    def checked_choice(rows, norms, unpack):
+        leave, kept = steepest(rows, norms, unpack)
+        assert set(kept) == {entry for entry in rows.values() if entry[1] < 0}
+        for row, _, den in kept:
+            assert kept[row, _, den] == den * den + sum(e * e for e in unpack(row))
+        choices.append(len(kept))
+        return leave, kept
+
+    def checked_copy(engine):
+        dup = copy(engine)
+        assert dup._norms is engine._norms and len(dup._norms) <= len(dup._rows)
+        copies.append(dup)
+        return dup
+
+    monkeypatch.setattr(simplex, "_steepest_row", checked_choice)
+    monkeypatch.setattr(CoveringSimplex, "copy", checked_copy)
+    g = circulant(11, (1, 3))
+    explore_alternate_bfs(g, solve_elp(g))
+    assert len(copies) >= g.m and max(choices) > 1
+
+
 def test_scaled_values_are_the_values_over_one_denominator():
     engine = relaxation_engine(complete_graph(3))
     assert engine.scaled_values() == ([0, 0, 0], 1)  # nothing basic yet
