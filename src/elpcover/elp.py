@@ -12,10 +12,13 @@ never increases the weight). Each round of the loop adds a batch of
 pairwise vertex-disjoint violated cycles before it re-optimizes: the most
 violated cycle of the graph, then one of the graph less the vertices of
 the cycles taken so far, and so on (many cuts per round, as in Padberg &
-Rinaldi, SIAM Review 33, 1991). Every cut is an odd-cycle inequality
-violated at the round's point, and the loop ends only when a separation
-over the whole graph finds nothing, so the batches change the vertex the
-simplex returns but not the optimum.
+Rinaldi, SIAM Review 33, 1991). A round's searches share one weighted
+double cover that masks the vertices taken, and each search is pruned at
+the lightest walk so far, at bases whose lightest arc upward cannot beat
+it, and at vertices searched or masked. Every cut is an odd-cycle
+inequality violated at the round's point, and the loop ends only when a
+separation over the whole graph finds nothing, so the batches change the
+vertex the simplex returns but not the optimum.
 
 Every LP goes through one CoveringSimplex engine, built by
 relaxation_engine from sparse int rows (x_u + x_v >= 1 per edge, one row
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from ._rat import Rat
@@ -99,7 +103,48 @@ def _add_cycle_row(engine: CoveringSimplex, cycle: OddCycle, index) -> None:
     engine.add_ge_row(dict.fromkeys((index[v] for v in cycle.vertices), 1), cycle.rhs)
 
 
-def separate_odd_cycle(g: Graph, point: tuple[list[int], int]):
+class DoubleCover:
+    """g's bipartite double cover weighted at a point (ints, L), built by the
+    first search of a cut round and shared by the round's searches.
+
+    weighted is (index, arcs, floor). arcs[i] holds a (2*j, w) per neighbor
+    g.vertices[j] of g.vertices[i] whose edge weighs w = L x_i + L x_j - L
+    < L (no walk lighter than L uses a heavier arc), and floor[i] is twice
+    the lightest arc from i to a higher vertex (L when none). taken holds
+    the masked vertex indices, left the edges of g between the others."""
+
+    def __init__(self, g: Graph, point: tuple[list[int], int]):
+        self.g, self.point, self.taken, self.left = g, point, set(), g.m
+
+    @cached_property
+    def weighted(self):
+        order, (scaled, scale) = self.g.vertices, self.point
+        if len(scaled) != len(order) or scale <= 0:
+            raise ValueError(f"point ({len(scaled)} ints over {scale}) does not fit n={len(order)}")
+        index = _index(self.g)
+        arcs, floor = [[] for _ in order], [scale] * len(order)
+        for u, v in self.g.edges():
+            i, j = index[u], index[v]
+            w = scaled[i] + scaled[j] - scale
+            if w < 0:
+                raise ValueError(
+                    f"edge inequality violated at ({u},{v}): {Rat(scaled[i], scale)}+{Rat(scaled[j], scale)} < 1"
+                )
+            if w < scale:
+                arcs[i].append((2 * j, w))
+                arcs[j].append((2 * i, w))
+                floor[i] = min(floor[i], 2 * w)
+        return index, arcs, floor
+
+    def mask(self, vertices) -> None:
+        """Leave the vertices of g out of every later search."""
+        index, taken = self.weighted[0], self.taken
+        for v in vertices:
+            self.left -= sum(index[u] not in taken for u in self.g.neighbors(v))
+            taken.add(index[v])
+
+
+def separate_odd_cycle(g: Graph, point: tuple[list[int], int], cover: Optional[DoubleCover] = None):
     """Most-violated odd-cycle inequality at a point x, or None if all are satisfied.
 
     point is x scaled to integers, (ints, L) with L > 0 and
@@ -109,18 +154,22 @@ def separate_odd_cycle(g: Graph, point: tuple[list[int], int]):
     w(u,v) = x_u + x_v - 1 are nonnegative (ValueError otherwise).
     Returns (cycle, violation) where violation = (s+1) - sum_{v in cycle} x_v
     > 0, a Rat, and the cycle has minimum weight among all odd cycles (so it
-    is a most-violated one).
+    is a most-violated one). cover, when given, is DoubleCover(g, point),
+    and the search runs on g less its masked vertices.
 
     The search is exact and integer-only: each edge weighs the int
     L*x_u + L*x_v - L, and one Dijkstra per base vertex looks for the
     lightest walk from (base, 0) to (base, 1) in the bipartite double cover.
-    Two prunings keep it cheap:
+    Three prunings keep it cheap:
 
     - bound: no label >= limit is pushed, where limit is L (only walks of
       weight < 1 are violated) until a walk is found, then the best weight
       so far (a later base must be strictly lighter to replace it);
+    - base bound: a base is not searched when its floor is >= limit, since
+      a walk leaves and re-enters it through arcs to higher vertices;
     - done vertices: a base already searched is left out of later searches,
-      since any walk through it weighs at least the limit of its own search.
+      since any walk through it weighs at least the limit of its own
+      search, and so is every masked vertex.
 
     Tie-break: among equally light walks the lowest base in g.vertices order
     wins, and within a search the heap order on (weight, (vertex, side))
@@ -128,32 +177,21 @@ def separate_odd_cycle(g: Graph, point: tuple[list[int], int]):
     prunings only drop labels that could not win, so the cycle returned is
     the one an unscaled, unpruned search returns.
     """
-    order = g.vertices
+    if cover is None:
+        cover = DoubleCover(g, point)
+    index, arcs, floors = cover.weighted
     scaled, scale = point
-    if len(scaled) != len(order) or scale <= 0:
-        raise ValueError(f"point ({len(scaled)} ints over {scale}) does not fit n={len(order)}")
-    index = {v: i for i, v in enumerate(order)}
-    for u, v in g.edges():
-        xu, xv = scaled[index[u]], scaled[index[v]]
-        if xu + xv < scale:
-            raise ValueError(
-                f"edge inequality violated at ({u},{v}): {Rat(xu, scale)}+{Rat(xv, scale)} < 1"
-            )
-    # Double-cover node (vertex i, side s) is the int 2*i + s; order is sorted,
-    # so these codes sort exactly like the (vertex, side) pairs.
-    adjacency = [
-        [(2 * index[u], scaled[i] + scaled[index[u]] - scale) for u in g.neighbors(v)]
-        for i, v in enumerate(order)
-    ]
     best_dist = scale
     best_walk = None
-    for base in range(len(order)):
-        found = _shortest_odd_closed_walk(adjacency, base, best_dist)
-        if found is not None:
-            best_dist, best_walk = found
+    for base, floor in enumerate(floors):
+        if floor < best_dist and base not in cover.taken:
+            found = _shortest_odd_closed_walk(arcs, base, best_dist, cover.taken)
+            if found is not None:
+                best_dist, best_walk = found
     if best_walk is None:
         # Cycle weight >= 1 is exactly the cycle inequality holding.
         return None
+    order = g.vertices
     cycle = OddCycle.in_graph(g, _extract_simple_odd_cycle([order[i] for i in best_walk]))
     slack = cycle.rhs * scale - sum(scaled[index[v]] for v in cycle.vertices)
     if slack <= 0:
@@ -161,15 +199,20 @@ def separate_odd_cycle(g: Graph, point: tuple[list[int], int]):
     return cycle, Rat(slack, scale)
 
 
-def _shortest_odd_closed_walk(adjacency, base: int, limit: int):
+def _shortest_odd_closed_walk(adjacency, base: int, limit: int, taken):
     """(weight, walk) of the lightest walk from (base, 0) to (base, 1) in the
-    double cover when it weighs < limit, else None. Vertices below base are
-    done and never entered; walk lists vertex indices, base at both ends."""
+    double cover when it weighs < limit, else None. Vertices below base and
+    masked ones are done and never entered; walk lists vertex indices, base
+    at both ends. Double-cover node (vertex i, side s) is the int 2*i + s;
+    g.vertices is sorted, so these codes sort exactly like the (vertex,
+    side) pairs."""
     src = 2 * base
     dst = src + 1
     # A label is kept only below dist[node]: limit bounds the search, and 0
     # closes the done vertices.
     dist = [0] * src + [limit] * (2 * len(adjacency) - src)
+    for i in taken:
+        dist[2 * i] = dist[2 * i + 1] = 0
     dist[src] = 0
     parent = {}
     heap = [(0, src)]
@@ -294,24 +337,20 @@ def _disjoint_cuts(g: Graph, point: tuple[list[int], int]) -> list:
     """Pairwise vertex-disjoint violated odd cycles at point, as
     (cycle, violation) pairs: separate_odd_cycle on g, then on g less the
     vertices of the cycles taken so far, until a search finds nothing or
-    fewer than three edges are left. Empty exactly when x satisfies every
-    odd-cycle inequality of g. Each cycle is an odd cycle of g violated at
-    point, and the first is the most violated one.
-
-    An odd cycle needs three edges, so a search on a smaller remainder could
-    only return None. Skipping those searches saves 210 of the 2276 traced
-    elp.separate_calls of a benchmark pass over sweep-small and 23 of 731
-    on trianglefree-mid (none on lp-large); the cuts are the same."""
-    ints, scale = point
-    value = dict(zip(g.vertices, ints))
+    fewer than three edges are left (an odd cycle needs three). Empty
+    exactly when x satisfies every odd-cycle inequality of g. Each cycle is
+    an odd cycle of g violated at point, and the first is the most violated
+    one. Every search runs on one DoubleCover of the round, which masks the
+    vertices taken instead of deleting them."""
+    cover = DoubleCover(g, point)
     cuts = []
-    rest, found = g, separate_odd_cycle(g, point)
+    found = separate_odd_cycle(g, point, cover)
     while found is not None:
         cuts.append(found)
-        rest = rest.delete_vertices(found[0].vertices)
-        if rest.m < 3:
+        cover.mask(found[0].vertices)
+        if cover.left < 3:
             break
-        found = separate_odd_cycle(rest, ([value[v] for v in rest.vertices], scale))
+        found = separate_odd_cycle(g, point, cover)
     return cuts
 
 

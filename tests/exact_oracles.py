@@ -466,6 +466,31 @@ def round_of_cuts(g: Graph, x: Mapping[int, object], disjoint: bool = True) -> l
     return cuts
 
 
+# elp._disjoint_cuts as it was before the round shared one double cover,
+# kept verbatim as the differential reference for it: every follow-up
+# search runs on a subgraph rebuilt by Graph.delete_vertices, and goes
+# through the separate_odd_cycle name of this module, which a test may
+# point at an independent search.
+def reference_disjoint_cuts(g: Graph, point: tuple[list[int], int]) -> list:
+    """Pairwise vertex-disjoint violated odd cycles at point, as
+    (cycle, violation) pairs: separate_odd_cycle on g, then on g less the
+    vertices of the cycles taken so far, until a search finds nothing or
+    fewer than three edges are left. Empty exactly when x satisfies every
+    odd-cycle inequality of g. Each cycle is an odd cycle of g violated at
+    point, and the first is the most violated one."""
+    ints, scale = point
+    value = dict(zip(g.vertices, ints))
+    cuts = []
+    rest, found = g, separate_odd_cycle(g, point)
+    while found is not None:
+        cuts.append(found)
+        rest = rest.delete_vertices(found[0].vertices)
+        if rest.m < 3:
+            break
+        found = separate_odd_cycle(rest, ([value[v] for v in rest.vertices], scale))
+    return cuts
+
+
 def chase_cuts(
     g: Graph, engine: CoveringSimplex, pool: list, seen: set, cap: int, disjoint: bool = True,
 ) -> Iterator[CutRound]:

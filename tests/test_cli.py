@@ -124,7 +124,7 @@ def test_exit_code_oversized_instance(tmp_path):
 def test_internal_value_error_is_not_a_parse_error(monkeypatch):
     from elpcover import elp
 
-    def broken(g, point):
+    def broken(*args):
         raise ValueError("edge inequality violated")
 
     monkeypatch.setattr(elp, "separate_odd_cycle", broken)

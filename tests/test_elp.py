@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from elpcover import elp
@@ -28,7 +28,9 @@ from elpcover.graph import (
     torus_grid_graph,
 )
 from elpcover.oracles import exact_vc
+from elpcover.reductions import run_pipeline
 from elpcover.simplex import CoveringSimplex
+import exact_oracles
 from exact_oracles import (
     chase_cuts,
     check_slot_bound,
@@ -137,11 +139,12 @@ def test_separation_tie_break_matches_reference(case):
 def test_separation_matches_reference_along_cut_loop(g, monkeypatch):
     calls = []
 
-    def checked(graph, point):
-        found = separate_odd_cycle(graph, point)
+    def checked(graph, point, cover=None):
+        found = separate_odd_cycle(graph, point, cover)
         ints, scale = point
         x = {v: Rat(s, scale) for v, s in zip(graph.vertices, ints)}
-        assert _cut(found) == _cut(reference_separate_odd_cycle(graph, x))
+        masked = [graph.vertices[i] for i in cover.taken] if cover else []
+        assert _cut(found) == _cut(reference_separate_odd_cycle(graph.delete_vertices(masked), x))
         calls.append(found is not None)
         return found
 
@@ -263,6 +266,78 @@ def test_chase_rounds_add_disjoint_violated_cuts(g):
     one_per_round = list(chase_cuts(g, engine, [], set(), elp.CUTS_PER_VERTEX * g.n, disjoint=False))
     assert all(len(r.cuts) == 1 for r in one_per_round)
     assert engine.objective() == sol.objective
+
+
+def _check_round(g, point):
+    # elp._disjoint_cuts, on one double cover with the taken vertices
+    # masked, against reference_disjoint_cuts, which rebuilds each
+    # remainder and searches it with the independent
+    # reference_separate_odd_cycle: the same cuts, in the same order, from
+    # as many searches.
+    calls = []
+    separate = elp.separate_odd_cycle
+
+    def counted(h, p, cover=None):
+        calls.append(True)
+        return separate(h, p, cover)
+
+    def independent(h, p):
+        calls.append(False)
+        return reference_separate_odd_cycle(h, dict(zip(h.vertices, point_values(p))))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(elp, "separate_odd_cycle", counted)
+        patch.setattr(exact_oracles, "separate_odd_cycle", independent)
+        cuts = elp._disjoint_cuts(g, point)
+        expected = exact_oracles.reference_disjoint_cuts(g, point)
+    assert [_cut(c) for c in cuts] == [_cut(c) for c in expected]
+    assert calls.count(True) == calls.count(False) > 0
+
+
+def _pipeline_rounds(g):
+    """(graph, point) of every cut round of run_pipeline(g): the chases of
+    solve_elp on each iteration's graph and of each pin."""
+    rounds = []
+    disjoint_cuts = elp._disjoint_cuts
+
+    def recorded(h, point):
+        rounds.append((h, point))
+        return disjoint_cuts(h, point)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(elp, "_disjoint_cuts", recorded)
+        run_pipeline(g)
+    return rounds
+
+
+# On C5 at (9/10, 1/2, 1/2, 1/2, 1/2) the one violated walk weighs 8/10,
+# exactly twice the lightest arc of its base: a base bound any tighter
+# would skip it.
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_graphs_with_feasible_points())
+@example((cycle_graph(5), {v: Rat(9, 10) if v == 1 else Rat(1, 2) for v in range(1, 6)}))
+def test_disjoint_cuts_match_rebuilt_subgraphs(case):
+    g, x = case
+    _check_round(g, scale_point(g, x))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [petersen_graph(), torus_grid_graph(5, 5), torus_grid_graph(5, 7), random_gnp_graph(30, 0.3, 1)],
+    ids=["petersen", "torus_grid(5,5)", "torus_grid(5,7)", "gnp(30,0.3,1)"],
+)
+def test_disjoint_cuts_match_rebuilt_subgraphs_along_pipeline(g):
+    rounds = _pipeline_rounds(g)
+    assert len(rounds) > 1
+    for h, point in rounds:
+        _check_round(h, point)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(5, 20), st.floats(0.15, 0.5), st.integers(0, 2**32 - 1))
+def test_disjoint_cuts_match_rebuilt_subgraphs_on_triangle_free_chases(n, p, seed):
+    for h, point in _pipeline_rounds(random_triangle_free_graph(n, p, seed)):
+        _check_round(h, point)
 
 
 def test_elp_sandwich_bounds():
@@ -504,7 +579,7 @@ def _check_tableau_invariants(engine):
     x, scale = engine.scaled_values()
     for col in range(n, total):
         if col in rows:
-            given, b = engine._given[col - n]
+            given, b, _ = engine._given[col - n]
             value = sum(c * x[j] for j, c in given.items()) - b * scale
             assert value * rows[col][2] == rows[col][1] * scale  # the row's rhs is its value
             if value < 0:
@@ -520,8 +595,11 @@ def _check_tableau_invariants(engine):
     assert engine._cost_den > 0
     assert gcd(engine._cost_den, engine._cost_rhs, *cost) == 1
     check_slot_bound(engine)
+    for row, _, unit in engine._given:
+        values = list(row.values())
+        assert unit == (values[0] if values and values[0] in (1, -1) and len(set(values)) == 1 else 0)
     for j in range(n):
-        signs = [row.get(j, 0) for row, _ in engine._given]
+        signs = [row.get(j, 0) for row, _, _ in engine._given]
         assert engine._plus[j] == [k for k, c in enumerate(signs) if c > 0]
         assert engine._minus[j] == [k for k, c in enumerate(signs) if c < 0]
 
