@@ -127,9 +127,7 @@ class DoubleCover:
             i, j = index[u], index[v]
             w = scaled[i] + scaled[j] - scale
             if w < 0:
-                raise ValueError(
-                    f"edge inequality violated at ({u},{v}): {Rat(scaled[i], scale)}+{Rat(scaled[j], scale)} < 1"
-                )
+                raise ValueError(f"edge inequality violated at ({u},{v}): {Rat(scaled[i], scale)}+{Rat(scaled[j], scale)} < 1")
             if w < scale:
                 arcs[i].append((2 * j, w))
                 arcs[j].append((2 * i, w))
@@ -202,10 +200,9 @@ def separate_odd_cycle(g: Graph, point: tuple[list[int], int], cover: Optional[D
 def _shortest_odd_closed_walk(adjacency, base: int, limit: int, taken):
     """(weight, walk) of the lightest walk from (base, 0) to (base, 1) in the
     double cover when it weighs < limit, else None. Vertices below base and
-    masked ones are done and never entered; walk lists vertex indices, base
-    at both ends. Double-cover node (vertex i, side s) is the int 2*i + s;
-    g.vertices is sorted, so these codes sort exactly like the (vertex,
-    side) pairs."""
+    taken ones are done and never entered; walk lists vertex indices, base
+    at both ends. Node (vertex i, side s) is the int 2*i + s, so nodes sort
+    like the (vertex, side) pairs: g.vertices is sorted."""
     src = 2 * base
     dst = src + 1
     # A label is kept only below dist[node]: limit bounds the search, and 0
@@ -342,15 +339,12 @@ def _disjoint_cuts(g: Graph, point: tuple[list[int], int]) -> list:
     an odd cycle of g violated at point, and the first is the most violated
     one. Every search runs on one DoubleCover of the round, which masks the
     vertices taken instead of deleting them."""
-    cover = DoubleCover(g, point)
-    cuts = []
-    found = separate_odd_cycle(g, point, cover)
-    while found is not None:
+    cover, cuts = DoubleCover(g, point), []
+    while (found := separate_odd_cycle(g, point, cover)) is not None:
         cuts.append(found)
         cover.mask(found[0].vertices)
         if cover.left < 3:
             break
-        found = separate_odd_cycle(g, point, cover)
     return cuts
 
 
