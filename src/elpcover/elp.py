@@ -163,8 +163,10 @@ def separate_odd_cycle(g: Graph, point: tuple[list[int], int], cover: Optional[D
     - bound: no label >= limit is pushed, where limit is L (only walks of
       weight < 1 are violated) until a walk is found, then the best weight
       so far (a later base must be strictly lighter to replace it);
-    - base bound: a base is not searched when its floor is >= limit, since
-      a walk leaves and re-enters it through arcs to higher vertices;
+    - base bound: a walk leaves and re-enters its base through arcs to
+      higher vertices, each weighing at least half the base's floor; so a
+      base is not searched when its floor is >= limit, and a search keeps
+      no label >= limit less half the floor but at (base, 1);
     - done vertices: a base already searched is left out of later searches,
       since any walk through it weighs at least the limit of its own
       search, and so is every masked vertex.
@@ -183,7 +185,7 @@ def separate_odd_cycle(g: Graph, point: tuple[list[int], int], cover: Optional[D
     best_walk = None
     for base, floor in enumerate(floors):
         if floor < best_dist and base not in cover.taken:
-            found = _shortest_odd_closed_walk(arcs, base, best_dist, cover.taken)
+            found = _shortest_odd_closed_walk(arcs, base, best_dist, floor // 2, cover.taken)
             if found is not None:
                 best_dist, best_walk = found
     if best_walk is None:
@@ -197,7 +199,7 @@ def separate_odd_cycle(g: Graph, point: tuple[list[int], int], cover: Optional[D
     return cycle, Rat(slack, scale)
 
 
-def _shortest_odd_closed_walk(adjacency, base: int, limit: int, taken):
+def _shortest_odd_closed_walk(adjacency, base: int, limit: int, lightest: int, taken):
     """(weight, walk) of the lightest walk from (base, 0) to (base, 1) in the
     double cover when it weighs < limit, else None. Vertices below base and
     taken ones are done and never entered; walk lists vertex indices, base
@@ -205,12 +207,12 @@ def _shortest_odd_closed_walk(adjacency, base: int, limit: int, taken):
     like the (vertex, side) pairs: g.vertices is sorted."""
     src = 2 * base
     dst = src + 1
-    # A label is kept only below dist[node]: limit bounds the search, and 0
-    # closes the done vertices.
-    dist = [0] * src + [limit] * (2 * len(adjacency) - src)
+    # A label is kept only below dist[node]: limit at dst, limit less the
+    # lightest possible last arc elsewhere, and 0 at the done vertices.
+    dist = [0] * src + [limit - lightest] * (2 * len(adjacency) - src)
     for i in taken:
         dist[2 * i] = dist[2 * i + 1] = 0
-    dist[src] = 0
+    dist[src], dist[dst] = 0, limit
     parent = {}
     heap = [(0, src)]
     while heap:

@@ -116,7 +116,7 @@ class CoveringSimplex:
     Columns: x variables 0..num_vars-1, then surplus column num_vars + k for
     the k-th row added. _given[k] is that row as it was added,
     ({column: int}, int, unit) for a.x >= b, unit 1 or -1 when every
-    coefficient is unit (0 otherwise); pivots never touch it. There are
+    coefficient equals it (else 0); pivots never touch it. There are
     always num_vars nonbasic columns, listed in _nonbasic, and _position
     maps each of them to its index there: position q of every row stands
     for column _nonbasic[q]. Every other column is basic.
