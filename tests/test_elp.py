@@ -143,7 +143,7 @@ def test_separation_matches_reference_along_cut_loop(g, monkeypatch):
         found = separate_odd_cycle(graph, point, cover)
         ints, scale = point
         x = {v: Rat(s, scale) for v, s in zip(graph.vertices, ints)}
-        masked = [graph.vertices[i] for i in cover.taken] if cover else []
+        masked = [graph.vertices[i] for i in cover.taken] if cover is not None else []
         assert _cut(found) == _cut(reference_separate_odd_cycle(graph.delete_vertices(masked), x))
         calls.append(found is not None)
         return found
@@ -311,8 +311,8 @@ def _pipeline_rounds(g):
 
 
 # On C5 at (9/10, 1/2, 1/2, 1/2, 1/2) the one violated walk weighs 8/10,
-# exactly twice the lightest arc of its base: a base bound any tighter
-# would skip it.
+# exactly twice the lightest arc of its base: a base bound or a label cap
+# any tighter would miss it.
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_graphs_with_feasible_points())
 @example((cycle_graph(5), {v: Rat(9, 10) if v == 1 else Rat(1, 2) for v in range(1, 6)}))
