@@ -152,8 +152,9 @@ def separate_odd_cycle(g: Graph, point: tuple[list[int], int], cover: Optional[D
     w(u,v) = x_u + x_v - 1 are nonnegative (ValueError otherwise).
     Returns (cycle, violation) where violation = (s+1) - sum_{v in cycle} x_v
     > 0, a Rat, and the cycle has minimum weight among all odd cycles (so it
-    is a most-violated one). cover, when given, is DoubleCover(g, point),
-    and the search runs on g less its masked vertices.
+    is a most-violated one). cover, when given, must be a DoubleCover of
+    this very g and point (ValueError otherwise), and the search runs on g
+    less its masked vertices.
 
     The search is exact and integer-only: each edge weighs the int
     L*x_u + L*x_v - L, and one Dijkstra per base vertex looks for the
@@ -179,6 +180,8 @@ def separate_odd_cycle(g: Graph, point: tuple[list[int], int], cover: Optional[D
     """
     if cover is None:
         cover = DoubleCover(g, point)
+    elif cover.g is not g or cover.point is not point:
+        raise ValueError("cover is a DoubleCover of another graph or point")
     index, arcs, floors = cover.weighted
     scaled, scale = point
     best_dist = scale

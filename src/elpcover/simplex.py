@@ -115,8 +115,7 @@ class CoveringSimplex:
 
     Columns: x variables 0..num_vars-1, then surplus column num_vars + k for
     the k-th row added. _given[k] is that row as it was added,
-    ({column: int}, int, unit) for a.x >= b, unit 1 or -1 when every
-    coefficient equals it (else 0); pivots never touch it. There are
+    ({column: int}, int) for a.x >= b; pivots never touch it. There are
     always num_vars nonbasic columns, listed in _nonbasic, and _position
     maps each of them to its index there: position q of every row stands
     for column _nonbasic[q]. Every other column is basic.
@@ -156,7 +155,7 @@ class CoveringSimplex:
         self._cost_den = 1
         self._nonbasic = list(range(num_vars))
         self._position = {j: j for j in range(num_vars)}
-        self._given: list[tuple[dict[int, int], int, int]] = []
+        self._given: list[tuple[dict[int, int], int]] = []
         self._plus: list[list[int]] = [[] for _ in range(num_vars)]
         self._minus: list[list[int]] = [[] for _ in range(num_vars)]
         self.pivots = 0
@@ -202,8 +201,7 @@ class CoveringSimplex:
         while row and max(map(abs, row.values())) > self._slots.limit:
             self._widen()
         k = len(self._given)
-        signs = set(row.values())
-        self._given.append((row, rhs, 1 if signs == {1} else -1 if signs == {-1} else 0))
+        self._given.append((row, rhs))
         for j, c in row.items():
             (self._plus if c > 0 else self._minus)[j].append(k)
         new = self._derive(k)
@@ -221,7 +219,7 @@ class CoveringSimplex:
         the result canonical: the row that pivots would have kept. No slot
         passes limit * size; if that or the result could break the bound,
         the engine widens and derives the row again."""
-        row, rhs, _ = self._given[k]
+        row, rhs = self._given[k]
         rows, slots, position = self._rows, self._slots, self._position
         mult = lcm(*[rows[j][2] for j in row if j in rows])
         new, new_rhs, size = 0, -rhs * mult, mult
@@ -351,8 +349,7 @@ class CoveringSimplex:
         # An implicit basic surplus row had a value >= 0. It can only have
         # turned negative through a fallen column where its coefficient is
         # positive or a risen one where it is negative; those rows are
-        # checked against the new point, a unit row by a plain sum, and the
-        # violated ones derived.
+        # checked against the new point, and the violated ones derived.
         plus, minus = self._plus, self._minus
         suspects = set()
         for j, factor in moved:
@@ -361,16 +358,14 @@ class CoveringSimplex:
             suspects.update(minus[enter])
         if leave < n:
             suspects.update(minus[leave])
-        position, x = self._position, None
+        position = self._position
+        suspects = [k for k in suspects if n + k not in rows and n + k not in position]
+        if not suspects:
+            return
+        x, scale = self.scaled_values()
         for k in suspects:
-            if n + k in rows or n + k in position:
-                continue
-            if x is None:
-                x, scale = self.scaled_values()
-            row, rhs, unit = given[k]
-            values = map(x.__getitem__, row)
-            lhs = unit * sum(values) if unit else sum(map(mul, row.values(), values))
-            if lhs < rhs * scale:
+            row, rhs = given[k]
+            if sum(map(mul, row.values(), map(x.__getitem__, row))) < rhs * scale:
                 rows[n + k] = self._derive(k)
 
     def objective(self):
@@ -409,7 +404,7 @@ class CoveringSimplex:
         x, scale = self.scaled_values()
         if any(v < 0 for v in x):
             raise AssertionError("negative variable in solution")
-        for i, (row, b, _) in enumerate(self._given):
+        for i, (row, b) in enumerate(self._given):
             lhs = sum(c * x[j] for j, c in row.items())
             if lhs < b * scale:
                 raise AssertionError(f"row {i} violated: {Rat(lhs, scale)} < {b}")
@@ -421,7 +416,7 @@ class CoveringSimplex:
             if y < 0:
                 raise AssertionError(f"dual of row {col - n} is negative: basis not optimal")
             if y:
-                row, b, _ = self._given[col - n]
+                row, b = self._given[col - n]
                 for j, c in row.items():
                     column_sums[j] += y * c
                 bound += y * b

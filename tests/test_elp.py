@@ -81,6 +81,15 @@ def test_separation_requires_edge_feasibility():
         separate_odd_cycle(complete_graph(3), ([1, 1], 2))  # one value short
 
 
+def test_separation_rejects_a_cover_of_another_graph_or_point():
+    c5 = cycle_graph(5)
+    point = scale_point(c5, {v: Rat(1, 2) for v in c5.vertices})
+    for cover in (elp.DoubleCover(cycle_graph(5), point), elp.DoubleCover(c5, ([1] * 5, 2))):
+        with pytest.raises(ValueError, match="another graph or point"):
+            separate_odd_cycle(c5, point, cover)
+    assert separate_odd_cycle(c5, point, elp.DoubleCover(c5, point)) is not None
+
+
 def test_separation_equivalence_random(subtests=None):
     # Verdict and minimum weight agree with full enumeration.
     rng = random.Random(99)
@@ -579,7 +588,7 @@ def _check_tableau_invariants(engine):
     x, scale = engine.scaled_values()
     for col in range(n, total):
         if col in rows:
-            given, b, _ = engine._given[col - n]
+            given, b = engine._given[col - n]
             value = sum(c * x[j] for j, c in given.items()) - b * scale
             assert value * rows[col][2] == rows[col][1] * scale  # the row's rhs is its value
             if value < 0:
@@ -595,11 +604,8 @@ def _check_tableau_invariants(engine):
     assert engine._cost_den > 0
     assert gcd(engine._cost_den, engine._cost_rhs, *cost) == 1
     check_slot_bound(engine)
-    for row, _, unit in engine._given:
-        values = list(row.values())
-        assert unit == (values[0] if values and values[0] in (1, -1) and len(set(values)) == 1 else 0)
     for j in range(n):
-        signs = [row.get(j, 0) for row, _, _ in engine._given]
+        signs = [row.get(j, 0) for row, _ in engine._given]
         assert engine._plus[j] == [k for k, c in enumerate(signs) if c > 0]
         assert engine._minus[j] == [k for k, c in enumerate(signs) if c < 0]
 

@@ -45,7 +45,7 @@ def _dense(engine):
     """The engine's rows as dense (coeffs, ">=", rhs) for lp_vertex_enumeration."""
     return [
         (tuple(row.get(j, 0) for j in range(engine.num_vars)), ">=", rhs)
-        for row, rhs, _ in engine._given
+        for row, rhs in engine._given
     ]
 
 
@@ -59,7 +59,7 @@ def _int_row(coeffs, rhs):
 
 def _pinned(engine, i):
     """engine with its row i pinned to equality by the negated row."""
-    row, rhs, _ = engine._given[i]
+    row, rhs = engine._given[i]
     engine.add_ge_row({j: -c for j, c in row.items()}, -rhs)
     return engine
 
@@ -461,7 +461,7 @@ def test_derive_widens_before_a_slot_sum_can_overflow(monkeypatch):
     }
     engine._rows = {j: (pack(row), rhs, den) for j, (row, rhs, den) in basic.items()}
     engine._nonbasic, engine._position = [4, 5, 6, 7], {4: 0, 5: 1, 6: 2, 7: 3}
-    engine._given = [({j: 1}, 0, 1) for j in range(4)] + [({0: 4, 1: 4, 2: 4, 3: 3}, 1, 0)]
+    engine._given = [({j: 1}, 0) for j in range(4)] + [({0: 4, 1: 4, 2: 4, 3: 3}, 1)]
     coeffs = engine._given[4][0]
     # The derivation over lists: sum_j c_j * (12 / den_j) * row_j, rhs
     # -12 + sum_j c_j * (12 / den_j) * rhs_j, over 12; already canonical.
