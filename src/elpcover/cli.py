@@ -23,7 +23,7 @@ from .oracles import exact_vc
 from .runner import (
     ORACLE_CAP,
     SCHEMA_VERSION,
-    check_hunt_range,
+    check_hunt_args,
     compare_instance,
     dump_json,
     format_comparison,
@@ -244,11 +244,9 @@ def main(argv=None) -> int:
     if args.command == "hunt":
         error = args.parser.error  # prints the `vc hunt` usage line
         try:
-            check_hunt_range(args.gen, args.n_range, "--n-range")
+            check_hunt_args(args.gen, args.n_range, args.trials, args.jobs, "--n-range")
         except ValueError as exc:
             error(str(exc))
-        if args.jobs < 1:
-            error(f"--jobs needs at least 1, got {args.jobs}")
     try:
         return args.func(args)
     except GraphFormatError as exc:

@@ -53,8 +53,8 @@ log = logging.getLogger("elpcover.elp")
 CUTS_PER_VERTEX = 10
 
 # relaxation_engine refuses a graph with n * m over MAX_ENGINE_CELLS: it would
-# store a row of n packed 64-bit slots per edge, about 8.5 bytes per cell
-# (CPython keeps 30 bits in each 4-byte digit), so about 85 MB at the cap,
+# store a row of n packed 32-bit slots per edge, about 4.3 bytes per cell
+# (CPython keeps 30 bits in each 4-byte digit), so about 43 MB at the cap,
 # some 280 times the largest graph solved, gnp(80,0.15,2).
 MAX_ENGINE_CELLS = 10_000_000
 

@@ -207,6 +207,16 @@ def check_hunt_range(gen: str, n_range: tuple[int, int], name: str = "n_range") 
         raise ValueError(f"{name} {lo} {hi} fits no torus_grid shape")
 
 
+def check_hunt_args(gen: str, n_range: tuple[int, int], trials: int, jobs: int, name: str = "n_range") -> None:
+    """Raise ValueError unless hunt can run: a range check_hunt_range
+    takes (its messages call it name), trials >= 0 and jobs >= 1."""
+    check_hunt_range(gen, n_range, name)
+    if trials < 0:
+        raise ValueError(f"trials needs a count >= 0, got {trials}")
+    if jobs < 1:
+        raise ValueError(f"jobs needs at least 1, got {jobs}")
+
+
 def hunt_instance(gen: str, index: int, seed: int, n_range: tuple[int, int]) -> tuple[Graph, str]:
     """The graph and name of hunt instance index; a summary's index rebuilds it.
     Raises ValueError for a range check_hunt_range refuses."""
@@ -266,9 +276,9 @@ def hunt(
     Rows carry no graph: the summary lists the nonzero-xi instances by
     index, and hunt_instance rebuilds each one. jobs is clamped to
     min(jobs, trials, os.cpu_count()); one job runs in process. Raises
-    ValueError for a range check_hunt_range refuses, before any solve.
+    ValueError for arguments check_hunt_args refuses, before any solve.
     """
-    check_hunt_range(gen, n_range)
+    check_hunt_args(gen, n_range, trials, jobs)
     report_of = partial(_hunt_report, gen, seed, n_range, edge_rule, oracle_cap)
     jobs = min(jobs, trials, os.cpu_count() or 1)
     if jobs > 1:

@@ -27,8 +27,8 @@ followed by Bland's rule, which cannot cycle; so optimize terminates.
 The tableau is kept in dictionary form (Chvatal, Linear Programming, 1983):
 only the num_vars nonbasic columns are stored, the basic ones being
 implicit unit columns. A row is one Python int holding its num_vars entries
-in signed slots of width bits (Kronecker substitution; Harvey, J. Symbolic
-Comput. 44, 2009), with an int right-hand side and a positive int
+in signed slots of width bits, 32 to start (Kronecker substitution; Harvey,
+J. Symbolic Comput. 44, 2009), with an int right-hand side and a positive int
 denominator; the reduced-cost row is one more, whose right-hand side
 carries the objective. The tableau is fraction-free: a pivot combines rows
 over a common denominator in a few bigint operations and divides each
@@ -84,6 +84,7 @@ objective-raising pivot, after the same pivots.
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from struct import Struct
@@ -92,7 +93,7 @@ from typing import Iterable, Mapping
 from ._rat import Rat
 
 # Bits per slot of a packed row, until the engine widens (_widen).
-SLOT_WIDTH = 64
+SLOT_WIDTH = 32
 
 # optimize() leaves by Bland's rule after this many consecutive pivots that
 # enter at zero reduced cost, until a pivot raises the objective.
@@ -131,9 +132,10 @@ class CoveringSimplex:
     -_cost_rhs / _cost_den is the objective of the current basis. Every
     denominator is positive, and each row is divided by gcd(den, rhs,
     *entries) after every change. Stored rows are replaced, never changed
-    in place, so copies share them. _norms maps each row that was violated
-    at the last leaving-row choice, (row, rhs, den), to its steepest-edge
-    norm; it too is replaced, never changed, so copies share it.
+    in place, so copies share them. _norms maps the basic column of each
+    row that was violated at the last leaving-row choice to that stored
+    (row, rhs, den) and its steepest-edge norm; it too is replaced, never
+    changed, so copies share it.
 
     _plus[j] and _minus[j] list the k whose given row has a positive and a
     negative coefficient on x_j: the rows that a fall, and a rise, of x_j
@@ -149,7 +151,7 @@ class CoveringSimplex:
         self.num_vars = num_vars
         self._slots = _Slots(num_vars, SLOT_WIDTH)
         self._rows: dict[int, tuple[int, int, int]] = {}
-        self._norms: dict[tuple[int, int, int], int] = {}
+        self._norms: dict[int, tuple[tuple[int, int, int], int]] = {}
         self._cost = self._slots.ones
         self._cost_rhs = 0
         self._cost_den = 1
@@ -320,23 +322,34 @@ class CoveringSimplex:
         # surplus row's new rhs has the sign of rhs * pden - factor * prhs,
         # so a row the pivot leaves satisfied is dropped uneliminated. A row
         # that outgrows the slot bound widens the engine after the pivot.
-        moved, fits = [], True
-        for col, (row, rhs, den) in list(rows.items()):
+        # The cost row goes through the same elimination under key -1; the
+        # changed rows replace the stored ones after the pass.
+        cost = -1, (self._cost, self._cost_rhs, self._cost_den)
+        moved, dropped, changed, fits = [], [], {}, True
+        for col, (row, rhs, den) in chain(rows.items(), (cost,)):
             factor = (((row + bias) >> shift) & mask) - half
-            if factor:
-                if col < n:
-                    moved.append((col, factor))
-                elif rhs * pden >= factor * prhs:
-                    del rows[col]
+            if not factor:
+                continue
+            if col >= n:
+                if rhs * pden >= factor * prhs:
+                    dropped.append(col)
                     continue
-                row, _, den = rows[col] = _eliminate(row, rhs, den, factor, shift, prow, prhs, pden, slots)
-                fits = fits and den < limit and not (row + room) & high
-        factor = (((self._cost + bias) >> shift) & mask) - half
-        if factor:
-            self._cost, self._cost_rhs, self._cost_den = _eliminate(
-                self._cost, self._cost_rhs, self._cost_den, factor, shift, prow, prhs, pden, slots
-            )
-            fits = fits and self._cost_den < limit and not (self._cost + room) & high
+            elif col >= 0:
+                moved.append((col, factor))
+            # row - (factor / pden) * prow over a common denominator. The
+            # leaving column was basic, so row's entry for it was zero and
+            # slot q becomes -(factor / pden) * its prow entry. Inputs within
+            # limit keep every slot within 2 * limit^2.
+            g = gcd(factor, pden)
+            scale, f = pden // g, factor // g
+            row = row * scale - f * prow - ((factor * scale) << shift)
+            row, _, den = changed[col] = _normalize(row, rhs * scale - f * prhs, den * scale, slots)
+            fits = fits and den < limit and not (row + room) & high
+        if -1 in changed:
+            self._cost, self._cost_rhs, self._cost_den = changed.pop(-1)
+        for col in dropped:
+            del rows[col]
+        rows.update(changed)
         enter = self._nonbasic[q]
         self._nonbasic[q] = leave
         del self._position[enter]
@@ -434,7 +447,8 @@ class CoveringSimplex:
 
 def _steepest_row(rows, norms, unpack) -> tuple[int, dict]:
     """Dual steepest-edge leaving column, or -1 when every rhs is >= 0, and
-    the norms of the violated rows, taken from norms where a row is there.
+    {column: (row, norm)} for the violated rows, the norm taken from norms
+    where its entry there is the stored row itself.
 
     Among rows with rhs < 0 it maximises rhs^2 / ||row||^2, the squared
     distance from the current basic solution to the row's hyperplane, where
@@ -447,13 +461,14 @@ def _steepest_row(rows, norms, unpack) -> tuple[int, dict]:
     best_sq = best_norm = 0
     kept = {}
     for col, entry in rows.items():
-        row, rhs, den = entry
+        rhs = entry[1]
         if rhs < 0:
-            norm = norms.get(entry)
-            if norm is None:
+            cached = norms.get(col)
+            if cached is None or cached[0] is not entry:
+                row, _, den = entry
                 entries = unpack(row)
-                norm = den * den + sum(map(mul, entries, entries))
-            kept[entry] = norm
+                cached = entry, den * den + sum(map(mul, entries, entries))
+            _, norm = kept[col] = cached
             sq = rhs * rhs
             if leave >= 0:
                 lhs, rhs_ = sq * best_norm, best_sq * norm
@@ -504,17 +519,3 @@ def _normalize(row: int, rhs: int, den: int, slots: _Slots):
         return div, rhs // g, den // g
     g = gcd(g, *slots.unpack(row))
     return row // g, rhs // g, den // g
-
-
-def _eliminate(row: int, rhs: int, den: int, factor: int, shift: int, prow: int, prhs: int, pden: int, slots):
-    """row - (factor / pden) * prow over a common denominator, normalized.
-
-    factor is row's entry in the slot at shift, which holds the entering
-    column; prow is the pivot row, solved for that column, whose leaving
-    column now sits in that slot. The leaving column was basic, so row's own
-    entry for it was zero and the slot becomes -(factor / pden) * its prow
-    entry. Inputs within limit keep every slot within 2 * limit^2."""
-    g = gcd(factor, pden)
-    scale, f = pden // g, factor // g
-    new = row * scale - f * prow - ((factor * scale) << shift)
-    return _normalize(new, rhs * scale - f * prhs, den * scale, slots)

@@ -331,6 +331,20 @@ def test_hunt_checks_its_own_range(monkeypatch):
     assert runner.hunt_instance("torus", 0, 1, (9, 12))[1] == "torus_grid(3,3)"
 
 
+def test_hunt_checks_its_own_trials_and_jobs(monkeypatch, capsys):
+    # A negative trials count used to come back as "trials": -1 in the
+    # summary; runner refuses it and a jobs count below 1 before any solve,
+    # and vc hunt turns the same rule into its usage error.
+    monkeypatch.setattr(runner, "solve_instance", lambda *a, **k: pytest.fail("solved"))
+    with pytest.raises(ValueError, match="^trials needs a count >= 0, got -1"):
+        runner.hunt(n_range=(6, 8), trials=-1)
+    for jobs in (0, -4):
+        with pytest.raises(ValueError, match=f"^jobs needs at least 1, got {jobs}"):
+            runner.hunt(n_range=(6, 8), trials=2, jobs=jobs)
+    monkeypatch.setattr(cli, "hunt", lambda **kwargs: pytest.fail("hunt ran"))
+    assert "jobs needs at least 1, got 0" in _hunt_usage_error(["--jobs", "0", "--trials", "2"], capsys)
+
+
 def test_hunt_archives_nonzero_xi_instances(tmp_path, monkeypatch, capsys):
     # No instance has given xi != 0 yet, so one hunt index is made to.
     gen, seed, n_range, target = "gnp-trianglefree", 5, (6, 12), 2

@@ -413,15 +413,15 @@ def test_packed_rows_round_trip(case):
 
 
 def test_rows_past_the_slot_bound_widen_the_engine():
-    # Coefficients of 2^70 do not fit 64-bit slots: the engine re-encodes its
-    # rows at wider slots and reaches the point of the rows scaled down.
+    # Coefficients of 2^70 do not fit the default slots: the engine re-encodes
+    # its rows at wider slots and reaches the point of the rows scaled down.
     rows = [({0: 1, 1: 2}, 2), ({0: 2, 1: 1}, 2)]
     big = CoveringSimplex(2, [({j: c << 70 for j, c in r.items()}, b << 70) for r, b in rows])
     small = CoveringSimplex(2, rows)
     assert big.scaled_values() == ([0, 0], 1)
     for engine in (big, small):
         engine.optimize()
-    assert big._slots.width > 64 == small._slots.width
+    assert big._slots.width > simplex.SLOT_WIDTH == small._slots.width
     assert point_values(big.certified_values()) == point_values(small.certified_values())
     assert big.objective() == small.objective() == Rat(4, 3)
 
@@ -474,18 +474,20 @@ def test_derive_widens_before_a_slot_sum_can_overflow(monkeypatch):
 
 
 def test_norms_are_kept_for_the_violated_rows_alone(monkeypatch):
-    # Each steepest-edge choice hands back the norm of every row it found
-    # violated, den^2 plus the squared entries, and of no other row, and
-    # the engine keeps just that dict; copies share it. So through a cut
-    # chase and a pin sweep no engine holds more norms than stored rows.
+    # Each steepest-edge choice hands back, by basic column, the stored row
+    # and its norm, den^2 plus the squared entries, for every row it found
+    # violated and for no other row, and the engine keeps just that dict;
+    # copies share it. So through a cut chase and a pin sweep no engine
+    # holds more norms than stored rows.
     steepest, copy = simplex._steepest_row, CoveringSimplex.copy
     choices, copies = [], []
 
     def checked_choice(rows, norms, unpack):
         leave, kept = steepest(rows, norms, unpack)
-        assert set(kept) == {entry for entry in rows.values() if entry[1] < 0}
-        for row, _, den in kept:
-            assert kept[row, _, den] == den * den + sum(e * e for e in unpack(row))
+        assert set(kept) == {col for col, entry in rows.items() if entry[1] < 0}
+        for col, (entry, norm) in kept.items():
+            row, _, den = entry
+            assert entry is rows[col] and norm == den * den + sum(e * e for e in unpack(row))
         choices.append(len(kept))
         return leave, kept
 
