@@ -14,10 +14,10 @@ from fractions import Fraction as Rat
 ZERO = Rat(0)
 ONE = Rat(1)
 FOUR_THIRDS = Rat(4, 3)
-THREE_HALVES = Rat(3, 2)
-TWO_THIRDS = Rat(2, 3)
 
 
 def rat_str(value) -> str:
-    """Lossless "p/q" (or "p") rendering of a rational or int."""
-    return str(Rat(value))
+    """Lossless "p/q" (or "p") rendering of a rational or int, in lowest
+    terms as Rat keeps it."""
+    num, den = value.numerator, value.denominator
+    return str(num) if den == 1 else f"{num}/{den}"

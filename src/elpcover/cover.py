@@ -18,10 +18,9 @@ where f1 is the relaxation value on the original graph. xi = 0 certifies a
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, NamedTuple
 
-from ._rat import THREE_HALVES, TWO_THIRDS, ZERO, Rat, rat_str
+from ._rat import Rat, rat_str
 from .graph import Graph
 from .reductions import (
     KIND_ACTIVE,
@@ -114,24 +113,27 @@ def certify(trace: ReductionTrace, cover: Cover) -> BoundCertificate:
     f1 is trace.f1.
 
     Raises GuaranteeViolation when a run without random-edge reductions
-    breaks |S1| <= (3/2) f1 or gets a nonzero xi, both provably impossible."""
-    counts = Counter(rec.kind for rec in trace.records)
-    eta = counts[KIND_ACTIVE]
-    gamma = counts[KIND_RANDOM]
-    delta = counts[KIND_THREE_CYCLE]
-    sigma = counts[KIND_OVER_ACTIVE]
+    breaks |S1| <= (3/2) f1 or gets a nonzero xi, both provably impossible.
+    The bounds are computed and compared exactly, in ints over the common
+    denominator 6q of f1 = p/q, lambda and xi."""
+    kinds = [rec.kind for rec in trace.records]
+    eta = kinds.count(KIND_ACTIVE)
+    gamma = kinds.count(KIND_RANDOM)
+    delta = kinds.count(KIND_THREE_CYCLE)
+    sigma = kinds.count(KIND_OVER_ACTIVE)
     i1_union = set().union(*(rec.i1 for rec in trace.records))
     beta = len(i1_union) + eta
     alpha = max(0, gamma - beta)
-    lam = Rat(gamma) + Rat(delta) + TWO_THIRDS * sigma
+    lam3 = 3 * (gamma + delta) + 2 * sigma  # 3 lambda
     f1 = trace.f1
-    xi = min(Rat(alpha) / 2, max(ZERO, lam - f1 / 2))
-    if gamma == 0 and Rat(len(cover)) > THREE_HALVES * f1:
+    p, q = f1.numerator, f1.denominator
+    xi6q = _xi_units(alpha, lam3, p, q)
+    if gamma == 0 and 2 * q * len(cover) > 3 * p:
         raise GuaranteeViolation(
-            f"|S1|={len(cover)} exceeds (3/2) f1 = {THREE_HALVES * f1} with gamma=0"
+            f"|S1|={len(cover)} exceeds (3/2) f1 = {Rat(3 * p, 2 * q)} with gamma=0"
         )
-    if gamma == 0 and xi != 0:
-        raise GuaranteeViolation(f"xi={xi} is nonzero with gamma=0")
+    if gamma == 0 and xi6q != 0:
+        raise GuaranteeViolation(f"xi={Rat(xi6q, 6 * q)} is nonzero with gamma=0")
     return BoundCertificate(
         f1=f1,
         cover_size=len(cover),
@@ -142,9 +144,15 @@ def certify(trace: ReductionTrace, cover: Cover) -> BoundCertificate:
         i1_total=len(i1_union),
         beta=beta,
         alpha=alpha,
-        lam=lam,
-        xi=xi,
-        guarantee_rhs=THREE_HALVES * f1 + xi,
+        lam=Rat(lam3, 3),
+        xi=Rat(xi6q, 6 * q),
+        guarantee_rhs=Rat(9 * p + xi6q, 6 * q),
         mode=trace.mode,
         hypothesis_failed=trace.hypothesis_failed,
     )
+
+
+def _xi_units(alpha: int, lam3: int, p: int, q: int) -> int:
+    """6q xi, for lambda = lam3 / 3 and f1 = p / q:
+    xi = min(alpha/2, max(0, lambda - f1/2))."""
+    return min(3 * q * alpha, max(0, 2 * q * lam3 - 3 * p))

@@ -88,15 +88,11 @@ def relaxation_engine(g: Graph) -> CoveringSimplex:
     edge."""
     if g.n * g.m > MAX_ENGINE_CELLS:
         raise CapExceededError(f"n*m = {g.n}*{g.m} exceeds the LP size cap {MAX_ENGINE_CELLS}")
-    index = _index(g)
+    index = g.index
     engine = CoveringSimplex(g.n)
     for u, v in g.edges():
         engine.add_ge_row({index[u]: 1, index[v]: 1}, 1)
     return engine
-
-
-def _index(g: Graph) -> dict[int, int]:
-    return {v: j for j, v in enumerate(g.vertices)}
 
 
 def _add_cycle_row(engine: CoveringSimplex, cycle: OddCycle, index) -> None:
@@ -121,7 +117,7 @@ class DoubleCover:
         order, (scaled, scale) = self.g.vertices, self.point
         if len(scaled) != len(order) or scale <= 0:
             raise ValueError(f"point ({len(scaled)} ints over {scale}) does not fit n={len(order)}")
-        index = _index(self.g)
+        index = self.g.index
         arcs, floor = [[] for _ in order], [scale] * len(order)
         for u, v in self.g.edges():
             i, j = index[u], index[v]
@@ -313,7 +309,7 @@ def _chase(g: Graph, engine: CoveringSimplex, pool: list) -> ElpSolution:
     pool; InfeasibleError propagates. More than CUTS_PER_VERTEX * max(1, n)
     cuts raise CutLoopLimitError.
     """
-    index = _index(g)
+    index = g.index
     seen = {c.vertex_set for c in pool}
     cap = CUTS_PER_VERTEX * max(1, g.n)
     added = rounds = 0
@@ -388,7 +384,7 @@ def explore_alternate_bfs(g: Graph, sol: ElpSolution) -> tuple[Optional[ElpSolut
         raise ValueError("solution already has an active edge")
     if sol.one_vertices:
         raise ValueError("solution has a variable at 1; {0,1}-reduction applies")
-    index = _index(g)
+    index = g.index
     face = sol.engine.optimal_face()
     for pins, (u, v) in enumerate(g.edges(), 1):
         trial = face.copy()

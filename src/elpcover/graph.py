@@ -38,15 +38,17 @@ class OddCycle:
     the canonical vertices.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "vertex_set")
 
     def __init__(self, vertices: Iterable[int]):
         seq = tuple(vertices)
         if len(seq) < 3 or len(seq) % 2 == 0:
             raise ValueError(f"odd cycle needs odd length >= 3, got {len(seq)}")
-        if len(set(seq)) != len(seq):
+        members = frozenset(seq)
+        if len(members) != len(seq):
             raise ValueError(f"cycle vertices must be distinct: {seq}")
         self.vertices: tuple[int, ...] = _canonical_rotation(seq)
+        self.vertex_set: frozenset[int] = members
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -77,33 +79,27 @@ class OddCycle:
         """Right-hand side of the cycle's covering inequality, s + 1."""
         return self.s + 1
 
-    @property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
     def cycle_edges(self) -> tuple[tuple[int, int], ...]:
         seq = self.vertices
-        return tuple(
-            normalize_edge(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq))
-        )
+        return tuple((u, v) if u < v else (v, u) for u, v in zip(seq, seq[1:] + seq[:1]))
 
 
 def _canonical_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(seq)
     i = seq.index(min(seq))
-    fwd = tuple(seq[(i + k) % n] for k in range(n))
-    bwd = tuple(seq[(i - k) % n] for k in range(n))
-    return min(fwd, bwd)
+    return min(seq[i:] + seq[:i], seq[i::-1] + seq[:i:-1])  # both directions
 
 
 class Graph:
-    """Immutable undirected simple graph over integer vertex labels."""
+    """Immutable undirected simple graph over integer vertex labels. Its
+    views (vertices, m, the edges and the index) are computed once."""
 
-    __slots__ = ("_adj",)
+    __slots__ = ("_adj", "_vertices", "_edges", "_index")
 
     def __init__(self, adjacency: dict[int, tuple[int, ...]]):
         # Private; use from_edges / parse_graph / generators.
         self._adj = adjacency
+        self._vertices = tuple(adjacency)  # insertion order is sorted
+        self._edges = self._index = None
 
     @classmethod
     def from_edges(
@@ -122,7 +118,7 @@ class Graph:
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(self._adj)  # insertion order is sorted
+        return self._vertices
 
     @property
     def vertex_set(self) -> frozenset[int]:
@@ -134,7 +130,14 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        return len(self.edge_list())
+
+    @property
+    def index(self) -> dict[int, int]:
+        """Each vertex's position in vertices; the caller must not change it."""
+        if self._index is None:
+            self._index = {v: j for j, v in enumerate(self._vertices)}
+        return self._index
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -145,13 +148,12 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
-        for u, nbrs in self._adj.items():
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
+        return iter(self.edge_list())
 
     def edge_list(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self.edges())
+        if self._edges is None:
+            self._edges = tuple((u, v) for u, nbrs in self._adj.items() for v in nbrs if u < v)
+        return self._edges
 
     def find_triangle(self) -> Optional[OddCycle]:
         """Lexicographically smallest triangle, or None."""
@@ -177,7 +179,7 @@ class Graph:
 
     def delete_vertices(self, drop: Iterable[int]) -> "Graph":
         gone = set(drop)
-        unknown = gone - self.vertex_set
+        unknown = gone.difference(self._adj)
         if unknown:
             raise KeyError(f"unknown vertices: {sorted(unknown)}")
         return Graph(
@@ -282,7 +284,12 @@ def _parse_dimacs(text: str) -> Graph:
         raise GraphFormatError("missing problem line")
     if declared_m is not None and declared_m != len(edges):
         log.warning("problem line declares %d edges, found %d", declared_m, len(edges))
-    return Graph.from_edges(range(1, n + 1), sorted(edges))
+    # The edges are checked and sorted, so each neighbor list comes out sorted.
+    adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    for u, v in sorted(edges):
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph({v: tuple(nbrs) for v, nbrs in adj.items()})
 
 
 def _parse_edgelist(text: str) -> Graph:

@@ -81,7 +81,7 @@ class ReductionRecord(NamedTuple):
 
     @property
     def d_k(self):
-        return Rat(len(self.i1) if self.zero_one_applied else 0) + DROP_TABLE[self.kind]
+        return DROP_TABLE[self.kind] + (len(self.i1) if self.zero_one_applied else 0)
 
 
 class ReductionTrace:
@@ -143,7 +143,7 @@ def step(g: Graph, kind: str, candidates) -> tuple[Graph, dict]:
     return g.delete_vertices(chosen), {"pair": chosen}
 
 
-def choose_edge(g: Graph, x: dict, rule: str, rng: random.Random) -> tuple[int, int]:
+def choose_edge(g: Graph, x: dict, rule: str, rng: Optional[random.Random]) -> tuple[int, int]:
     """The random-edge step's edge: the largest x_u + x_v with ties to the
     lexicographically smallest edge ("maxsum"), or a seeded uniform choice
     ("random")."""
@@ -185,7 +185,8 @@ def run_pipeline(
         raise ValueError(f"unknown mode {mode!r}")
     if edge_rule not in ("maxsum", "random"):
         raise ValueError(f"unknown edge rule {edge_rule!r}")
-    rng = random.Random(seed)
+    # Only the "random" rule draws; the generator costs more than a small solve's glue.
+    rng = random.Random(seed) if edge_rule == "random" else None
     trace = ReductionTrace(mode)
     current = g
     while current is not None:
@@ -238,8 +239,10 @@ def _iteration(current, sol, k, edge_rule, rng, trace) -> tuple[ReductionRecord,
         # "Choose any edge" is undefined; isolated vertices need no cover.
         return end
     if i0 or i1:
-        # The restricted values are not an optimal solution of the reduced
-        # graph, so hypothesis failure cannot be affirmed; re-solve on it.
+        # The restricted values are optimal for the reduced graph too (at an
+        # optimum N(I0) lies in I1, so a cheaper point of it would lift to
+        # G_k), but a re-solve may return another vertex of its optimal
+        # face, one with an active edge or a unit value; so re-solve.
         return ReductionRecord(kind=KIND_ZERO_ONE, **record), reduced
     if mode == "enhanced":
         raise PipelineError("enhanced iteration made no progress")

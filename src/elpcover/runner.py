@@ -17,6 +17,7 @@ import random
 import time
 from collections import Counter
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import graph
@@ -122,23 +123,27 @@ def solve_instance(
     report["certificate"] = certificate.as_dict()
     report["oracle"] = None
     if oracle_cap is not None and g.n <= oracle_cap:
-        oracle = exact_vc(g, cap=oracle_cap)
-        opt = oracle.opt_size
-        ratio = Rat(len(cover), opt) if opt else Rat(1)
-        xi_observed = max(Rat(0), Rat(len(cover)) - Rat(3, 2) * opt)
-        report["oracle"] = {
-            "optSize": opt,
-            "ratio": rat_str(ratio),
-            "xiObserved": rat_str(xi_observed),
-            "threeHalvesHolds": Rat(len(cover)) <= Rat(3, 2) * opt + certificate.xi,
-            "additiveHolds": Rat(len(cover)) <= opt + certificate.lam,
-        }
+        report["oracle"] = _oracle_block(len(cover), exact_vc(g, cap=oracle_cap).opt_size, certificate)
         if not report["oracle"]["threeHalvesHolds"] or not report["oracle"]["additiveHolds"]:
             # Experimentally refuting a stated bound is a finding, not a crash.
             log.critical("GUARANTEE VIOLATED on %s: %s", name, report["oracle"])
     if timings:
         report["timings"] = {"totalSeconds": round(time.perf_counter() - started, 6)}
     return report
+
+
+def _oracle_block(size: int, opt: int, certificate) -> dict:
+    """A report's oracle block for a cover of size vertices against the
+    optimum opt. Both bounds are checked exactly, in ints:
+    |S1| <= (3/2)|S*| + xi and |S1| <= |S*| + lambda."""
+    xi, lam = certificate.xi, certificate.lam
+    return {
+        "optSize": opt,
+        "ratio": rat_str(Rat(size, opt)) if opt else "1",
+        "xiObserved": rat_str(Rat(max(0, 2 * size - 3 * opt), 2)),
+        "threeHalvesHolds": 2 * size * xi.denominator <= 3 * opt * xi.denominator + 2 * xi.numerator,
+        "additiveHolds": size * lam.denominator <= opt * lam.denominator + lam.numerator,
+    }
 
 
 def compare_instance(g: Graph, name: str, source: str) -> dict:
@@ -332,4 +337,43 @@ def hunt_rows_csv(rows: list[dict]) -> str:
 
 
 def dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """json.dumps(payload, indent=2, sort_keys=True) + "\n", byte for byte.
+    json's indented encoder is its pure-Python one; this writes the report
+    in one pass, and hands json.dumps only what it does not write itself."""
+    return _json(payload, "\n") + "\n"
+
+
+def _json(value, pad: str) -> str:
+    """value as json.dumps(indent=2, sort_keys=True) writes it on a line
+    whose newline and indent are pad."""
+    inner = pad + "  "
+    try:
+        if value.__class__ is dict and value:
+            parts = []
+            for key in sorted(value):  # keys of mixed types raise TypeError, as in json
+                item = value[key]
+                cls = item.__class__
+                if cls is str:
+                    text = encode_basestring_ascii(item)
+                elif cls is int:
+                    text = str(item)
+                elif cls is bool:
+                    text = "true" if item else "false"
+                elif item is None:
+                    text = "null"
+                else:
+                    text = _json(item, inner)
+                parts.append(encode_basestring_ascii(key) + ": " + text)
+            return "{" + inner + ("," + inner).join(parts) + pad + "}"
+        if value.__class__ is list and value:
+            if all(item.__class__ is int for item in value):
+                parts = map(str, value)
+            else:
+                parts = [_json(item, inner) for item in value]
+            return "[" + inner + ("," + inner).join(parts) + pad + "]"
+        if value.__class__ is str:
+            return encode_basestring_ascii(value)
+    except TypeError:  # a key that is not a str
+        pass
+    # Other scalars, empty or other containers: json's own text, indented to pad.
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)

@@ -13,6 +13,7 @@ import hashlib
 import heapq
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -23,7 +24,7 @@ import networkx as nx
 
 from elpcover import elp, reductions, simplex
 from elpcover._rat import ONE, ZERO, Rat
-from elpcover.cover import backtrack
+from elpcover.cover import BoundCertificate, GuaranteeViolation, backtrack
 from elpcover.elp import ElpSolution, classify_edges, separate_odd_cycle, solve_elp
 from elpcover.graph import Graph, OddCycle, normalize_edge, random_gnp_graph
 from elpcover.simplex import CoveringSimplex, InfeasibleError, PivotLimitError
@@ -108,6 +109,61 @@ def backtrack_sizes(trace) -> list[int]:
         len(backtrack(reductions.ReductionTrace(trace.mode, trace.records[k:])))
         for k in range(trace.L)
     ]
+
+
+# cover.certify and solve_instance's oracle block as they were computed
+# in Fractions, before both moved to ints over a common denominator; the
+# tests hold the package's certificates and oracle flags to these.
+_TWO_THIRDS = Rat(2, 3)
+_THREE_HALVES = Rat(3, 2)
+
+
+def reference_certify(trace, cover) -> BoundCertificate:
+    counts = Counter(rec.kind for rec in trace.records)
+    eta = counts[reductions.KIND_ACTIVE]
+    gamma = counts[reductions.KIND_RANDOM]
+    delta = counts[reductions.KIND_THREE_CYCLE]
+    sigma = counts[reductions.KIND_OVER_ACTIVE]
+    i1_union = set().union(*(rec.i1 for rec in trace.records))
+    beta = len(i1_union) + eta
+    alpha = max(0, gamma - beta)
+    lam = Rat(gamma) + Rat(delta) + _TWO_THIRDS * sigma
+    f1 = trace.f1
+    xi = min(Rat(alpha) / 2, max(ZERO, lam - f1 / 2))
+    if gamma == 0 and Rat(len(cover)) > _THREE_HALVES * f1:
+        raise GuaranteeViolation(
+            f"|S1|={len(cover)} exceeds (3/2) f1 = {_THREE_HALVES * f1} with gamma=0"
+        )
+    if gamma == 0 and xi != 0:
+        raise GuaranteeViolation(f"xi={xi} is nonzero with gamma=0")
+    return BoundCertificate(
+        f1=f1,
+        cover_size=len(cover),
+        eta=eta,
+        gamma=gamma,
+        delta=delta,
+        sigma=sigma,
+        i1_total=len(i1_union),
+        beta=beta,
+        alpha=alpha,
+        lam=lam,
+        xi=xi,
+        guarantee_rhs=_THREE_HALVES * f1 + xi,
+        mode=trace.mode,
+        hypothesis_failed=trace.hypothesis_failed,
+    )
+
+
+def reference_oracle_block(cover_size: int, opt: int, certificate) -> dict:
+    ratio = Rat(cover_size, opt) if opt else Rat(1)
+    xi_observed = max(Rat(0), Rat(cover_size) - Rat(3, 2) * opt)
+    return {
+        "optSize": opt,
+        "ratio": str(Rat(ratio)),
+        "xiObserved": str(Rat(xi_observed)),
+        "threeHalvesHolds": Rat(cover_size) <= Rat(3, 2) * opt + certificate.xi,
+        "additiveHolds": Rat(cover_size) <= opt + certificate.lam,
+    }
 
 
 def to_networkx(g: Graph) -> nx.Graph:

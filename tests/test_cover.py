@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from elpcover._rat import Rat
 from elpcover.cover import (
@@ -14,13 +16,22 @@ from elpcover.graph import Graph, complete_graph, cycle_graph, path_graph
 from elpcover.oracles import exact_vc
 from elpcover.reductions import (
     KIND_ACTIVE,
+    KIND_OVER_ACTIVE,
     KIND_RANDOM,
     KIND_TERMINAL,
+    KIND_THREE_CYCLE,
     ReductionRecord,
     ReductionTrace,
     run_pipeline,
 )
-from exact_oracles import backtrack_sizes, growth_cap, random_connected_gnp
+from elpcover.runner import _oracle_block
+from exact_oracles import (
+    backtrack_sizes,
+    growth_cap,
+    random_connected_gnp,
+    reference_certify,
+    reference_oracle_block,
+)
 
 
 def active_record(k, pair, d_i, i1=frozenset(), f=Rat(0)):
@@ -169,10 +180,11 @@ def test_certify_guarantee_violation_detected():
 
 def test_certify_rejects_nonzero_xi_without_random_edges(monkeypatch):
     # gamma=0 forces alpha=0 and so xi=0; a broken xi formula must still be
-    # caught by an explicit raise, which survives python -O.
+    # caught by an explicit raise, which survives python -O. _xi_units
+    # returns 6q xi for f1 = p/q, so 3 makes xi = 1/(2q).
     from elpcover import cover as cover_module
 
-    monkeypatch.setattr(cover_module, "min", lambda *args: Rat(1, 2), raising=False)
+    monkeypatch.setattr(cover_module, "_xi_units", lambda *args: 3)
     trace = run_pipeline(cycle_graph(5))
     with pytest.raises(GuaranteeViolation, match="gamma=0"):
         certify(trace, backtrack(trace))
@@ -203,3 +215,45 @@ def test_end_to_end_guarantees_small():
         opt = exact_vc(g).opt_size
         assert Rat(len(cover)) <= Rat(3, 2) * opt + cert.xi
         assert Rat(len(cover)) <= opt + cert.lam
+
+
+@st.composite
+def synthetic_traces(draw):
+    """Traces of any step kinds, value-1 sets and f1 = p/q; certify reads
+    only these. Value-1 sets are mostly empty, so that alpha > 0 is common."""
+    steps = draw(st.lists(st.sampled_from([KIND_ACTIVE, KIND_RANDOM, KIND_THREE_CYCLE, KIND_OVER_ACTIVE]), max_size=10))
+    value_one_sets = st.just(frozenset()) | st.frozensets(st.integers(0, 12), max_size=3)
+    records = [
+        ReductionRecord(index=k, kind=kind, f=Rat(0), i0=frozenset(), i1=draw(value_one_sets))
+        for k, kind in enumerate([*steps, KIND_TERMINAL], 1)
+    ]
+    f1 = Rat(draw(st.integers(0, 40)), draw(st.integers(1, 6)))
+    records[0] = records[0]._replace(f=f1)
+    return ReductionTrace(mode=draw(st.sampled_from(["enhanced", "base"])), records=records)
+
+
+# gamma = 5 and beta = 0, so alpha/2 = 5/2 > lambda - f1/2 = 5 - 7/2: xi = 3/2.
+XI_FROM_LAMBDA = ReductionTrace(
+    mode="enhanced",
+    records=[random_record(1)._replace(f=Rat(7)), *map(random_record, range(2, 6)), terminal_record(6, ())],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(synthetic_traces(), st.integers(0, 40), st.integers(0, 40))
+@example(XI_FROM_LAMBDA, 11, 8)
+def test_certificate_and_oracle_flags_match_the_fraction_formulas(trace, size, opt):
+    cover = frozenset(range(size))
+    try:
+        expected = reference_certify(trace, cover)
+    except GuaranteeViolation as exc:
+        with pytest.raises(GuaranteeViolation) as raised:
+            certify(trace, cover)
+        assert str(raised.value) == str(exc)
+        return
+    cert = certify(trace, cover)
+    assert cert == expected
+    for field in ("f1", "lam", "xi", "guarantee_rhs"):
+        assert type(getattr(cert, field)) is Rat, field
+    assert cert.as_dict() == expected.as_dict()
+    assert _oracle_block(size, opt, cert) == reference_oracle_block(size, opt, expected)

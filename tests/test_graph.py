@@ -283,3 +283,71 @@ def test_size_limit_boundary(monkeypatch):
             generate(spec)
     with pytest.raises(GraphFormatError):
         parse_graph("p edge 11 1\ne 1 2\n")
+
+
+def fresh_views(g: Graph) -> tuple:
+    """vertices, m, edges and index recomputed from the adjacency alone."""
+    adj = g._adj
+    vertices = tuple(sorted(adj))
+    edges = tuple(sorted((u, v) for u in adj for v in adj[u] if u < v))
+    m = sum(len(nbrs) for nbrs in adj.values()) // 2
+    return vertices, m, edges, {v: j for j, v in enumerate(vertices)}
+
+
+def check_views(g: Graph) -> None:
+    expected = fresh_views(g)
+    for _ in range(2):  # computed on the first read, kept for the second
+        assert (g.vertices, g.m, g.edge_list(), g.index) == expected
+        assert tuple(g.edges()) == expected[2]
+    assert g.edge_list() is g.edge_list() and g.index is g.index
+    assert list(g.vertices) == list(g._adj)
+    assert all(list(g.neighbors(v)) == sorted(g.neighbors(v)) for v in g.vertices)
+    assert g == Graph.from_edges(g.vertices, g.edge_list())
+
+
+GENERATOR_SPECS = [
+    "cycle(7)", "path(6)", "complete(5)", "petersen", "torus_grid(3,4)",
+    "random_triangle_free(12,0.4,3)", "gnp(11,0.5,2)",
+]
+
+
+def test_cached_views_match_fresh_ones_on_every_constructor_and_surgery():
+    assert {spec.split("(")[0] for spec in GENERATOR_SPECS} == set(graph_module.GENERATORS)
+    graphs = [generate(spec)[0] for spec in GENERATOR_SPECS]
+    graphs += [
+        Graph.from_edges(),
+        Graph.from_edges([9, 1, 4], [(8, 3), (3, 1), (1, 8)]),
+        parse_graph("c\np edge 6 4\ne 5 1\ne 2 1\ne 4 2\ne 1 5\ne 3 1\n", "dimacs"),
+        parse_graph("p edge 3 0\n", "dimacs"),
+        parse_graph("7 3\n3 1\n1 7\n10 2\n", "edgelist"),
+    ]
+    rng = random.Random(11)
+    for g in graphs:
+        check_views(g)
+        if g.n:
+            drop = set(rng.sample(g.vertices, rng.randint(0, g.n)))
+            check_views(g.delete_vertices(drop))
+        for i, j in g.edge_list()[:4]:
+            if not g.has_triangle_through(i, j):
+                check_views(g.rewire_active_edge(i, j)[0])
+        check_views(g)  # surgery leaves the parent's views as they were
+
+
+def test_odd_cycle_views_match_fresh_ones():
+    pet = petersen_graph()
+    for seq in [(1, 2, 3, 4, 5), (6, 1, 5, 10, 8, 9, 4, 3, 2)]:
+        for rotation in range(len(seq)):
+            turned = seq[rotation:] + seq[:rotation]
+            for order in (turned, turned[::-1]):
+                if not all(pet.has_edge(u, v) for u, v in zip(order, order[1:] + order[:1])):
+                    continue
+                c = OddCycle.in_graph(pet, order)
+                n = len(order)
+                i = order.index(min(order))
+                assert c.vertices == min(
+                    tuple(order[(i + k) % n] for k in range(n)), tuple(order[(i - k) % n] for k in range(n))
+                )
+                assert c.vertex_set == frozenset(order)
+                assert c.cycle_edges() == tuple(
+                    tuple(sorted((c.vertices[k], c.vertices[(k + 1) % n]))) for k in range(n)
+                )
