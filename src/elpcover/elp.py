@@ -12,13 +12,13 @@ never increases the weight). Each round of the loop adds a batch of
 pairwise vertex-disjoint violated cycles before it re-optimizes: the most
 violated cycle of the graph, then one of the graph less the vertices of
 the cycles taken so far, and so on (many cuts per round, as in Padberg &
-Rinaldi, SIAM Review 33, 1991). A round's searches share one weighted
-double cover that masks the vertices taken, and each search is pruned at
-the lightest walk so far, at bases whose lightest arc upward cannot beat
-it, and at vertices searched or masked. Every cut is an odd-cycle
-inequality violated at the round's point, and the loop ends only when a
-separation over the whole graph finds nothing, so the batches change the
-vertex the simplex returns but not the optimum.
+Rinaldi, SIAM Review 33, 1991). A round's searches share one double
+cover, built at the round's point, that masks the vertices taken, and
+each search is pruned at the lightest walk so far, at bases whose
+lightest arc upward cannot beat it, and at vertices searched or masked.
+Every cut is an odd-cycle inequality violated at the round's point, and
+the loop ends only when a separation over the whole graph finds nothing,
+so the batches change the vertex the simplex returns but not the optimum.
 
 Every LP goes through one CoveringSimplex engine, built by
 relaxation_engine from sparse int rows (x_u + x_v >= 1 per edge, one row
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import heapq
 import logging
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 from ._rat import Rat
@@ -53,9 +52,11 @@ log = logging.getLogger("elpcover.elp")
 CUTS_PER_VERTEX = 10
 
 # relaxation_engine refuses a graph with n * m over MAX_ENGINE_CELLS: it would
-# store a row of n packed 32-bit slots per edge, about 4.3 bytes per cell
-# (CPython keeps 30 bits in each 4-byte digit), so about 43 MB at the cap,
-# some 280 times the largest graph solved, gnp(80,0.15,2).
+# store a row of n packed slots per edge. At 32-bit slots that is about 4.3
+# bytes per cell (CPython keeps 30 bits in each 4-byte digit), so about 43 MB
+# at the cap, some 280 times the largest graph solved, gnp(80,0.15,2). The
+# bytes double with each widening, and mid-size graphs already widen to
+# 64-bit slots.
 MAX_ENGINE_CELLS = 10_000_000
 
 
@@ -78,10 +79,6 @@ class ElpSolution(NamedTuple):
     over_active_edges: tuple[tuple[int, int], ...]
     engine: CoveringSimplex  # optimal for the edge rows and cycle_pool (plus a pin)
 
-    @property
-    def one_vertices(self) -> frozenset[int]:
-        return frozenset(v for v, val in self.x.items() if val == 1)
-
 
 def relaxation_engine(g: Graph) -> CoveringSimplex:
     """Unsolved engine over g.vertices order: one x_u + x_v >= 1 row per
@@ -95,31 +92,24 @@ def relaxation_engine(g: Graph) -> CoveringSimplex:
     return engine
 
 
-def _add_cycle_row(engine: CoveringSimplex, cycle: OddCycle, index) -> None:
-    engine.add_ge_row(dict.fromkeys((index[v] for v in cycle.vertices), 1), cycle.rhs)
-
-
 class DoubleCover:
-    """g's bipartite double cover weighted at a point (ints, L), built by the
-    first search of a cut round and shared by the round's searches.
+    """g's bipartite double cover under the edge weights at a point (ints,
+    L), shared by the searches of a cut round; a point that does not fit g
+    raises ValueError.
 
-    weighted is (index, arcs, floor). arcs[i] holds a (2*j, w) per neighbor
-    g.vertices[j] of g.vertices[i] whose edge weighs w = L x_i + L x_j - L
-    < L (no walk lighter than L uses a heavier arc), and floor[i] is twice
-    the lightest arc from i to a higher vertex (L when none). taken holds
-    the masked vertex indices, left the edges of g between the others."""
+    arcs[i] holds a (2*j, w) per neighbor g.vertices[j] of g.vertices[i]
+    whose edge weighs w = L x_i + L x_j - L < L (no walk lighter than L uses
+    a heavier arc), and floor[i] is twice the lightest arc from i to a
+    higher vertex (L when none). taken holds the masked vertex indices,
+    left the edges of g between the others."""
 
     def __init__(self, g: Graph, point: tuple[list[int], int]):
         self.g, self.point, self.taken, self.left = g, point, set(), g.m
-
-    @cached_property
-    def weighted(self):
-        order, (scaled, scale) = self.g.vertices, self.point
+        order, index, (scaled, scale) = g.vertices, g.index, point
         if len(scaled) != len(order) or scale <= 0:
             raise ValueError(f"point ({len(scaled)} ints over {scale}) does not fit n={len(order)}")
-        index = self.g.index
-        arcs, floor = [[] for _ in order], [scale] * len(order)
-        for u, v in self.g.edges():
+        self.arcs, self.floor = arcs, floor = [[] for _ in order], [scale] * len(order)
+        for u, v in g.edges():
             i, j = index[u], index[v]
             w = scaled[i] + scaled[j] - scale
             if w < 0:
@@ -128,11 +118,10 @@ class DoubleCover:
                 arcs[i].append((2 * j, w))
                 arcs[j].append((2 * i, w))
                 floor[i] = min(floor[i], 2 * w)
-        return index, arcs, floor
 
     def mask(self, vertices) -> None:
         """Leave the vertices of g out of every later search."""
-        index, taken = self.weighted[0], self.taken
+        index, taken = self.g.index, self.taken
         for v in vertices:
             self.left -= sum(index[u] not in taken for u in self.g.neighbors(v))
             taken.add(index[v])
@@ -178,19 +167,18 @@ def separate_odd_cycle(g: Graph, point: tuple[list[int], int], cover: Optional[D
         cover = DoubleCover(g, point)
     elif cover.g is not g or cover.point is not point:
         raise ValueError("cover is a DoubleCover of another graph or point")
-    index, arcs, floors = cover.weighted
     scaled, scale = point
     best_dist = scale
     best_walk = None
-    for base, floor in enumerate(floors):
+    for base, floor in enumerate(cover.floor):
         if floor < best_dist and base not in cover.taken:
-            found = _shortest_odd_closed_walk(arcs, base, best_dist, floor // 2, cover.taken)
+            found = _shortest_odd_closed_walk(cover.arcs, base, best_dist, floor // 2, cover.taken)
             if found is not None:
                 best_dist, best_walk = found
     if best_walk is None:
         # Cycle weight >= 1 is exactly the cycle inequality holding.
         return None
-    order = g.vertices
+    order, index = g.vertices, g.index
     cycle = OddCycle.in_graph(g, _extract_simple_odd_cycle([order[i] for i in best_walk]))
     slack = cycle.rhs * scale - sum(scaled[index[v]] for v in cycle.vertices)
     if slack <= 0:
@@ -326,7 +314,7 @@ def _chase(g: Graph, engine: CoveringSimplex, pool: list) -> ElpSolution:
                 raise AssertionError(f"separation returned pooled cycle {cycle.vertices}")
             seen.add(cycle.vertex_set)
             pool.append(cycle)
-            _add_cycle_row(engine, cycle, index)
+            engine.add_ge_row(dict.fromkeys((index[v] for v in cycle.vertices), 1), cycle.rhs)
             added += 1
             log.debug("cut round %d: cycle %s violation %s", rounds, cycle.vertices, violation)
 
@@ -382,12 +370,11 @@ def explore_alternate_bfs(g: Graph, sol: ElpSolution) -> tuple[Optional[ElpSolut
     """
     if sol.active_edges:
         raise ValueError("solution already has an active edge")
-    if sol.one_vertices:
+    if 1 in sol.x.values():
         raise ValueError("solution has a variable at 1; {0,1}-reduction applies")
     index = g.index
-    face = sol.engine.optimal_face()
     for pins, (u, v) in enumerate(g.edges(), 1):
-        trial = face.copy()
+        trial = sol.engine.optimal_face()
         trial.add_ge_row({index[u]: -1, index[v]: -1}, -1)
         try:
             alt = _chase(g, trial, list(sol.cycle_pool))

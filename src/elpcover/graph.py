@@ -121,10 +121,6 @@ class Graph:
         return self._vertices
 
     @property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self._adj)
-
-    @property
     def n(self) -> int:
         return len(self._adj)
 

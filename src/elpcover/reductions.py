@@ -119,19 +119,16 @@ def zero_one_sets(x: dict) -> tuple[frozenset[int], frozenset[int]]:
     return i0, i1
 
 
-def step(g: Graph, kind: str, candidates) -> tuple[Graph, dict]:
-    """Apply the structural reduction `kind` to g at candidates[0], a
-    triangle for the 3-cycle step and an edge otherwise. Returns G_{k+1} and
-    the record fields that backtracking needs.
+def step(g: Graph, kind: str, chosen) -> tuple[Graph, dict]:
+    """Apply the structural reduction `kind` to g at its candidate
+    `chosen`: a triangle for the 3-cycle step and an edge otherwise.
+    Returns G_{k+1} and the record fields that backtracking needs.
 
     An active edge (i, j) is rewired; it must have no triangle through it
     (after a {0,1}-reduction a triangle would have forced the third vertex
     to value 1, so hitting one here is an internal bug). Every other step
     deletes the candidate's vertices.
     """
-    if not candidates:
-        raise PipelineError(f"no candidate for the {kind} step")
-    chosen = candidates[0]
     if kind == KIND_THREE_CYCLE:
         return g.delete_vertices(chosen.vertex_set), {"triangle": chosen}
     if kind == KIND_ACTIVE:
@@ -155,19 +152,18 @@ def choose_edge(g: Graph, x: dict, rule: str, rng: Optional[random.Random]) -> t
     return rng.choice(edges)
 
 
-def _candidates(kind: str, g: Graph, sol: ElpSolution, swept: bool, edge_rule, rng) -> tuple:
-    """Candidates of `kind` on g, the graph left by the {0,1} step (or G_k
-    itself after a failed sweep). sol's (over-)active edges that g keeps are
-    exactly those of g under sol.x: deleting vertices keeps the order and
-    the values of the remaining edges. The random-edge step applies only
-    after a failed sweep."""
+def _candidate(kind: str, g: Graph, sol: ElpSolution, swept: bool, edge_rule, rng):
+    """The first candidate of `kind` on g, the graph left by the {0,1} step
+    (or G_k itself after a failed sweep), or None. sol's (over-)active edges
+    that g keeps are exactly those of g under sol.x: deleting vertices keeps
+    the order and the values of the remaining edges. The random-edge step
+    applies only after a failed sweep."""
     if kind == KIND_THREE_CYCLE:
-        triangle = g.find_triangle()
-        return () if triangle is None else (triangle,)
+        return g.find_triangle()
     if kind == KIND_RANDOM:
-        return (choose_edge(g, sol.x, edge_rule, rng),) if swept and g.m else ()
+        return choose_edge(g, sol.x, edge_rule, rng) if swept and g.m else None
     edges = sol.active_edges if kind == KIND_ACTIVE else sol.over_active_edges
-    return tuple(e for e in edges if g.has_edge(*e))
+    return next((e for e in edges if g.has_edge(*e)), None)
 
 
 def run_pipeline(
@@ -231,9 +227,9 @@ def _iteration(current, sol, k, edge_rule, rng, trace) -> tuple[ReductionRecord,
         if reduced.n == 0:
             return end
     for kind in STEP_ORDER[mode]:
-        candidates = _candidates(kind, reduced, sol, swept, edge_rule, rng)
-        if candidates:
-            nxt, fields = step(reduced, kind, candidates)
+        chosen = _candidate(kind, reduced, sol, swept, edge_rule, rng)
+        if chosen is not None:
+            nxt, fields = step(reduced, kind, chosen)
             return ReductionRecord(kind=kind, **record, **fields), nxt
     if swept:
         # "Choose any edge" is undefined; isolated vertices need no cover.

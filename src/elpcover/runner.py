@@ -226,10 +226,6 @@ def hunt_instance(gen: str, index: int, seed: int, n_range: tuple[int, int]) -> 
     """The graph and name of hunt instance index; a summary's index rebuilds it.
     Raises ValueError for a range check_hunt_range refuses."""
     check_hunt_range(gen, n_range)
-    return _draw_hunt_instance(gen, index, seed, n_range)
-
-
-def _draw_hunt_instance(gen: str, index: int, seed: int, n_range: tuple[int, int]) -> tuple[Graph, str]:
     n_lo, n_hi = n_range
     rng = random.Random(seed * 1_000_003 + index)
     kind = gen
@@ -249,7 +245,7 @@ def _draw_hunt_instance(gen: str, index: int, seed: int, n_range: tuple[int, int
 
 
 def _hunt_report(gen, seed, n_range, edge_rule, oracle_cap, index) -> dict:
-    g, name = _draw_hunt_instance(gen, index, seed, n_range)
+    g, name = hunt_instance(gen, index, seed, n_range)
     return solve_instance(
         g,
         name=name,
@@ -375,5 +371,7 @@ def _json(value, pad: str) -> str:
             return encode_basestring_ascii(value)
     except TypeError:  # a key that is not a str
         pass
-    # Other scalars, empty or other containers: json's own text, indented to pad.
+    if not value and value.__class__ in (list, dict):
+        return "[]" if value.__class__ is list else "{}"
+    # Other scalars and containers: json's own text, indented to pad.
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)

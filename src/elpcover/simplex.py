@@ -59,13 +59,12 @@ its row only if the current point violates it, and copy() copies the
 stored rows alone, sharing them, since no row is changed in place.
 
 add_ge_row takes a sparse {column: int} row with an int right-hand side,
-and rationals (Rat) appear only where results leave the engine:
-objective() returns a Rat. scaled_values() hands the point out as ints
-over one common denominator, which is what the odd-cycle separation
-consumes, so the cut loop builds no Rat per round. The engine keeps the
-integer rows it was given, untouched by pivots, and certified_values()
-checks that point against them exactly: feasibility and, through the
-duals read off the cost row, optimality.
+and no rational (Rat) leaves the engine: scaled_values() hands the point
+out as ints over one common denominator, which is what the odd-cycle
+separation consumes, so the cut loop builds no Rat per round. The engine
+keeps the integer rows it was given, untouched by pivots, and
+certified_values() checks that point against them exactly: feasibility
+and, through the duals read off the cost row, optimality.
 
 optimal_face() serves callers that only ask whether the optimum f stays
 put once rows are added, such as the alternate-optimum pin sweep. It is
@@ -127,15 +126,15 @@ class CoveringSimplex:
     itself is an implicit unit column. _rows holds the row of every basic
     structural column and of every basic surplus column whose value is
     negative, and no other: any other basic surplus row is derived from
-    _given on demand (_derive). The cost row _cost is packed the same way
-    over _cost_den, holding the reduced costs of the nonbasic columns, and
-    -_cost_rhs / _cost_den is the objective of the current basis. Every
-    denominator is positive, and each row is divided by gcd(den, rhs,
-    *entries) after every change. Stored rows are replaced, never changed
-    in place, so copies share them. _norms maps the basic column of each
-    row that was violated at the last leaving-row choice to that stored
-    (row, rhs, den) and its steepest-edge norm; it too is replaced, never
-    changed, so copies share it.
+    _given on demand (_derive). The cost row _cost is one more (row, rhs,
+    den), whose row holds the reduced costs of the nonbasic columns, and
+    -rhs / den is the objective of the current basis. Every denominator is
+    positive, and each row is divided by gcd(den, rhs, *entries) after
+    every change. Stored rows are replaced, never changed in place, so
+    copies share them. _norms maps the basic column of each row that was
+    violated at the last leaving-row choice to that stored (row, rhs, den)
+    and its steepest-edge norm; it too is replaced, never changed, so
+    copies share it.
 
     _plus[j] and _minus[j] list the k whose given row has a positive and a
     negative coefficient on x_j: the rows that a fall, and a rise, of x_j
@@ -143,8 +142,8 @@ class CoveringSimplex:
     """
 
     __slots__ = (
-        "num_vars", "_rows", "_cost", "_cost_rhs", "_cost_den", "_nonbasic",
-        "_position", "_given", "_plus", "_minus", "pivots", "_on_face", "_slots", "_norms",
+        "num_vars", "_rows", "_cost", "_nonbasic", "_position", "_given", "_plus", "_minus",
+        "pivots", "_on_face", "_slots", "_norms",
     )
 
     def __init__(self, num_vars: int, rows: Iterable[tuple[Mapping, int]] = ()):
@@ -152,9 +151,7 @@ class CoveringSimplex:
         self._slots = _Slots(num_vars, SLOT_WIDTH)
         self._rows: dict[int, tuple[int, int, int]] = {}
         self._norms: dict[int, tuple[tuple[int, int, int], int]] = {}
-        self._cost = self._slots.ones
-        self._cost_rhs = 0
-        self._cost_den = 1
+        self._cost = self._slots.ones, 0, 1
         self._nonbasic = list(range(num_vars))
         self._position = {j: j for j in range(num_vars)}
         self._given: list[tuple[dict[int, int], int]] = []
@@ -170,8 +167,6 @@ class CoveringSimplex:
         dup.num_vars = self.num_vars
         dup._rows = self._rows.copy()
         dup._cost = self._cost
-        dup._cost_rhs = self._cost_rhs
-        dup._cost_den = self._cost_den
         dup._nonbasic = list(self._nonbasic)
         dup._position = self._position.copy()
         dup._given = list(self._given)
@@ -248,7 +243,8 @@ class CoveringSimplex:
         rows = self._rows
         for col, (row, rhs, den) in list(rows.items()):
             rows[col] = new.pack(old.unpack(row)), rhs, den
-        self._cost = new.pack(old.unpack(self._cost))
+        row, rhs, den = self._cost
+        self._cost = new.pack(old.unpack(row)), rhs, den
 
     def optimize(self) -> None:
         """Dual simplex to optimality; raises InfeasibleError when primal empty.
@@ -279,7 +275,7 @@ class CoveringSimplex:
             # ties to the lowest column index. Row and cost denominators are
             # positive and common to every candidate, so comparing
             # cost_q * -a_best with cost_best * -a_q decides it in integers.
-            cost = unpack(self._cost)
+            cost = unpack(self._cost[0])
             enter = -1
             best_cost = best_neg = 0
             for q, a in enumerate(unpack(rows[leave][0])):
@@ -324,9 +320,8 @@ class CoveringSimplex:
         # that outgrows the slot bound widens the engine after the pivot.
         # The cost row goes through the same elimination under key -1; the
         # changed rows replace the stored ones after the pass.
-        cost = -1, (self._cost, self._cost_rhs, self._cost_den)
         moved, dropped, changed, fits = [], [], {}, True
-        for col, (row, rhs, den) in chain(rows.items(), (cost,)):
+        for col, (row, rhs, den) in chain(rows.items(), ((-1, self._cost),)):
             factor = (((row + bias) >> shift) & mask) - half
             if not factor:
                 continue
@@ -346,7 +341,7 @@ class CoveringSimplex:
             row, _, den = changed[col] = _normalize(row, rhs * scale - f * prhs, den * scale, slots)
             fits = fits and den < limit and not (row + room) & high
         if -1 in changed:
-            self._cost, self._cost_rhs, self._cost_den = changed.pop(-1)
+            self._cost = changed.pop(-1)
         for col in dropped:
             del rows[col]
         rows.update(changed)
@@ -381,9 +376,6 @@ class CoveringSimplex:
             if sum(map(mul, row.values(), map(x.__getitem__, row))) < rhs * scale:
                 rows[n + k] = self._derive(k)
 
-    def objective(self):
-        return Rat(-self._cost_rhs, self._cost_den)
-
     def scaled_values(self) -> tuple[list[int], int]:
         """The basic solution x scaled to integers: (ints, L) with
         x_j == ints[j] / L for every column j.
@@ -404,13 +396,13 @@ class CoveringSimplex:
 
         Feasibility is checked against the rows as given, a.x >= b, and
         x >= 0. For optimality, the reduced cost of row i's surplus column
-        is that row's dual y_i, read over _cost_den at the column's
+        is that row's dual y_i, read over the cost row's den at the column's
         nonbasic position; a basic surplus has y_i = 0. If y >= 0 and
         A^T y <= 1, weak duality makes b.y a lower bound on 1.x over the
         whole feasible set, so b.y == 1.x proves the point optimal (the
         verify-the-basis check of Applegate, Cook, Dash & Espinoza, OR
         Letters 35, 2007). x is taken from scaled_values() and y is kept
-        multiplied by _cost_den, so every check is an integer comparison.
+        multiplied by that den, so every check is an integer comparison.
         A failure raises AssertionError.
         """
         n = self.num_vars
@@ -423,7 +415,8 @@ class CoveringSimplex:
                 raise AssertionError(f"row {i} violated: {Rat(lhs, scale)} < {b}")
         column_sums = [0] * n
         bound = 0
-        for col, y in zip(self._nonbasic, self._slots.unpack(self._cost)):
+        cost, _, den = self._cost
+        for col, y in zip(self._nonbasic, self._slots.unpack(cost)):
             if col < n:
                 continue
             if y < 0:
@@ -433,7 +426,6 @@ class CoveringSimplex:
                 for j, c in row.items():
                     column_sums[j] += y * c
                 bound += y * b
-        den = self._cost_den
         for j, total in enumerate(column_sums):
             if total > den:
                 raise AssertionError(f"dual infeasible at x{j}: (A^T y)_j = {Rat(total, den)} > 1")

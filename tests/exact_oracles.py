@@ -575,7 +575,7 @@ def chase_cuts(
             _add_cycle_row(engine, cycle, index)
             added += 1
         engine.optimize()
-        yield CutRound(tuple(cuts), engine.objective())
+        yield CutRound(tuple(cuts), engine_objective(engine))
 
 
 def _round_cap(g: Graph) -> int:
@@ -595,7 +595,7 @@ def reference_explore_alternate(g: Graph, sol: ElpSolution) -> tuple[Optional[El
     """
     if sol.active_edges:
         raise ValueError("solution already has an active edge")
-    if sol.one_vertices:
+    if 1 in sol.x.values():
         raise ValueError("solution has a variable at 1; {0,1}-reduction applies")
     target = sol.objective
     index = _index(g)
@@ -609,7 +609,7 @@ def reference_explore_alternate(g: Graph, sol: ElpSolution) -> tuple[Optional[El
         seen = {c.vertex_set for c in pool}
         try:
             trial.optimize()
-            if trial.objective() != target:
+            if engine_objective(trial) != target:
                 continue
             if any(r.objective_after != target for r in chase_cuts(g, trial, pool, seen, cap)):
                 continue
@@ -1151,12 +1151,18 @@ def unpack_row(engine: CoveringSimplex, row: int) -> list[int]:
     return entries
 
 
+def engine_objective(engine: CoveringSimplex) -> Rat:
+    """The objective of engine's current basis, -rhs / den of its cost row."""
+    _, rhs, den = engine._cost
+    return Rat(-rhs, den)
+
+
 def check_slot_bound(engine: CoveringSimplex) -> None:
     """Every stored row and the cost row keep their entries and denominator
     within the slot limit, which keeps the next pivot's packed arithmetic
     exact."""
     limit = engine._slots.limit
-    for row, _, den in [*engine._rows.values(), (engine._cost, 0, engine._cost_den)]:
+    for row, _, den in [*engine._rows.values(), engine._cost]:
         if den > limit or max(map(abs, unpack_row(engine, row)), default=0) > limit:
             raise AssertionError(f"a stored row outgrew the slot limit {limit}")
 
@@ -1207,8 +1213,8 @@ def engine_state(engine: CoveringSimplex) -> str:
     check_slot_bound(engine)
     rows = dictionary(engine)
     check_stored_rows(engine, rows)
-    cost = (unpack_row(engine, engine._cost), engine._cost_rhs, engine._cost_den)
-    return _state(engine._nonbasic, cost, rows)
+    row, rhs, den = engine._cost
+    return _state(engine._nonbasic, (unpack_row(engine, row), rhs, den), rows)
 
 
 def reference_state(reference: FullDictionarySimplex) -> str:
@@ -1225,8 +1231,8 @@ def check_same_dictionary(engine: CoveringSimplex, reference: FullDictionarySimp
         raise AssertionError(f"nonbasic {engine._nonbasic} != {reference._nonbasic}")
     if engine._position != {col: q for q, col in enumerate(engine._nonbasic)}:
         raise AssertionError("positions do not index the nonbasic columns")
-    cost = (unpack_row(engine, engine._cost), engine._cost_rhs, engine._cost_den)
-    if cost != (reference._cost, reference._cost_rhs, reference._cost_den):
+    row, rhs, den = engine._cost
+    if (unpack_row(engine, row), rhs, den) != (reference._cost, reference._cost_rhs, reference._cost_den):
         raise AssertionError("cost rows differ")
     full = full_dictionary(reference)
     if dictionary(engine) != full:
@@ -1341,7 +1347,7 @@ class Lockstep:
             raise errors[1]
 
     def objective(self):
-        value = self.engine.objective()
+        value = engine_objective(self.engine)
         if value != self.reference.objective():
             raise AssertionError("objectives differ")
         return value

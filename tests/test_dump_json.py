@@ -5,6 +5,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elpcover import runner
 from elpcover.graph import petersen_graph
 from elpcover.runner import dump_json, hunt, solve_instance
 from test_golden import GOLDEN_HUNTS, GOLDEN_VARIANTS, GRAPHS
@@ -64,6 +65,24 @@ def test_dump_json_matches_on_every_golden_report():
     for name, mode, edge_rule in GOLDEN_VARIANTS:
         report = solve_instance(GRAPHS[name], name, "golden", mode=mode, seed=0, edge_rule=edge_rule)
         assert dump_json(report) == reference(report), (name, mode, edge_rule)
+
+
+def test_dump_json_writes_golden_reports_without_json_dumps(monkeypatch):
+    # Each json.dumps call builds a pure-Python encoder whose closures the
+    # cyclic collector must free; a report with no float and no key that is
+    # not a str needs none, empty lists and dicts included.
+    reports = [solve_instance(g, name, "golden", seed=0) for name, g in GRAPHS.items()]
+    reports += [
+        solve_instance(GRAPHS[name], name, "golden", mode=mode, seed=0, edge_rule=edge_rule)
+        for name, mode, edge_rule in GOLDEN_VARIANTS
+    ]
+    expected = [reference(report) for report in reports]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(runner.json, "dumps", refuse)
+    assert [dump_json(report) for report in reports] == expected
 
 
 def test_dump_json_matches_on_hunt_summaries():

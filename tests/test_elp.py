@@ -36,6 +36,7 @@ from exact_oracles import (
     check_slot_bound,
     circulant,
     dictionary,
+    engine_objective,
     nx_min_odd_cycle_weight,
     nx_odd_cycles,
     point_values,
@@ -208,7 +209,7 @@ def test_elp_cut_objectives_monotone(monkeypatch):
 
     def recorded(engine, *args, **kwargs):
         optimize(engine, *args, **kwargs)
-        objs.append(engine.objective())
+        objs.append(engine_objective(engine))
 
     def recorded_round(g, point):
         cuts = disjoint_cuts(g, point)
@@ -274,7 +275,7 @@ def test_chase_rounds_add_disjoint_violated_cuts(g):
     engine.optimize()
     one_per_round = list(chase_cuts(g, engine, [], set(), elp.CUTS_PER_VERTEX * g.n, disjoint=False))
     assert all(len(r.cuts) == 1 for r in one_per_round)
-    assert engine.objective() == sol.objective
+    assert engine_objective(engine) == sol.objective
 
 
 def _check_round(g, point):
@@ -431,7 +432,7 @@ def test_explore_alternate_fails_on_hard_circulant():
     g = circulant(11, (1, 3))
     sol = solve_elp(g)
     assert sol.objective == Rat(33, 5)
-    assert not sol.active_edges and not sol.one_vertices
+    assert not sol.active_edges and 1 not in sol.x.values()
     alt, pins = explore_alternate_bfs(g, sol)
     assert alt is None and pins == g.m
 
@@ -463,7 +464,7 @@ def test_pinned_chase_raises_past_the_round_cap(monkeypatch):
 def test_explore_alternate_reuses_the_solved_engine(monkeypatch):
     g = circulant(11, (1, 3))
     sol = solve_elp(g)
-    objective, nonbasic = sol.engine.objective(), list(sol.engine._nonbasic)
+    objective, nonbasic = engine_objective(sol.engine), list(sol.engine._nonbasic)
     rows = dictionary(sol.engine)
 
     def no_rebuild(*args):
@@ -471,7 +472,7 @@ def test_explore_alternate_reuses_the_solved_engine(monkeypatch):
 
     monkeypatch.setattr(elp, "relaxation_engine", no_rebuild)
     assert explore_alternate_bfs(g, sol) == (None, g.m)
-    assert sol.engine.objective() == objective and sol.engine._nonbasic == nonbasic
+    assert engine_objective(sol.engine) == objective and sol.engine._nonbasic == nonbasic
     assert dictionary(sol.engine) == rows
 
 
@@ -499,7 +500,7 @@ def _sweepable_solutions(draw):
     for _ in range(100):
         g = random_connected_gnp(n, rng.uniform(0.3, 0.95), rng)
         sol = solve_elp(g)
-        if not sol.active_edges and not sol.one_vertices:
+        if not sol.active_edges and 1 not in sol.x.values():
             return g, sol
     assume(False)
 
@@ -599,10 +600,11 @@ def _check_tableau_invariants(engine):
         assert len(row) == n
         assert den > 0
         assert gcd(den, rhs, *row) == 1
-    cost = unpack_row(engine, engine._cost)
+    row, rhs, den = engine._cost
+    cost = unpack_row(engine, row)
     assert len(cost) == n
-    assert engine._cost_den > 0
-    assert gcd(engine._cost_den, engine._cost_rhs, *cost) == 1
+    assert den > 0
+    assert gcd(den, rhs, *cost) == 1
     check_slot_bound(engine)
     for j in range(n):
         signs = [row.get(j, 0) for row, _ in engine._given]

@@ -154,7 +154,7 @@ def test_rewire_preserves_untouched_edges_and_labels():
             continue
         i, j = g.edge_list()[rng.randrange(g.m)]
         h, d_i = g.rewire_active_edge(i, j)
-        assert h.vertex_set == g.vertex_set - {i, j}
+        assert set(h.vertices) == set(g.vertices) - {i, j}
         for u, v in g.edges():
             if i not in (u, v) and j not in (u, v):
                 assert h.has_edge(u, v)

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from elpcover import reductions
 from elpcover._rat import Rat
-from elpcover.elp import classify_edges, solve_elp
+from elpcover.cover import backtrack, validate_cover
+from elpcover.elp import ElpSolution, classify_edges, solve_elp
 from elpcover.graph import (
     Graph,
     complete_graph,
@@ -100,16 +102,14 @@ def test_step_zero_one_star():
 
 
 def test_step_three_cycle():
-    reduced, fields = step(complete_graph(3), KIND_THREE_CYCLE, triangles(complete_graph(3)))
+    reduced, fields = step(complete_graph(3), KIND_THREE_CYCLE, triangles(complete_graph(3))[0])
     assert reduced.n == 0 and fields["triangle"].vertex_set == {1, 2, 3}
-    reduced, fields = step(complete_graph(4), KIND_THREE_CYCLE, triangles(complete_graph(4)))
+    reduced, fields = step(complete_graph(4), KIND_THREE_CYCLE, triangles(complete_graph(4))[0])
     assert reduced.n == 1 and fields["triangle"].vertices == (1, 2, 3)
     two = union(complete_graph(3), relabel(complete_graph(3), 10))
-    reduced, _ = step(two, KIND_THREE_CYCLE, triangles(two))
+    reduced, _ = step(two, KIND_THREE_CYCLE, triangles(two)[0])
     assert reduced.find_triangle() is not None
     assert triangles(cycle_graph(5)) == ()
-    with pytest.raises(PipelineError):
-        step(cycle_graph(5), KIND_THREE_CYCLE, triangles(cycle_graph(5)))
 
 
 def test_step_active_edge_p3_absorbed_by_zero_one():
@@ -126,12 +126,12 @@ def test_step_active_edge_rejects_triangle_through_edge():
     active, _ = classify_edges(k3, scale_point(k3, x))
     assert active[0] == (1, 2)
     with pytest.raises(PipelineError):
-        step(k3, KIND_ACTIVE, active)
+        step(k3, KIND_ACTIVE, active[0])
 
 
 def test_step_active_edge_rewires_and_records_neighbors():
     p5 = path_graph(5)
-    reduced, fields = step(p5, KIND_ACTIVE, ((2, 3),))
+    reduced, fields = step(p5, KIND_ACTIVE, (2, 3))
     assert fields == {"pair": (2, 3), "d_i": frozenset({1})}
     assert reduced == Graph.from_edges([1, 4, 5], [(1, 4), (4, 5)])
 
@@ -181,31 +181,53 @@ def test_step_over_active_boundary():
     tri = complete_graph(3)
     x = {1: Rat(2, 3), 2: Rat(2, 3), 3: Rat(2, 3)}
     _, over = classify_edges(tri, scale_point(tri, x))  # 2/3 + 2/3 = 4/3: boundary included
-    reduced, fields = step(tri, KIND_OVER_ACTIVE, over)
+    reduced, fields = step(tri, KIND_OVER_ACTIVE, over[0])
     assert fields == {"pair": (1, 2)} and reduced.vertices == (3,)
     c5 = cycle_graph(5)
     _, over = classify_edges(c5, ([3] * 5, 5))
     assert over == ()  # 6/5 < 4/3
-    with pytest.raises(PipelineError):
-        step(c5, KIND_OVER_ACTIVE, over)
     x = {v: Rat(3, 5) for v in c5.vertices}
     x[1] = Rat(1)
     x[2] = Rat(1, 2)
     _, over = classify_edges(c5, scale_point(c5, x))  # 1 + 1/2 >= 4/3
-    _, fields = step(c5, KIND_OVER_ACTIVE, over)
+    _, fields = step(c5, KIND_OVER_ACTIVE, over[0])
     assert fields == {"pair": (1, 2)}
+
+
+def test_pipeline_runs_the_over_active_step(monkeypatch):
+    # No corpus reaches the over-active step through run_pipeline, so the
+    # first solve returns a made-up point: C5 at x = 2/3, with no unit
+    # value and no active edge, and every edge over-active (4/3). Later
+    # solves run for real; base mode never reads the engine.
+    c5 = cycle_graph(5)
+    x = dict.fromkeys(c5.vertices, Rat(2, 3))
+    active, over = classify_edges(c5, scale_point(c5, x))
+    assert active == () and len(over) == c5.m
+    made_up = [
+        ElpSolution(
+            x=x, objective=Rat(10, 3), cycle_pool=(), active_edges=active,
+            over_active_edges=over, engine=None,
+        )
+    ]
+    monkeypatch.setattr(reductions, "solve_elp", lambda g: made_up.pop() if made_up else solve_elp(g))
+    trace = run_pipeline(c5, mode="base")
+    first = trace.records[0]
+    assert (first.kind, first.pair, first.d_k) == (KIND_OVER_ACTIVE, (1, 2), Rat(4, 3))
+    assert not trace.hypothesis_failed and trace.records[-1].kind == KIND_TERMINAL
+    valid, uncovered = validate_cover(c5, backtrack(trace))
+    assert valid, uncovered
 
 
 def test_step_random_edge():
     k2 = complete_graph(2)
     pair = choose_edge(k2, {1: Rat(3, 5), 2: Rat(3, 5)}, "maxsum", random.Random(0))
-    reduced, fields = step(k2, KIND_RANDOM, (pair,))
+    reduced, fields = step(k2, KIND_RANDOM, pair)
     assert reduced.n == 0 and fields == {"pair": (1, 2)}
     c5 = cycle_graph(5)
     x = {v: Rat(3, 5) for v in c5.vertices}
     pair = choose_edge(c5, x, "maxsum", random.Random(0))
     assert pair == (1, 2)  # all sums equal; lexicographic tie-break
-    reduced, _ = step(c5, KIND_RANDOM, (pair,))
+    reduced, _ = step(c5, KIND_RANDOM, pair)
     assert reduced == Graph.from_edges([3, 4, 5], [(3, 4), (4, 5)])
     x[4] = Rat(9, 10)
     pair = choose_edge(c5, x, "maxsum", random.Random(0))
@@ -324,7 +346,7 @@ def test_pipeline_value_ledger_and_termination():
         # strict shrinkage of the vertex set across iterations
         for a, b in zip(graphs, graphs[1:]):
             assert b.n < a.n
-            assert b.vertex_set < a.vertex_set  # labels never reappear
+            assert set(b.vertices) < set(a.vertices)  # labels never reappear
 
 
 def test_pipeline_zero_vertex_neighbors_are_ones():

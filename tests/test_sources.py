@@ -44,17 +44,35 @@ def test_package_has_no_unused_imports():
     assert found == []
 
 
+def _is_property(node) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id in ("property", "cached_property")
+        or isinstance(d, ast.Attribute) and d.attr in ("setter", "deleter")
+        for d in node.decorator_list
+    )
+
+
 def test_package_defines_only_what_it_uses():
     # Every function, class, method and upper-case constant defined in the
     # package must be referenced from some package module other than
     # __init__.py, which only re-exports: what only the tests use belongs
-    # in the tests. Dunders are called by Python itself.
+    # in the tests. A method other than a property must also be called, as
+    # x.name(...), so that an attribute of the same name elsewhere does not
+    # count for it. Dunders are called by Python itself.
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
     assert trees
     defined = []
+    methods = []
     referenced = set()
+    called = set()
     for module, tree in trees.items():
         for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                methods += [
+                    (module, item.lineno, f"{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_property(item)
+                ]
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.append((module, node.lineno, node.name))
             elif isinstance(node, ast.Assign):
@@ -67,10 +85,17 @@ def test_package_defines_only_what_it_uses():
                 referenced.add(node.id)
             elif module != "__init__.py" and isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
+            elif module != "__init__.py" and isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
     found = [
         f"{module}:{line} {name}"
         for module, line, name in defined
         if name not in referenced and not (name.startswith("__") and name.endswith("__"))
+    ]
+    found += [
+        f"{module}:{line} {qualified}"
+        for module, line, qualified, name in methods
+        if name not in called and not (name.startswith("__") and name.endswith("__"))
     ]
     assert found == []
 
