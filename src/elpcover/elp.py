@@ -108,7 +108,7 @@ class DoubleCover:
         order, index, (scaled, scale) = g.vertices, g.index, point
         if len(scaled) != len(order) or scale <= 0:
             raise ValueError(f"point ({len(scaled)} ints over {scale}) does not fit n={len(order)}")
-        self.arcs, self.floor = arcs, floor = [[] for _ in order], [scale] * len(order)
+        arcs, floor = [[] for _ in order], [scale] * len(order)
         for u, v in g.edges():
             i, j = index[u], index[v]
             w = scaled[i] + scaled[j] - scale
@@ -118,6 +118,7 @@ class DoubleCover:
                 arcs[i].append((2 * j, w))
                 arcs[j].append((2 * i, w))
                 floor[i] = min(floor[i], 2 * w)
+        self.arcs, self.floor = arcs, floor
 
     def mask(self, vertices) -> None:
         """Leave the vertices of g out of every later search."""
