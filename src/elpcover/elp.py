@@ -86,10 +86,7 @@ def relaxation_engine(g: Graph) -> CoveringSimplex:
     if g.n * g.m > MAX_ENGINE_CELLS:
         raise CapExceededError(f"n*m = {g.n}*{g.m} exceeds the LP size cap {MAX_ENGINE_CELLS}")
     index = g.index
-    engine = CoveringSimplex(g.n)
-    for u, v in g.edges():
-        engine.add_ge_row({index[u]: 1, index[v]: 1}, 1)
-    return engine
+    return CoveringSimplex.covering(g.n, [(index[u], index[v]) for u, v in g.edges()])
 
 
 class DoubleCover:

@@ -162,6 +162,27 @@ class CoveringSimplex:
         for coeffs, rhs in rows:
             self.add_ge_row(coeffs, rhs)
 
+    @classmethod
+    def covering(cls, num_vars: int, pairs: Iterable[tuple[int, int]]) -> "CoveringSimplex":
+        """The engine that CoveringSimplex(num_vars) and add_ge_row({i: 1,
+        j: 1}, 1) for each pair (i, j) of distinct columns would build, in
+        one pass over the pairs.
+
+        At the all-surplus basis every x is nonbasic at zero, so each
+        surplus row is its given row negated, -x_i - x_j over den 1 with
+        rhs -1: violated, hence stored, with steepest-edge norm 1 + 1 + 1."""
+        engine = cls(num_vars)
+        width, rows, norms = engine._slots.width, engine._rows, engine._norms
+        given, plus = engine._given, engine._plus
+        unit = [1 << s for s in range(0, width * num_vars, width)]
+        for k, (i, j) in enumerate(pairs):
+            given.append(({i: 1, j: 1}, 1))
+            plus[i].append(k)
+            plus[j].append(k)
+            entry = rows[num_vars + k] = -unit[i] - unit[j], -1, 1
+            norms[num_vars + k] = entry, 3
+        return engine
+
     def copy(self) -> "CoveringSimplex":
         dup = CoveringSimplex.__new__(CoveringSimplex)
         dup.num_vars = self.num_vars

@@ -1298,6 +1298,18 @@ class Lockstep:
         for coeffs, rhs in rows:
             self.add_ge_row(coeffs, rhs)
 
+    @classmethod
+    def covering(cls, num_vars: int, pairs: Iterable[tuple[int, int]]) -> "Lockstep":
+        """The engine built in closed form by CoveringSimplex.covering, beside
+        the reference given the same edge rows one by one."""
+        pairs = list(pairs)
+        reference = FullDictionarySimplex(num_vars)
+        for i, j in pairs:
+            reference.add_ge_row({i: 1, j: 1}, 1)
+        dup = cls(num_vars, pair=(CoveringSimplex.covering(num_vars, pairs), reference))
+        check_same_dictionary(dup.engine, dup.reference)
+        return dup
+
     @property
     def pivots(self) -> int:
         return self.engine.pivots

@@ -504,6 +504,45 @@ def test_norms_are_kept_for_the_violated_rows_alone(monkeypatch):
     assert len(copies) >= g.m and max(choices) > 1
 
 
+def _simple_pairs(n):
+    """Lists of pairs of distinct columns below n, no two on the same two
+    columns, each pair in either order."""
+    if n < 2:
+        return st.just([])
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    return st.lists(pair, unique_by=frozenset)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=12).flatmap(lambda n: st.tuples(st.just(n), _simple_pairs(n))),
+    st.sampled_from((simplex.SLOT_WIDTH, 8)),
+)
+@example((0, []), simplex.SLOT_WIDTH)
+@example((12, []), simplex.SLOT_WIDTH)
+def test_covering_builds_the_engine_the_edge_rows_build(graph, width):
+    # covering(n, pairs) is CoveringSimplex(n) with one add_ge_row({i: 1,
+    # j: 1}, 1) per pair, field for field, and it keeps a norm for each
+    # stored row: that very row, with norm den^2 plus its squared entries.
+    n, pairs = graph
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "SLOT_WIDTH", width)
+        built = CoveringSimplex.covering(n, pairs)
+        added = CoveringSimplex(n)
+        for i, j in pairs:
+            added.add_ge_row({i: 1, j: 1}, 1)
+    for field in (
+        "num_vars", "_rows", "_given", "_plus", "_minus", "_nonbasic", "_position", "_cost",
+        "_slots", "pivots", "_on_face",
+    ):
+        assert getattr(built, field) == getattr(added, field), field
+    assert built._norms.keys() == built._rows.keys()
+    for col, (entry, norm) in built._norms.items():
+        row, _, den = entry
+        assert entry is built._rows[col]
+        assert norm == den * den + sum(e * e for e in unpack_row(built, row))
+
+
 def test_scaled_values_are_the_values_over_one_denominator():
     engine = relaxation_engine(complete_graph(3))
     assert engine.scaled_values() == ([0, 0, 0], 1)  # nothing basic yet
