@@ -20,13 +20,14 @@ Every cut is an odd-cycle inequality violated at the round's point, and
 the loop ends only when a separation over the whole graph finds nothing,
 so the batches change the vertex the simplex returns but not the optimum.
 
-Every LP goes through one CoveringSimplex engine, built by
-relaxation_engine from sparse int rows (x_u + x_v >= 1 per edge, one row
-per pooled cycle), and one cut chase, _chase, takes an engine to the
-optimum of the full relaxation, both for solve_elp and for each pin of the
-alternate-optimum sweep. The chase hands the engine's point to separation
-and edge classification as ints over one common denominator
-(CoveringSimplex.scaled_values). The solution returned after the loop is a
+Every LP goes through one CoveringSimplex engine, which relaxation_engine
+builds over the edge rows x_u + x_v >= 1, its starting dictionary and
+steepest-edge norms in closed form (CoveringSimplex.covering). One cut
+chase, _chase, appends a sparse int row per pooled cycle and takes an
+engine to the optimum of the full relaxation, both for solve_elp and for
+each pin of the alternate-optimum sweep. The chase hands the engine's
+point to separation and edge classification as ints over one common
+denominator (CoveringSimplex.scaled_values). The solution returned after the loop is a
 vertex of the cut-augmented polytope, certified optimal for it by the
 engine's exact dual check; a final separation pass certifies it is
 feasible, hence optimal, for the full relaxation. Whether it is also a
@@ -82,7 +83,7 @@ class ElpSolution(NamedTuple):
 
 def relaxation_engine(g: Graph) -> CoveringSimplex:
     """Unsolved engine over g.vertices order: one x_u + x_v >= 1 row per
-    edge."""
+    edge, built in closed form."""
     if g.n * g.m > MAX_ENGINE_CELLS:
         raise CapExceededError(f"n*m = {g.n}*{g.m} exceeds the LP size cap {MAX_ENGINE_CELLS}")
     index = g.index

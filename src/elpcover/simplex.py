@@ -58,6 +58,14 @@ optimum none is stored. add_ge_row appends the row as given and derives
 its row only if the current point violates it, and copy() copies the
 stored rows alone, sharing them, since no row is changed in place.
 
+A fresh engine over edge rows x_i + x_j >= 1, the only rows the package
+builds an engine with, is built in closed form by covering(): at the
+all-surplus basis each row's dictionary row is its given row negated
+over denominator 1, violated by the origin, and its steepest-edge norm
+is exactly 3, the weight of a slack basis (Forrest & Goldfarb). So the
+starting dictionary and norms are built in one pass over the edges, and
+add_ge_row and _derive serve only the rows added later (cuts and pins).
+
 add_ge_row takes a sparse {column: int} row with an int right-hand side,
 and no rational (Rat) leaves the engine: scaled_values() hands the point
 out as ints over one common denominator, which is what the odd-cycle
@@ -131,10 +139,11 @@ class CoveringSimplex:
     -rhs / den is the objective of the current basis. Every denominator is
     positive, and each row is divided by gcd(den, rhs, *entries) after
     every change. Stored rows are replaced, never changed in place, so
-    copies share them. _norms maps the basic column of each row that was
-    violated at the last leaving-row choice to that stored (row, rhs, den)
-    and its steepest-edge norm; it too is replaced, never changed, so
-    copies share it.
+    copies share them. _norms maps a basic column to its stored (row, rhs,
+    den) and that row's steepest-edge norm: filled for every starting row
+    when covering() builds the engine, and replaced at every leaving-row
+    choice by the entries of the rows violated there. It too is replaced,
+    never changed, so copies share it.
 
     _plus[j] and _minus[j] list the k whose given row has a positive and a
     negative coefficient on x_j: the rows that a fall, and a rise, of x_j

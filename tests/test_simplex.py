@@ -509,7 +509,8 @@ def _simple_pairs(n):
     columns, each pair in either order."""
     if n < 2:
         return st.just([])
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    column = st.integers(0, n - 1)
+    pair = st.tuples(column, column).filter(lambda p: p[0] != p[1])
     return st.lists(pair, unique_by=frozenset)
 
 
