@@ -71,7 +71,7 @@ def _load_instance(spec: str, fmt: str | None):
     path = Path(spec)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphFormatError(f"cannot read {spec}: {exc}") from exc
     g = parse_graph(text, fmt or detect_format(text))
     return g, path.name, str(path)

@@ -22,7 +22,7 @@ so the batches change the vertex the simplex returns but not the optimum.
 
 Every LP goes through one CoveringSimplex engine, which relaxation_engine
 builds over the edge rows x_u + x_v >= 1, its starting dictionary and
-steepest-edge norms in closed form (CoveringSimplex.covering). One cut
+steepest-edge norms in closed form (CoveringSimplex(n, pairs)). One cut
 chase, _chase, appends a sparse int row per pooled cycle and takes an
 engine to the optimum of the full relaxation, both for solve_elp and for
 each pin of the alternate-optimum sweep. The chase hands the engine's
@@ -87,7 +87,7 @@ def relaxation_engine(g: Graph) -> CoveringSimplex:
     if g.n * g.m > MAX_ENGINE_CELLS:
         raise CapExceededError(f"n*m = {g.n}*{g.m} exceeds the LP size cap {MAX_ENGINE_CELLS}")
     index = g.index
-    return CoveringSimplex.covering(g.n, [(index[u], index[v]) for u, v in g.edges()])
+    return CoveringSimplex(g.n, [(index[u], index[v]) for u, v in g.edges()])
 
 
 class DoubleCover:
@@ -126,19 +126,18 @@ class DoubleCover:
             taken.add(index[v])
 
 
-def separate_odd_cycle(g: Graph, point: tuple[list[int], int], cover: Optional[DoubleCover] = None):
-    """Most-violated odd-cycle inequality at a point x, or None if all are satisfied.
+def separate_odd_cycle(cover: DoubleCover):
+    """Most-violated odd-cycle inequality at cover's point x on cover's
+    graph g less its masked vertices, or None if all are satisfied.
 
-    point is x scaled to integers, (ints, L) with L > 0 and
+    The point is x scaled to integers, (ints, L) with L > 0 and
     x[g.vertices[i]] = ints[i] / L: CoveringSimplex.scaled_values() of an
     engine over g.vertices. Any common denominator L gives the same result.
-    Requires x to satisfy every edge inequality so the weights
-    w(u,v) = x_u + x_v - 1 are nonnegative (ValueError otherwise).
-    Returns (cycle, violation) where violation = (s+1) - sum_{v in cycle} x_v
-    > 0, a Rat, and the cycle has minimum weight among all odd cycles (so it
-    is a most-violated one). cover, when given, must be a DoubleCover of
-    this very g and point (ValueError otherwise), and the search runs on g
-    less its masked vertices.
+    DoubleCover requires x to satisfy every edge inequality, so the weights
+    w(u,v) = x_u + x_v - 1 are nonnegative. Returns (cycle, violation)
+    where violation = (s+1) - sum_{v in cycle} x_v > 0, a Rat, and the
+    cycle has minimum weight among all odd cycles (so it is a most-violated
+    one).
 
     The search is exact and integer-only: each edge weighs the int
     L*x_u + L*x_v - L, and one Dijkstra per base vertex looks for the
@@ -162,11 +161,7 @@ def separate_odd_cycle(g: Graph, point: tuple[list[int], int], cover: Optional[D
     prunings only drop labels that could not win, so the cycle returned is
     the one an unscaled, unpruned search returns.
     """
-    if cover is None:
-        cover = DoubleCover(g, point)
-    elif cover.g is not g or cover.point is not point:
-        raise ValueError("cover is a DoubleCover of another graph or point")
-    scaled, scale = point
+    g, (scaled, scale) = cover.g, cover.point
     best_dist = scale
     best_walk = None
     for base, floor in enumerate(cover.floor):
@@ -254,7 +249,7 @@ def classify_edges(g: Graph, point: tuple[list[int], int]):
     active: x_u + x_v = 1, the edges the active-edge step rewires;
     over-active: x_u + x_v >= 4/3 (boundary included), the edges the
     over-active step deletes. point is x scaled to integers, (ints, L) as
-    separate_odd_cycle takes it, so the tests are the int comparisons
+    a DoubleCover takes it, so the tests are the int comparisons
     L x_u + L x_v == L and 3 (L x_u + L x_v) >= 4 L.
     """
     ints, scale = point
@@ -328,7 +323,7 @@ def _disjoint_cuts(g: Graph, point: tuple[list[int], int]) -> list:
     one. Every search runs on one DoubleCover of the round, which masks the
     vertices taken instead of deleting them."""
     cover, cuts = DoubleCover(g, point), []
-    while (found := separate_odd_cycle(g, point, cover)) is not None:
+    while (found := separate_odd_cycle(cover)) is not None:
         cuts.append(found)
         cover.mask(found[0].vertices)
         if cover.left < 3:

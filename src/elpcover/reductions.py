@@ -93,15 +93,10 @@ class ReductionTrace:
 
     __slots__ = ("mode", "records", "hypothesis_failed")
 
-    def __init__(
-        self,
-        mode: str,
-        records: Optional[list[ReductionRecord]] = None,
-        hypothesis_failed: bool = False,
-    ):
+    def __init__(self, mode: str):
         self.mode = mode
-        self.records = [] if records is None else records
-        self.hypothesis_failed = hypothesis_failed
+        self.records: list[ReductionRecord] = []
+        self.hypothesis_failed = False
 
     @property
     def L(self) -> int:

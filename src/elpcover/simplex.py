@@ -58,8 +58,8 @@ optimum none is stored. add_ge_row appends the row as given and derives
 its row only if the current point violates it, and copy() copies the
 stored rows alone, sharing them, since no row is changed in place.
 
-A fresh engine over edge rows x_i + x_j >= 1, the only rows the package
-builds an engine with, is built in closed form by covering(): at the
+The constructor takes the edge rows x_i + x_j >= 1, the only rows the
+package starts an engine with, and builds them in closed form: at the
 all-surplus basis each row's dictionary row is its given row negated
 over denominator 1, violated by the origin, and its steepest-edge norm
 is exactly 3, the weight of a slack basis (Forrest & Goldfarb). So the
@@ -141,9 +141,16 @@ class CoveringSimplex:
     every change. Stored rows are replaced, never changed in place, so
     copies share them. _norms maps a basic column to its stored (row, rhs,
     den) and that row's steepest-edge norm: filled for every starting row
-    when covering() builds the engine, and replaced at every leaving-row
-    choice by the entries of the rows violated there. It too is replaced,
-    never changed, so copies share it.
+    by the constructor, and replaced at every leaving-row choice by the
+    entries of the rows violated there. It too is replaced, never changed,
+    so copies share it.
+
+    CoveringSimplex(num_vars, pairs) starts with one row x_i + x_j >= 1 per
+    pair (i, j) of distinct columns: the engine that add_ge_row({i: 1,
+    j: 1}, 1) for each pair would build, in one pass over the pairs. At
+    the all-surplus basis every x is nonbasic at zero, so each surplus row
+    is its given row negated, -x_i - x_j over den 1 with rhs -1: violated,
+    hence stored, with steepest-edge norm 1 + 1 + 1.
 
     _plus[j] and _minus[j] list the k whose given row has a positive and a
     negative coefficient on x_j: the rows that a fall, and a rise, of x_j
@@ -155,7 +162,7 @@ class CoveringSimplex:
         "pivots", "_on_face", "_slots", "_norms",
     )
 
-    def __init__(self, num_vars: int, rows: Iterable[tuple[Mapping, int]] = ()):
+    def __init__(self, num_vars: int, pairs: Iterable[tuple[int, int]] = ()):
         self.num_vars = num_vars
         self._slots = _Slots(num_vars, SLOT_WIDTH)
         self._rows: dict[int, tuple[int, int, int]] = {}
@@ -168,29 +175,14 @@ class CoveringSimplex:
         self._minus: list[list[int]] = [[] for _ in range(num_vars)]
         self.pivots = 0
         self._on_face = False
-        for coeffs, rhs in rows:
-            self.add_ge_row(coeffs, rhs)
-
-    @classmethod
-    def covering(cls, num_vars: int, pairs: Iterable[tuple[int, int]]) -> "CoveringSimplex":
-        """The engine that CoveringSimplex(num_vars) and add_ge_row({i: 1,
-        j: 1}, 1) for each pair (i, j) of distinct columns would build, in
-        one pass over the pairs.
-
-        At the all-surplus basis every x is nonbasic at zero, so each
-        surplus row is its given row negated, -x_i - x_j over den 1 with
-        rhs -1: violated, hence stored, with steepest-edge norm 1 + 1 + 1."""
-        engine = cls(num_vars)
-        width, rows, norms = engine._slots.width, engine._rows, engine._norms
-        given, plus = engine._given, engine._plus
-        unit = [1 << s for s in range(0, width * num_vars, width)]
+        width, rows, norms = self._slots.width, self._rows, self._norms
+        given, plus = self._given, self._plus
         for k, (i, j) in enumerate(pairs):
             given.append(({i: 1, j: 1}, 1))
             plus[i].append(k)
             plus[j].append(k)
-            entry = rows[num_vars + k] = -unit[i] - unit[j], -1, 1
+            entry = rows[num_vars + k] = -(1 << width * i) - (1 << width * j), -1, 1
             norms[num_vars + k] = entry, 3
-        return engine
 
     def copy(self) -> "CoveringSimplex":
         dup = CoveringSimplex.__new__(CoveringSimplex)
@@ -515,7 +507,7 @@ class _Slots:
 
     def __init__(self, n: int, width: int):
         shifts = range(0, width * n, width)
-        ones = self.ones = sum(1 << s for s in shifts)
+        ones = self.ones = ((1 << width * n) - 1) // ((1 << width) - 1)
         self.width, self.mask, self.half = width, (1 << width) - 1, 1 << (width - 1)
         self.limit = limit = 1 << (width // 2 - 2)
         self.bias = bias = self.half * ones

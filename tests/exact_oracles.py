@@ -25,13 +25,13 @@ import networkx as nx
 from elpcover import elp, reductions, simplex
 from elpcover._rat import ONE, ZERO, Rat
 from elpcover.cover import BoundCertificate, GuaranteeViolation, backtrack
-from elpcover.elp import ElpSolution, classify_edges, separate_odd_cycle, solve_elp
+from elpcover.elp import DoubleCover, ElpSolution, classify_edges, separate_odd_cycle, solve_elp
 from elpcover.graph import Graph, OddCycle, normalize_edge, random_gnp_graph
 from elpcover.simplex import CoveringSimplex, InfeasibleError, PivotLimitError
 
 
 def scale_point(g: Graph, x: Mapping[int, object]) -> tuple[list[int], int]:
-    """x as the pair (ints, L) that separate_odd_cycle and classify_edges
+    """x as the pair (ints, L) that DoubleCover and classify_edges
     take: L is the lcm of the denominators of x's values and
     ints[i] = L * x[g.vertices[i]]."""
     values = [Rat(x[v]) for v in g.vertices]
@@ -44,6 +44,21 @@ def point_values(point: tuple[Sequence[int], int]) -> list[Rat]:
     and scaled_values hand it out: ints[j] / L for every column j."""
     ints, scale = point
     return [Rat(v, scale) for v in ints]
+
+
+def with_rows(engine, rows: Iterable[tuple[Mapping, int]]):
+    """engine after add_ge_row(coeffs, rhs) of each (coeffs, rhs) of rows,
+    in order: the engine a general LP starts from."""
+    for coeffs, rhs in rows:
+        engine.add_ge_row(coeffs, rhs)
+    return engine
+
+
+def trace_of(mode: str, records) -> reductions.ReductionTrace:
+    """A ReductionTrace of mode that holds records."""
+    trace = reductions.ReductionTrace(mode)
+    trace.records = list(records)
+    return trace
 
 
 def run_pipeline_iterates(g: Graph, notes: Optional[list] = None, **options):
@@ -106,7 +121,7 @@ def backtrack_sizes(trace) -> list[int]:
     """[|S_1| .. |S_L|], S_k the cover backtracking builds for G_k: the
     cover of backtrack run on the records of iterations k..L."""
     return [
-        len(backtrack(reductions.ReductionTrace(trace.mode, trace.records[k:])))
+        len(backtrack(trace_of(trace.mode, trace.records[k:])))
         for k in range(trace.L)
     ]
 
@@ -510,7 +525,7 @@ def round_of_cuts(g: Graph, x: Mapping[int, object], disjoint: bool = True) -> l
     cuts = []
     rest = g
     while rest.m:
-        found = separate_odd_cycle(rest, scale_point(rest, x))
+        found = separate_odd_cycle(DoubleCover(rest, scale_point(rest, x)))
         if found is None:
             break
         cuts.append(found)
@@ -537,13 +552,13 @@ def reference_disjoint_cuts(g: Graph, point: tuple[list[int], int]) -> list:
     ints, scale = point
     value = dict(zip(g.vertices, ints))
     cuts = []
-    rest, found = g, separate_odd_cycle(g, point)
+    rest, found = g, separate_odd_cycle(DoubleCover(g, point))
     while found is not None:
         cuts.append(found)
         rest = rest.delete_vertices(found[0].vertices)
         if rest.m < 3:
             break
-        found = separate_odd_cycle(rest, ([value[v] for v in rest.vertices], scale))
+        found = separate_odd_cycle(DoubleCover(rest, ([value[v] for v in rest.vertices], scale)))
     return cuts
 
 
@@ -1224,8 +1239,10 @@ def reference_state(reference: FullDictionarySimplex) -> str:
 
 def check_same_dictionary(engine: CoveringSimplex, reference: FullDictionarySimplex) -> None:
     """engine holds the reference's dictionary row for row, stores the row
-    of every violated basic column and no satisfied surplus row, and each
-    stored surplus row equals its derivation from the row as given."""
+    of every violated basic column and no satisfied surplus row, keeps
+    den^2 + sum_q e_q^2 as the steepest-edge norm of every stored row it
+    has a norm for, and each stored surplus row equals its derivation from
+    the row as given."""
     n = engine.num_vars
     if engine._nonbasic != reference._nonbasic:
         raise AssertionError(f"nonbasic {engine._nonbasic} != {reference._nonbasic}")
@@ -1238,6 +1255,11 @@ def check_same_dictionary(engine: CoveringSimplex, reference: FullDictionarySimp
     if dictionary(engine) != full:
         raise AssertionError("dictionaries differ")
     check_stored_rows(engine, full)
+    for col, (entry, norm) in engine._norms.items():
+        if engine._rows.get(col) is entry:
+            row, _, den = entry
+            if norm != den * den + sum(e * e for e in unpack_row(engine, row)):
+                raise AssertionError(f"steepest-edge norm of column {col} is stale")
     for col in [col for col in engine._rows if col >= n]:
         derived = engine._derive(col - n)  # may widen the engine's rows first
         if engine._rows[col] != derived:
@@ -1287,28 +1309,19 @@ class Lockstep:
     against the ceiling it replaced: the reference's AboveCeilingError and
     the engine's InfeasibleError count as the same outcome."""
 
-    def __init__(
-        self, num_vars: int, rows: Iterable[tuple[Mapping, int]] = (), pair=None, ceiling=None,
-    ):
+    def __init__(self, num_vars: int, pairs: Iterable[tuple[int, int]] = (), pair=None, ceiling=None):
+        """Without pair, the engine CoveringSimplex(num_vars, pairs) builds in
+        closed form, beside the reference given the same edge rows one by
+        one."""
         self.num_vars = num_vars
         if pair is None:
-            pair = CoveringSimplex(num_vars), FullDictionarySimplex(num_vars)
+            pairs = list(pairs)
+            pair = CoveringSimplex(num_vars, pairs), FullDictionarySimplex(num_vars)
+            for i, j in pairs:
+                pair[1].add_ge_row({i: 1, j: 1}, 1)
         self.engine, self.reference = pair
         self.ceiling = ceiling
-        for coeffs, rhs in rows:
-            self.add_ge_row(coeffs, rhs)
-
-    @classmethod
-    def covering(cls, num_vars: int, pairs: Iterable[tuple[int, int]]) -> "Lockstep":
-        """The engine built in closed form by CoveringSimplex.covering, beside
-        the reference given the same edge rows one by one."""
-        pairs = list(pairs)
-        reference = FullDictionarySimplex(num_vars)
-        for i, j in pairs:
-            reference.add_ge_row({i: 1, j: 1}, 1)
-        dup = cls(num_vars, pair=(CoveringSimplex.covering(num_vars, pairs), reference))
-        check_same_dictionary(dup.engine, dup.reference)
-        return dup
+        check_same_dictionary(self.engine, self.reference)
 
     @property
     def pivots(self) -> int:
@@ -1316,15 +1329,11 @@ class Lockstep:
 
     def copy(self) -> "Lockstep":
         pair = self.engine.copy(), self.reference.copy()
-        dup = Lockstep(self.num_vars, pair=pair, ceiling=self.ceiling)
-        check_same_dictionary(dup.engine, dup.reference)
-        return dup
+        return Lockstep(self.num_vars, pair=pair, ceiling=self.ceiling)
 
     def optimal_face(self) -> "Lockstep":
         pair = self.engine.optimal_face(), self.reference.copy()
-        dup = Lockstep(self.num_vars, pair=pair, ceiling=self.objective())
-        check_same_dictionary(dup.engine, dup.reference)
-        return dup
+        return Lockstep(self.num_vars, pair=pair, ceiling=self.objective())
 
     def add_ge_row(self, coeffs: Mapping[int, int], rhs: int) -> None:
         self.engine.add_ge_row(coeffs, rhs)

@@ -41,6 +41,7 @@ def test_ab_head_against_head_reports_equal_digests_in_both_modes(tmp_path):
     pairs = record["ab_pairs"]["sweep-small"]
     assert set(pairs) == {m["name"] for m in SPEC["end_to_end"]}
     assert all(p["pairs"] == 1 and p["change_wins"] in (0, 1) for p in pairs.values())
+    assert all(p["median_pair_ratio"] > 0 for p in pairs.values())
 
     in_process = record["in_process"]["runs"]["sweep-small"]
     assert in_process["passes"] == 1 and in_process["reports_identical"] is True

@@ -17,7 +17,7 @@ import pytest
 from elpcover._rat import Rat
 from elpcover.cli import main as cli_main
 from elpcover.cover import backtrack, certify, validate_cover
-from elpcover.elp import relaxation_engine, separate_odd_cycle, solve_elp
+from elpcover.elp import DoubleCover, relaxation_engine, separate_odd_cycle, solve_elp
 from elpcover.graph import (
     Graph,
     complete_graph,
@@ -190,7 +190,7 @@ def test_criterion_5_separation_equivalence():
     for _ in range(200):
         g = random_connected_gnp(rng.randint(3, 10), rng.uniform(0.25, 0.7), rng)
         x = {v: values[rng.randrange(len(values))] for v in g.vertices}
-        found = separate_odd_cycle(g, scale_point(g, x))
+        found = separate_odd_cycle(DoubleCover(g, scale_point(g, x)))
         brute = nx_min_odd_cycle_weight(g, x)
         if found is None:
             assert brute is None or brute >= 1

@@ -69,6 +69,16 @@ def test_exit_code_parse_error(tmp_path):
     assert run_cli(["solve", str(tmp_path / "missing.col")]) == 2
 
 
+def test_exit_code_undecodable_instance(tmp_path, capsys):
+    # A file that is not UTF-8 text is an unreadable instance, reported in
+    # one line like a missing file.
+    bad = tmp_path / "bad.col"
+    bad.write_bytes(b"\xff\xfe\x00p edge 2 1\n")
+    assert run_cli(["solve", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read")
+
+
 def test_exit_code_bad_generator_spec(capsys):
     assert run_cli(["solve", "gen:cycle(2)"]) == 2
     assert run_cli(["solve", "gen:no_such(3)"]) == 2

@@ -31,6 +31,7 @@ from exact_oracles import (
     random_connected_gnp,
     reference_certify,
     reference_oracle_block,
+    trace_of,
 )
 
 
@@ -88,7 +89,8 @@ def test_backtrack_empty_graph():
 
 
 def test_backtrack_hypothesis_failure_raises():
-    trace = ReductionTrace(mode="base", hypothesis_failed=True)
+    trace = ReductionTrace(mode="base")
+    trace.hypothesis_failed = True
     with pytest.raises(HypothesisFailedError):
         backtrack(trace)
 
@@ -173,7 +175,7 @@ def test_certify_xi_zero_whenever_gamma_zero():
 
 
 def test_certify_guarantee_violation_detected():
-    trace = ReductionTrace(mode="enhanced", records=[terminal_record(1, ())._replace(f=Rat(2))])
+    trace = trace_of("enhanced", [terminal_record(1, ())._replace(f=Rat(2))])
     with pytest.raises(GuaranteeViolation):
         certify(trace, frozenset(range(10)))  # |S1|=10 > 3 with gamma=0
 
@@ -229,13 +231,13 @@ def synthetic_traces(draw):
     ]
     f1 = Rat(draw(st.integers(0, 40)), draw(st.integers(1, 6)))
     records[0] = records[0]._replace(f=f1)
-    return ReductionTrace(mode=draw(st.sampled_from(["enhanced", "base"])), records=records)
+    return trace_of(draw(st.sampled_from(["enhanced", "base"])), records)
 
 
 # gamma = 5 and beta = 0, so alpha/2 = 5/2 > lambda - f1/2 = 5 - 7/2: xi = 3/2.
-XI_FROM_LAMBDA = ReductionTrace(
-    mode="enhanced",
-    records=[random_record(1)._replace(f=Rat(7)), *map(random_record, range(2, 6)), terminal_record(6, ())],
+XI_FROM_LAMBDA = trace_of(
+    "enhanced",
+    [random_record(1)._replace(f=Rat(7)), *map(random_record, range(2, 6)), terminal_record(6, ())],
 )
 
 

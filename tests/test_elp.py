@@ -10,6 +10,7 @@ from elpcover import elp
 from elpcover._rat import Rat
 from elpcover.elp import (
     CutLoopLimitError,
+    DoubleCover,
     ElpSolution,
     classify_edges,
     explore_alternate_bfs,
@@ -52,7 +53,7 @@ from exact_oracles import (
 def test_separation_c5_all_half():
     c5 = cycle_graph(5)
     x = {v: Rat(1, 2) for v in c5.vertices}
-    cycle, violation = separate_odd_cycle(c5, scale_point(c5, x))
+    cycle, violation = separate_odd_cycle(DoubleCover(c5, scale_point(c5, x)))
     assert cycle.vertex_set == frozenset(c5.vertices)
     assert violation == Rat(1, 2)  # 3 - 5/2
 
@@ -60,13 +61,13 @@ def test_separation_c5_all_half():
 def test_separation_none_on_bipartite():
     c4 = cycle_graph(4)
     x = {v: Rat(1, 2) for v in c4.vertices}
-    assert separate_odd_cycle(c4, scale_point(c4, x)) is None
+    assert separate_odd_cycle(DoubleCover(c4, scale_point(c4, x))) is None
 
 
 def test_separation_petersen_matches_bruteforce():
     pet = petersen_graph()
     x = {v: Rat(1, 2) for v in pet.vertices}
-    cycle, violation = separate_odd_cycle(pet, scale_point(pet, x))
+    cycle, violation = separate_odd_cycle(DoubleCover(pet, scale_point(pet, x)))
     assert len(cycle.vertices) == 5 and violation == Rat(1, 2)
     # brute-force minimum over all odd cycles (networkx route)
     assert nx_min_odd_cycle_weight(pet, x) == 0
@@ -77,18 +78,9 @@ def test_separation_petersen_matches_bruteforce():
 def test_separation_requires_edge_feasibility():
     k2 = complete_graph(2)
     with pytest.raises(ValueError, match="edge inequality violated"):
-        separate_odd_cycle(k2, scale_point(k2, {1: Rat(0), 2: Rat(0)}))
+        separate_odd_cycle(DoubleCover(k2, scale_point(k2, {1: Rat(0), 2: Rat(0)})))
     with pytest.raises(ValueError, match="does not fit"):
-        separate_odd_cycle(complete_graph(3), ([1, 1], 2))  # one value short
-
-
-def test_separation_rejects_a_cover_of_another_graph_or_point():
-    c5 = cycle_graph(5)
-    point = scale_point(c5, {v: Rat(1, 2) for v in c5.vertices})
-    for cover in (elp.DoubleCover(cycle_graph(5), point), elp.DoubleCover(c5, ([1] * 5, 2))):
-        with pytest.raises(ValueError, match="another graph or point"):
-            separate_odd_cycle(c5, point, cover)
-    assert separate_odd_cycle(c5, point, elp.DoubleCover(c5, point)) is not None
+        separate_odd_cycle(DoubleCover(complete_graph(3), ([1, 1], 2)))  # one value short
 
 
 def test_separation_equivalence_random(subtests=None):
@@ -98,7 +90,7 @@ def test_separation_equivalence_random(subtests=None):
     for trial in range(60):
         g = random_connected_gnp(rng.randint(3, 9), rng.uniform(0.3, 0.7), rng)
         x = {v: values[rng.randrange(len(values))] for v in g.vertices}
-        found = separate_odd_cycle(g, scale_point(g, x))
+        found = separate_odd_cycle(DoubleCover(g, scale_point(g, x)))
         best = nx_min_odd_cycle_weight(g, x)
         if found is None:
             assert best is None or Fraction(str(best)) >= 1
@@ -141,7 +133,7 @@ def _cut(found):
 @given(_graphs_with_feasible_points())
 def test_separation_tie_break_matches_reference(case):
     g, x = case
-    found = separate_odd_cycle(g, scale_point(g, x))
+    found = separate_odd_cycle(DoubleCover(g, scale_point(g, x)))
     assert _cut(found) == _cut(reference_separate_odd_cycle(g, x))
 
 
@@ -149,11 +141,11 @@ def test_separation_tie_break_matches_reference(case):
 def test_separation_matches_reference_along_cut_loop(g, monkeypatch):
     calls = []
 
-    def checked(graph, point, cover=None):
-        found = separate_odd_cycle(graph, point, cover)
-        ints, scale = point
+    def checked(cover):
+        found = separate_odd_cycle(cover)
+        graph, (ints, scale) = cover.g, cover.point
         x = {v: Rat(s, scale) for v, s in zip(graph.vertices, ints)}
-        masked = [graph.vertices[i] for i in cover.taken] if cover is not None else []
+        masked = [graph.vertices[i] for i in cover.taken]
         assert _cut(found) == _cut(reference_separate_odd_cycle(graph.delete_vertices(masked), x))
         calls.append(found is not None)
         return found
@@ -262,7 +254,7 @@ def test_chase_rounds_add_disjoint_violated_cuts(g):
         sol = solve_elp(g)
     assert rounds[-1][1] == [] and all(cuts for _, cuts in rounds[:-1])
     for point, cuts in rounds:
-        assert (cuts[0] if cuts else None) == separate_odd_cycle(g, point)
+        assert (cuts[0] if cuts else None) == separate_odd_cycle(DoubleCover(g, point))
         x = dict(zip(g.vertices, point_values(point)))
         taken = set()
         for cycle, violation in cuts:
@@ -287,13 +279,14 @@ def _check_round(g, point):
     calls = []
     separate = elp.separate_odd_cycle
 
-    def counted(h, p, cover=None):
+    def counted(cover):
         calls.append(True)
-        return separate(h, p, cover)
+        return separate(cover)
 
-    def independent(h, p):
+    def independent(cover):
         calls.append(False)
-        return reference_separate_odd_cycle(h, dict(zip(h.vertices, point_values(p))))
+        h = cover.g
+        return reference_separate_odd_cycle(h, dict(zip(h.vertices, point_values(cover.point))))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(elp, "separate_odd_cycle", counted)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -10,6 +11,7 @@ from elpcover import elp, simplex
 from elpcover._rat import Rat
 from elpcover.elp import explore_alternate_bfs, relaxation_engine, solve_elp
 from elpcover.graph import (
+    Graph,
     complete_graph,
     cycle_graph,
     petersen_graph,
@@ -31,6 +33,7 @@ from exact_oracles import (
     random_connected_gnp,
     rational_rank,
     unpack_row,
+    with_rows,
 )
 
 HALF_SET = {Rat(0), Rat(1, 2), Rat(1)}
@@ -122,7 +125,7 @@ def test_solve_with_equality_c4():
 
 def test_solve_with_equality_infeasible():
     # x1 >= 2 (scaled) conflicts with pinning x1 + x2 = 1 when x2 also >= 2.
-    engine = CoveringSimplex(2, [({0: 1, 1: 1}, 1), ({0: 1}, 2), ({1: 1}, 2)])
+    engine = with_rows(CoveringSimplex(2), [({0: 1, 1: 1}, 1), ({0: 1}, 2), ({1: 1}, 2)])
     with pytest.raises(InfeasibleError):
         _solved(_pinned(engine, 0))
 
@@ -137,7 +140,7 @@ def test_exactness_zero_tolerance():
     # 1000 edges chained: values must verify rows exactly, no drift.
     n = 60
     rows = [({i: 1, i + 1: 1}, 1) for i in range(n - 1)]
-    values = _solved(CoveringSimplex(n, rows))
+    values = _solved(with_rows(CoveringSimplex(n), rows))
     for coeffs, rhs in rows:
         assert sum(c * values[j] for j, c in coeffs.items()) >= rhs
     assert sum(values) == Rat((n - 1 + 1) // 2)  # path cover number
@@ -223,12 +226,12 @@ def test_dual_certificate_rejects_tampered_engine():
     # min x1 + x2 s.t. x1 + 2 x2 >= 2, 2 x1 + x2 >= 2: optimum 4/3 at (2/3, 2/3).
     rows = [({0: 1, 1: 2}, 2), ({0: 2, 1: 1}, 2)]
 
-    engine = CoveringSimplex(2, rows)
+    engine = with_rows(CoveringSimplex(2), rows)
     assert sum(_solved(engine)) == Rat(4, 3)
 
     # A feasible but non-optimal basis: x1 enters on row 0 (leaving column
     # 2, its surplus; x1 sits at position 0), giving (2, 0).
-    off = CoveringSimplex(2, rows)
+    off = with_rows(CoveringSimplex(2), rows)
     off._pivot(2, 0)
     assert point_values(off.scaled_values()) == [2, 0]
     with pytest.raises(AssertionError, match="dual infeasible"):
@@ -271,7 +274,7 @@ def test_solve_matches_vertex_enumeration_on_rational_rows(case):
         expected = lp_vertex_enumeration(
             n, [(c, rel_at_pin if i == pin else ">=", r) for i, (c, r) in enumerate(rows)]
         )
-        engine = CoveringSimplex(n, [_int_row(c, r) for c, r in rows])
+        engine = with_rows(CoveringSimplex(n), [_int_row(c, r) for c, r in rows])
         if rel_at_pin == "=":
             _pinned(engine, pin)
         try:
@@ -312,7 +315,7 @@ def test_pivot_cap_ignores_pivots_of_earlier_calls_and_copies(monkeypatch):
 
 def _path_engine():
     # min x0 + x1 + x2 over x0 + x1 >= 1, solved at x = (1, 0, 0) with value 1.
-    engine = CoveringSimplex(3, [({0: 1, 1: 1}, 1)])
+    engine = with_rows(CoveringSimplex(3), [({0: 1, 1: 1}, 1)])
     engine.optimize()
     assert engine.scaled_values() == ([1, 0, 0], 1) and engine.pivots == 1
     return engine
@@ -416,8 +419,8 @@ def test_rows_past_the_slot_bound_widen_the_engine():
     # Coefficients of 2^70 do not fit the default slots: the engine re-encodes
     # its rows at wider slots and reaches the point of the rows scaled down.
     rows = [({0: 1, 1: 2}, 2), ({0: 2, 1: 1}, 2)]
-    big = CoveringSimplex(2, [({j: c << 70 for j, c in r.items()}, b << 70) for r, b in rows])
-    small = CoveringSimplex(2, rows)
+    big = with_rows(CoveringSimplex(2), [({j: c << 70 for j, c in r.items()}, b << 70) for r, b in rows])
+    small = with_rows(CoveringSimplex(2), rows)
     assert big.scaled_values() == ([0, 0], 1)
     for engine in (big, small):
         engine.optimize()
@@ -430,7 +433,7 @@ def test_a_cost_row_past_the_slot_bound_widens_the_engine(monkeypatch):
     # With 8-bit slots (bound 2^2) a pivot of this LP keeps every stored row
     # within the bound but not the cost row, which must widen the engine.
     rows = [({0: 2, 1: 1}, 1), ({0: 2, 1: 2, 2: 3}, 3)]
-    expected = CoveringSimplex(3, rows)
+    expected = with_rows(CoveringSimplex(3), rows)
     expected.optimize()
     pivot = CoveringSimplex._pivot
 
@@ -440,7 +443,7 @@ def test_a_cost_row_past_the_slot_bound_widens_the_engine(monkeypatch):
 
     monkeypatch.setattr(simplex, "SLOT_WIDTH", 8)
     monkeypatch.setattr(CoveringSimplex, "_pivot", checked)
-    engine = CoveringSimplex(3, rows)
+    engine = with_rows(CoveringSimplex(3), rows)
     engine.optimize()
     assert engine._slots.width > 8
     assert engine.certified_values() == expected.certified_values()
@@ -522,13 +525,13 @@ def _simple_pairs(n):
 @example((0, []), simplex.SLOT_WIDTH)
 @example((12, []), simplex.SLOT_WIDTH)
 def test_covering_builds_the_engine_the_edge_rows_build(graph, width):
-    # covering(n, pairs) is CoveringSimplex(n) with one add_ge_row({i: 1,
+    # CoveringSimplex(n, pairs) is CoveringSimplex(n) with one add_ge_row({i: 1,
     # j: 1}, 1) per pair, field for field, and it keeps a norm for each
     # stored row: that very row, with norm den^2 plus its squared entries.
     n, pairs = graph
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "SLOT_WIDTH", width)
-        built = CoveringSimplex.covering(n, pairs)
+        built = CoveringSimplex(n, pairs)
         added = CoveringSimplex(n)
         for i, j in pairs:
             added.add_ge_row({i: 1, j: 1}, 1)
@@ -542,6 +545,23 @@ def test_covering_builds_the_engine_the_edge_rows_build(graph, width):
         row, _, den = entry
         assert entry is built._rows[col]
         assert norm == den * den + sum(e * e for e in unpack_row(built, row))
+
+
+def test_a_fresh_engine_grows_linearly_in_its_vertex_count():
+    # A fresh engine holds a few packed ints of num_vars slots and some
+    # bookkeeping per column, and nothing that grows with the square of
+    # num_vars: over 4000 vertices and one edge it peaks near 1.3 MB (a
+    # packed unit per column would take 35 MB). The slot constants are
+    # built afresh, not taken from the cache.
+    g = Graph.from_edges(range(1, 4001), [(1, 2)])
+    simplex._Slots.cache_clear()
+    tracemalloc.start()
+    try:
+        relaxation_engine(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_scaled_values_are_the_values_over_one_denominator():
@@ -602,7 +622,7 @@ def test_compact_engine_matches_reference_engine(n, rows, cuts, pin):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simplex, "STALL_LIMIT", stall_limit)
             same = stall_limit == 0
-            engine = CoveringSimplex(n, [_int_row(c, r) for c, r in rows])
+            engine = with_rows(CoveringSimplex(n), [_int_row(c, r) for c, r in rows])
             reference = ReferenceCoveringSimplex(n, rows)
             _optimize_both(engine, reference, same)
             for coeffs, rhs in cuts:
@@ -661,9 +681,9 @@ def test_engine_matches_full_dictionary_engine(n, rows, cuts, pin, stall_limit, 
         mp.setattr(simplex, "SLOT_WIDTH", width)
         mp.setattr(simplex, "STALL_LIMIT", stall_limit)
         mp.setattr(exact_oracles, "STALL_LIMIT", stall_limit)
-        cold = Lockstep(n, [_int_row(c[:n], r) for c, r in rows + cuts])
+        cold = with_rows(Lockstep(n), [_int_row(c[:n], r) for c, r in rows + cuts])
         _optimize(cold)
-        both = Lockstep(n, [_int_row(c[:n], r) for c, r in rows])
+        both = with_rows(Lockstep(n), [_int_row(c[:n], r) for c, r in rows])
         _optimize(both)
         for coeffs, rhs in cuts:
             both.add_ge_row(*_int_row(coeffs[:n], rhs))

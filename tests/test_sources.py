@@ -121,3 +121,61 @@ print(" ".join(sorted(added & {"multiprocessing", "concurrent.futures", "csv", "
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_every_default_is_bound_by_some_package_call():
+    # A parameter with a default that no package call ever binds is a path
+    # only the tests take: the package has one way to call each function.
+    # Each package module but __init__.py, which only re-exports, counts as
+    # a caller. A call binds by keyword, by position (after self or cls for
+    # x.method(...), and Class(...) calls Class.__init__), or through * or
+    # **; calls are matched by name, so a call binds the parameters of
+    # every function and method of that name. cli.main's argv is the
+    # console script's entry point.
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert trees
+    in_class = set()
+    targets = {}  # called name -> [(function node, implicit first parameters, qualified name)]
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        in_class.add(item)
+                        for name in [item.name] + [node.name] * (item.name == "__init__"):
+                            targets.setdefault(name, []).append((item, 1, f"{node.name}.{item.name}"))
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node not in in_class:
+                targets.setdefault(node.name, []).append((node, 0, node.name))
+    defaulted = {}  # function node -> (qualified name, [(position or None, parameter)])
+    for entries in targets.values():
+        for fn, _, qualified in entries:
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            params = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+            params += [(None, p.arg) for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            if params:
+                defaulted[fn] = qualified, params
+    bound = set()
+    for module, tree in trees.items():
+        if module == "__init__.py":
+            continue
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            keywords = {k.arg for k in call.keywords}
+            for fn, implicit, _ in targets.get(name, ()):
+                for position, param in defaulted.get(fn, (None, ()))[1]:
+                    by_position = position is not None and (starred or position - implicit < len(call.args))
+                    if None in keywords or param in keywords or by_position:
+                        bound.add((fn, param))
+    found = sorted(
+        f"{qualified} {param}"
+        for fn, (qualified, params) in defaulted.items()
+        for _, param in params
+        if (fn, param) not in bound and (qualified, param) != ("main", "argv")
+    )
+    assert found == []

@@ -12,8 +12,10 @@ checkouts one after the other with seed ``first_seed + i - 1``, the parent
 first in odd pairs, and reads each run's detail and result lines. Per
 workload the record holds every run and, for an untraced set, ``ab_pairs``:
 each end-to-end metric's medians, both sides' quartiles
-(``statistics.quantiles(n=4)``), the parent's IQR (q3 - q1) and the pairs
-the change won, by the metric's direction in ``BENCHMARK.json``.
+(``statistics.quantiles(n=4)``), the parent's IQR (q3 - q1), the pairs
+the change won, by the metric's direction in ``BENCHMARK.json``, and the
+median of the per-pair change/parent ratios, which a slow phase of the
+host that spans several pairs moves less than it moves the two medians.
 
 ``--in-process`` imports both checkouts' ``elpcover`` into this one
 interpreter and alternates them instance by instance over ``--pairs``
@@ -108,6 +110,7 @@ def ab_pairs(runs: dict, end_to_end: list) -> dict:
             "change_median": statistics.median(change),
             "change_quartiles": cq,
             "change_wins": sum((c > p) if higher else (c < p) for p, c in zip(parent, change)),
+            "median_pair_ratio": statistics.median(c / p for p, c in zip(parent, change)),
         }
     return out
 
